@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    CompositionDomainError,
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
@@ -155,39 +156,39 @@ def _source_trie(rows: Iterable[Row]) -> dict:
     return trie
 
 
-def _compose_rows(group: SelfSimilarGroup, g_rows: Iterable[Row], h_rows: Iterable[Row]) -> list[Row]:
-    """Rows of g after h (h applied first).
+def _compose_rows(group: SelfSimilarGroup, trie: dict, h_rows: Iterable[Row]) -> list[Row]:
+    """Rows of g after h (h applied first), g given by its `_source_trie`.
 
-    Each h-row's image ball is split until it lies inside a single source
-    ball of g, then the two similarities chain: the composite germ is g's
-    leftover restriction times the h germ.
+    Each h-row's target is walked down the trie until it reaches a source
+    ball of g; then the two similarities chain: the composite germ is g's
+    leftover restriction times the h germ.  A target that ends above every
+    source ball is split into its d children, and each child resumes the
+    walk at the trie node where its parent stopped, so no letter of a
+    target is read twice.  A walk that falls off the trie has left g's
+    domain, and no amount of splitting brings it back.
     """
-    trie = _source_trie(g_rows)
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
     out: list[Row] = []
-    stack = list(h_rows)
+    stack = [(src, tgt, germ, trie, 0) for src, tgt, germ in h_rows]
     while stack:
-        src, tgt, germ = stack.pop()
-        node = trie
-        hit = None
-        if None in node:
-            hit = (0, node[None])
-        else:
-            for i, a in enumerate(tgt):
-                node = node.get(a)
-                if node is None:
-                    break
-                if None in node:
-                    hit = (i + 1, node[None])
-                    break
-        if hit is None:
+        src, tgt, germ, node, i = stack.pop()
+        n = len(tgt)
+        while None not in node and i < n:
+            node = node.get(tgt[i])
+            if node is None:
+                raise CompositionDomainError(
+                    f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
+                )
+            i += 1
+        leaf = node.get(None)
+        if leaf is None:
             row_act, row_res = act[germ], res[germ]
             for a in range(d):
-                stack.append(Row(src + (a,), tgt + (row_act[a],), row_res[a]))
+                stack.append((src + (a,), tgt + (row_act[a],), row_res[a], node, n))
             continue
-        k, (g_target, g_germ) = hit
-        path, rest = group.act_word(g_germ, tgt[k:])
+        g_target, g_germ = leaf
+        path, rest = group.act_word(g_germ, tgt[i:])
         out.append(Row(src, g_target + path, mul[rest][germ]))
     return out
 
@@ -292,11 +293,15 @@ def expand_at(t: SimTable, source: Word) -> SimTable:
 
 
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
-    """g after h.  The left operand must act on the whole space."""
+    """g after h.
+
+    The left operand's domain must contain every target of the right
+    operand; CompositionDomainError names a target that lies outside it.
+    """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
     kind = ELEMENT if g.table.kind == ELEMENT and h.table.kind == ELEMENT else EMBEDDING
-    rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, h.rows))
+    rows = _reduce_rows(g.group, _compose_rows(g.group, _source_trie(g.rows), h.rows))
     return CanonicalElement(_trusted_table(g.group, kind, rows))
 
 

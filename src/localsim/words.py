@@ -325,15 +325,15 @@ def complement_balls(alphabet: Alphabet, words: Iterable[Word]) -> tuple[Word, .
     """Minimal ball cover of the complement of a union of balls."""
     inside = clopen_normalize(alphabet, words).balls
     out: list[Word] = []
-
-    def walk(p: Word) -> None:
+    # depth-first in letter order; children are pushed in reverse so the
+    # first letter is visited first
+    stack: list[Word] = [()]
+    while stack:
+        p = stack.pop()
         if any(is_prefix(b, p) for b in inside):
-            return
+            continue
         if not any(is_prefix(p, b) for b in inside):
             out.append(p)
-            return
-        for a in alphabet.letters:
-            walk(p + (a,))
-
-    walk(())
+            continue
+        stack.extend(p + (a,) for a in reversed(alphabet.letters))
     return tuple(out)

@@ -9,18 +9,21 @@ only finitely many classes; the signed difference is the value of a
 1-cocycle at g, its support size is a length function, and the classes in
 the difference are the walls separating the orbit points Z and gZ.
 
-Membership in gZ has a closed description: the inclusion class of a ball B
-belongs to gZ minus Z exactly when... no shortcut is taken here; membership
-is always decided by translating back and testing for a one-row table.  The
-difference sets themselves are produced from the maximal partitions (the
-balls properly containing a maximal ball of g pick up the translated
-classes, those properly containing a maximal ball of the inverse lose
-inclusion classes), and every produced entry is re-verified against the
-membership tests.
+Membership in gZ is always decided by translating back by the inverse and
+testing for a one-row table.  The difference itself is read off the
+maximal partitions.  Each ball properly containing a maximal ball of the
+inverse loses its inclusion class.  Each ball B properly containing a
+maximal ball of g picks up the class of g restricted to B, and that class
+is read straight off the reduced table of g: the rows under B with B
+stripped from their sources are already reduced, because a mergeable
+family among them would be mergeable in g, so only twist minimization is
+left to do.  Every entry is still checked against the membership tests
+before it is emitted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -32,6 +35,7 @@ from .elements import (
     SimTable,
     _compose_rows,
     _reduce_rows,
+    _source_trie,
     _trusted_table,
     compose,
     identity,
@@ -137,14 +141,23 @@ def z_member(e: EmbeddingClass) -> bool:
     return len(e.table.rows) == 1
 
 
-def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
-    """Translate a class by post-composition with a group element."""
+def _check_action(g: CanonicalElement, e: EmbeddingClass) -> None:
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
     if g.table.kind != ELEMENT:
         raise IncompatibleElementsError("only group elements act on classes")
-    rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.table.rows))
-    return EmbeddingClass(_twist_minimal(_trusted_table(g.group, EMBEDDING, rows)))
+
+
+def _translate(group: SelfSimilarGroup, trie: dict, e: EmbeddingClass) -> EmbeddingClass:
+    """Post-compose a class with the element whose source trie is given."""
+    rows = _reduce_rows(group, _compose_rows(group, trie, e.table.rows))
+    return EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, rows)))
+
+
+def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
+    """Translate a class by post-composition with a group element."""
+    _check_action(g, e)
+    return _translate(g.group, _source_trie(g.rows), e)
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
@@ -191,10 +204,13 @@ class SignedSupport:
         return f"<SignedSupport +{pos}/-{len(self._map) - pos}>"
 
     def translate(self, g: CanonicalElement) -> "SignedSupport":
+        trie = _source_trie(g.rows)
         out: dict[EmbeddingClass, int] = {}
         for e, v in self._map.items():
-            te = act_on_eclass(g, e)
-            assert te not in out, "translation must stay injective on the support"
+            _check_action(g, e)
+            te = _translate(g.group, trie, e)
+            if te in out:
+                raise InvalidClassError("translation must stay injective on the support")
             out[te] = v
         return SignedSupport(out)
 
@@ -203,21 +219,35 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
     """The difference of the translated and plain inclusion families.
 
     +1 entries: for each ball B properly containing a maximal ball of g,
-    the class of g restricted to B (these lie in gZ but not Z).  -1
-    entries: for each ball B properly containing a maximal ball of the
-    inverse, the inclusion class of B (in Z but not gZ).  Every entry is
-    cross-checked against the membership tests before it is emitted.
+    the class of g restricted to B (these lie in gZ but not Z), read off
+    the rows of g under B.  -1 entries: for each ball B properly
+    containing a maximal ball of the inverse, the inclusion class of B (in
+    Z but not gZ).  Every entry is cross-checked against the membership
+    tests before it is emitted.
     """
     group = g.group
+    inv = invert(g)
+    back = _source_trie(inv.rows)
     out: dict[EmbeddingClass, int] = {}
-    for b in max_partition(invert(g)).proper_prefixes():
+    for b in max_partition(inv).proper_prefixes():
         e = incl_class(group, b)
-        assert z_member(e) and not gz_member(g, e), "vacated inclusion class failed its membership check"
+        if not z_member(e) or z_member(_translate(group, back, e)):
+            raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
+    rows = g.rows
+    sources = g.table.sources()
+    past = (group.alphabet.size,)
     for b in max_partition(g).proper_prefixes():
-        e = act_on_eclass(g, incl_class(group, b))
-        assert not z_member(e) and gz_member(g, e), "translated class failed its membership check"
-        assert e not in out, "the two sides of the difference must be disjoint"
+        # the rows under b are contiguous: from b up to b followed by a letter past the alphabet
+        lo = bisect_left(sources, b)
+        hi = bisect_left(sources, b + past, lo)
+        k = len(b)
+        under = tuple(Row(s[k:], t, germ) for s, t, germ in rows[lo:hi])
+        e = EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, under)))
+        if z_member(e) or not z_member(_translate(group, back, e)):
+            raise InvalidClassError("translated class failed its membership check")
+        if e in out:
+            raise InvalidClassError("the two sides of the difference must be disjoint")
         out[e] = 1
     return SignedSupport(out)
 
@@ -241,8 +271,7 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     """
     lhs = symdiff(compose(g1, g2)).as_dict()
     pred = symdiff(g1).as_dict()
-    for e, v in symdiff(g2).items():
-        te = act_on_eclass(g1, e)
+    for te, v in symdiff(g2).translate(g1).as_dict().items():
         pred[te] = pred.get(te, 0) + v
     pred = {e: v for e, v in pred.items() if v}
     keys = set(lhs) | set(pred)
@@ -387,6 +416,8 @@ def properness_audit(
                     seen_gen.add(k)
                     gens.append(h)
 
+    tries = [_source_trie(s.rows) for s in gens]
+
     def fast_length(e: CanonicalElement) -> int:
         return 2 * (len(e.rows) - 1) // (d - 1)
 
@@ -398,8 +429,9 @@ def properness_audit(
     for r in range(1, radius + 1):
         new_frontier = []
         for x in frontier:
-            for s in gens:
-                y = compose(s, x)
+            for trie in tries:
+                product = _reduce_rows(group, _compose_rows(group, trie, x.rows))
+                y = CanonicalElement(_trusted_table(group, ELEMENT, product))
                 k = y.packed()
                 if k not in visited:
                     visited.add(k)

@@ -4,6 +4,7 @@ import pytest
 
 from localsim import (
     CanonicalElement,
+    CompositionDomainError,
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
@@ -122,6 +123,12 @@ class TestComposeInvert:
             for _ in range(25):
                 g = random_element(group, rng, max_depth=4)
                 assert tuple(sorted(r.target for r in g.rows)) == max_partition(invert(g)).words
+
+    def test_left_operand_must_cover_targets(self, t2):
+        # the left operand's sources cover only the ball at 0
+        g = parse_element("00->00;01->01", t2, kind="embedding")
+        with pytest.raises(CompositionDomainError, match="target 1 "):
+            compose(g, identity(t2))
 
     def test_embedding_not_invertible(self, t2):
         t = SimTable(t2, "embedding", (Row((), (0,), 0),))

@@ -184,6 +184,9 @@ class TestClopen:
     def test_complement(self):
         assert complement_balls(A2, [(1, 0), (1, 1, 1)]) == ((0,), (1, 1, 0))
         assert complement_balls(A2, [()]) == ()
+        # deeper than the interpreter's recursion limit
+        deep = complement_balls(A2, [(1,) * 1500])
+        assert deep == tuple((1,) * i + (0,) for i in range(1500))
 
 
 class TestLiterals:

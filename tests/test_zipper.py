@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from localsim import zipper
 from localsim import (
     CanonicalElement,
     InvalidClassError,
@@ -153,12 +154,24 @@ class TestSymdiff:
         assert len(symdiff(root_swap)) == 0
         assert zipper_length(root_swap) == 0
 
-    def test_matches_membership_oracle(self, configurations):
+    def test_matches_membership_oracle(self, configurations, t2):
         rng = random.Random(73)
         for group in configurations:
             for _ in range(8):
                 g = random_element(group, rng, max_depth=2)
                 assert symdiff(g).as_dict() == brute_force_symdiff(g)
+        # rotated combs: sources 1^i 0 and 1^(n-1), each sent one place on;
+        # their long targets split deep inside the inverse's source trie
+        for n in (8, 10):
+            words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
+            g = parse_element(";".join(f"{s}->{t}" for s, t in zip(words, words[1:] + words[:1])), t2)
+            assert symdiff(g).as_dict() == brute_force_symdiff(g)
+
+    def test_failed_membership_check_raises(self, x0, monkeypatch):
+        # the checks are exceptions, not asserts, so they also run under -O
+        monkeypatch.setattr(zipper, "z_member", lambda e: False)
+        with pytest.raises(InvalidClassError, match="vacated inclusion class"):
+            symdiff(x0)
 
     def test_support_signs_verified(self, configurations):
         rng = random.Random(79)
