@@ -22,7 +22,10 @@ partition on which the map acts by single similarities.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -145,51 +148,46 @@ def domain_ball(t: SimTable) -> Word:
 # -- the rewrite engine ------------------------------------------------------
 
 
-def _source_trie(rows: Iterable[Row]) -> dict:
-    # nested dicts keyed by letters; a leaf stores (target, germ) under None
-    trie: dict = {}
-    for src, tgt, germ in rows:
-        node = trie
-        for a in src:
-            node = node.setdefault(a, {})
-        node[None] = (tgt, germ)
-    return trie
+_source = itemgetter(0)
 
 
-def _compose_rows(group: SelfSimilarGroup, trie: dict, h_rows: Iterable[Row]) -> list[Row]:
-    """Rows of g after h (h applied first), g given by its `_source_trie`.
+def _compose_rows(group: SelfSimilarGroup, g_rows: tuple[Row, ...], h_rows: Iterable[Row]) -> list[Row]:
+    """Rows of g after h (h applied first); `g_rows` are sorted by source.
 
-    Each h-row's target is walked down the trie until it reaches a source
-    ball of g; then the two similarities chain: the composite germ is g's
-    leftover restriction times the h germ.  A target that ends above every
-    source ball is split into its d children, and each child resumes the
-    walk at the trie node where its parent stopped, so no letter of a
-    target is read twice.  A walk that falls off the trie has left g's
-    domain, and no amount of splitting brings it back.
+    Each h-row's target is looked up among g's sources by bisection: in a
+    prefix code, the source that is a prefix of the target, if there is
+    one, is the last source not after it.  Then the two similarities
+    chain: the composite germ is g's leftover restriction times the h
+    germ.  A target that lies above several source balls is split into
+    its d children, and each child is searched only among the rows under
+    its parent.  A target that meets no source ball lies outside g's
+    domain, and no amount of splitting brings it back.  Nothing is built
+    from g, so translating many small classes by one large element costs
+    only their lookups.
     """
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
     out: list[Row] = []
-    stack = [(src, tgt, germ, trie, 0) for src, tgt, germ in h_rows]
+    stack = [(src, tgt, germ, 0, len(g_rows)) for src, tgt, germ in h_rows]
     while stack:
-        src, tgt, germ, node, i = stack.pop()
-        n = len(tgt)
-        while None not in node and i < n:
-            node = node.get(tgt[i])
-            if node is None:
-                raise CompositionDomainError(
-                    f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
-                )
-            i += 1
-        leaf = node.get(None)
-        if leaf is None:
-            row_act, row_res = act[germ], res[germ]
-            for a in range(d):
-                stack.append((src + (a,), tgt + (row_act[a],), row_res[a], node, n))
-            continue
-        g_target, g_germ = leaf
-        path, rest = group.act_word(g_germ, tgt[i:])
-        out.append(Row(src, g_target + path, mul[rest][germ]))
+        src, tgt, germ, lo, hi = stack.pop()
+        i = bisect_right(g_rows, tgt, lo, hi, key=_source)
+        if i > lo:
+            g_source, g_target, g_germ = g_rows[i - 1]
+            k = len(g_source)
+            if tgt[:k] == g_source:
+                path, rest = group.act_word(g_germ, tgt[k:])
+                out.append(Row(src, g_target + path, mul[rest][germ]))
+                continue
+        if i == hi or g_rows[i].source[: len(tgt)] != tgt:
+            raise CompositionDomainError(
+                f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
+            )
+        # the rows under tgt run from i up to tgt followed by a letter past the alphabet
+        end = bisect_left(g_rows, tgt + (d,), i, hi, key=_source)
+        row_act, row_res = act[germ], res[germ]
+        for a in range(d):
+            stack.append((src + (a,), tgt + (row_act[a],), row_res[a], i, end))
     return out
 
 
@@ -246,6 +244,12 @@ class CanonicalElement:
     def rows(self) -> tuple[Row, ...]:
         return self.table.rows
 
+    @cached_property
+    def _inverse(self) -> "CanonicalElement":
+        # membership in gZ translates every class back by the inverse, so
+        # it is computed once per element rather than once per class
+        return invert(self)
+
     def packed(self) -> bytes | tuple:
         """Compact serialization used for dedup sets; falls back to the
         row tuple when letters or germs do not fit in single bytes."""
@@ -301,7 +305,7 @@ def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
     kind = ELEMENT if g.table.kind == ELEMENT and h.table.kind == ELEMENT else EMBEDDING
-    rows = _reduce_rows(g.group, _compose_rows(g.group, _source_trie(g.rows), h.rows))
+    rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, h.rows))
     return CanonicalElement(_trusted_table(g.group, kind, rows))
 
 

@@ -9,16 +9,16 @@ only finitely many classes; the signed difference is the value of a
 1-cocycle at g, its support size is a length function, and the classes in
 the difference are the walls separating the orbit points Z and gZ.
 
-Membership in gZ is always decided by translating back by the inverse and
-testing for a one-row table.  The difference itself is read off the
-maximal partitions.  Each ball properly containing a maximal ball of the
-inverse loses its inclusion class.  Each ball B properly containing a
-maximal ball of g picks up the class of g restricted to B, and that class
-is read straight off the reduced table of g: the rows under B with B
-stripped from their sources are already reduced, because a mergeable
-family among them would be mergeable in g, so only twist minimization is
-left to do.  Every entry is still checked against the membership tests
-before it is emitted.
+Membership in gZ is always decided by translating back by the inverse,
+which is computed once per element, and testing for a one-row table.
+The difference itself is read off the maximal partitions.  Each ball
+properly containing a maximal ball of the inverse loses its inclusion
+class.  Each ball B properly containing a maximal ball of g picks up the
+class of g restricted to B, and that class is read straight off the
+reduced table of g: the rows under B with B stripped from their sources
+are already reduced, because a mergeable family among them would be
+mergeable in g, so only twist minimization is left to do.  Every entry is
+still checked against the membership tests before it is emitted.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .elements import (
     SimTable,
     _compose_rows,
     _reduce_rows,
-    _source_trie,
     _trusted_table,
     compose,
     identity,
@@ -141,28 +140,19 @@ def z_member(e: EmbeddingClass) -> bool:
     return len(e.table.rows) == 1
 
 
-def _check_action(g: CanonicalElement, e: EmbeddingClass) -> None:
+def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
+    """Translate a class by post-composition with a group element."""
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
     if g.table.kind != ELEMENT:
         raise IncompatibleElementsError("only group elements act on classes")
-
-
-def _translate(group: SelfSimilarGroup, trie: dict, e: EmbeddingClass) -> EmbeddingClass:
-    """Post-compose a class with the element whose source trie is given."""
-    rows = _reduce_rows(group, _compose_rows(group, trie, e.table.rows))
-    return EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, rows)))
-
-
-def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
-    """Translate a class by post-composition with a group element."""
-    _check_action(g, e)
-    return _translate(g.group, _source_trie(g.rows), e)
+    rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.table.rows))
+    return EmbeddingClass(_twist_minimal(_trusted_table(g.group, EMBEDDING, rows)))
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     """Whether the class belongs to the g-translate of the inclusion family."""
-    return z_member(act_on_eclass(invert(g), e))
+    return z_member(act_on_eclass(g._inverse, e))
 
 
 class SignedSupport:
@@ -204,11 +194,9 @@ class SignedSupport:
         return f"<SignedSupport +{pos}/-{len(self._map) - pos}>"
 
     def translate(self, g: CanonicalElement) -> "SignedSupport":
-        trie = _source_trie(g.rows)
         out: dict[EmbeddingClass, int] = {}
         for e, v in self._map.items():
-            _check_action(g, e)
-            te = _translate(g.group, trie, e)
+            te = act_on_eclass(g, e)
             if te in out:
                 raise InvalidClassError("translation must stay injective on the support")
             out[te] = v
@@ -226,12 +214,10 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
     tests before it is emitted.
     """
     group = g.group
-    inv = invert(g)
-    back = _source_trie(inv.rows)
     out: dict[EmbeddingClass, int] = {}
-    for b in max_partition(inv).proper_prefixes():
+    for b in max_partition(g._inverse).proper_prefixes():
         e = incl_class(group, b)
-        if not z_member(e) or z_member(_translate(group, back, e)):
+        if not z_member(e) or gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
     rows = g.rows
@@ -244,7 +230,7 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
         k = len(b)
         under = tuple(Row(s[k:], t, germ) for s, t, germ in rows[lo:hi])
         e = EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, under)))
-        if z_member(e) or not z_member(_translate(group, back, e)):
+        if z_member(e) or not gz_member(g, e):
             raise InvalidClassError("translated class failed its membership check")
         if e in out:
             raise InvalidClassError("the two sides of the difference must be disjoint")
@@ -271,7 +257,8 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     """
     lhs = symdiff(compose(g1, g2)).as_dict()
     pred = symdiff(g1).as_dict()
-    for te, v in symdiff(g2).translate(g1).as_dict().items():
+    for e, v in symdiff(g2).items():
+        te = act_on_eclass(g1, e)
         pred[te] = pred.get(te, 0) + v
     pred = {e: v for e, v in pred.items() if v}
     keys = set(lhs) | set(pred)
@@ -416,8 +403,6 @@ def properness_audit(
                     seen_gen.add(k)
                     gens.append(h)
 
-    tries = [_source_trie(s.rows) for s in gens]
-
     def fast_length(e: CanonicalElement) -> int:
         return 2 * (len(e.rows) - 1) // (d - 1)
 
@@ -429,9 +414,8 @@ def properness_audit(
     for r in range(1, radius + 1):
         new_frontier = []
         for x in frontier:
-            for trie in tries:
-                product = _reduce_rows(group, _compose_rows(group, trie, x.rows))
-                y = CanonicalElement(_trusted_table(group, ELEMENT, product))
+            for s in gens:
+                y = compose(s, x)
                 k = y.packed()
                 if k not in visited:
                     visited.add(k)

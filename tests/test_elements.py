@@ -130,6 +130,12 @@ class TestComposeInvert:
         with pytest.raises(CompositionDomainError, match="target 1 "):
             compose(g, identity(t2))
 
+    def test_cached_inverse_leaves_equality_alone(self, t2):
+        g = random_element(t2, random.Random(5), max_depth=4)
+        same = CanonicalElement(g.table)
+        assert g._inverse == invert(g) and compose(g, g._inverse) == identity(t2)
+        assert g == same and hash(g) == hash(same)
+
     def test_embedding_not_invertible(self, t2):
         t = SimTable(t2, "embedding", (Row((), (0,), 0),))
         with pytest.raises(NotInvertibleError):

@@ -161,7 +161,7 @@ class TestSymdiff:
                 g = random_element(group, rng, max_depth=2)
                 assert symdiff(g).as_dict() == brute_force_symdiff(g)
         # rotated combs: sources 1^i 0 and 1^(n-1), each sent one place on;
-        # their long targets split deep inside the inverse's source trie
+        # translating their classes back splits long targets over many rows
         for n in (8, 10):
             words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
             g = parse_element(";".join(f"{s}->{t}" for s, t in zip(words, words[1:] + words[:1])), t2)
