@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
@@ -53,25 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; equal configs give identical output."""
-
-    alphabet: int | None
-    hstruct: str
-    command: str
-    arguments: tuple[str, ...]
-    options: tuple[tuple[str, object], ...]
-    output: str = "text"
-    seed: int = 0
-
-    def opt(self, name: str, default=None):
-        for k, v in self.options:
-            if k == name:
-                return v
-        return default
-
-
 class _Emitter:
     def __init__(self, mode: str):
         self.mode = mode
@@ -94,16 +74,26 @@ def _resolve_input(name: str) -> str:
     raise LocalSimError(f"no such file: {name}")
 
 
-def _build_group(config: RunConfig) -> SelfSimilarGroup:
-    name = config.hstruct
-    if name == "trivial":
-        return trivial_group(config.alphabet or 2)
-    if name == "symmetric":
-        return symmetric_group(config.alphabet or 2)
-    group = parse_automaton(_resolve_input(name), name=Path(name).stem)
-    if config.alphabet is not None and group.alphabet.size != config.alphabet:
+_BUILTIN_GROUPS = {"trivial": trivial_group, "symmetric": symmetric_group}
+
+
+def _load_group(name: str, alphabet: int | None) -> SelfSimilarGroup:
+    """A built-in structure over `alphabet` letters (default 2), else an automaton file."""
+    if name in _BUILTIN_GROUPS:
+        return _BUILTIN_GROUPS[name](alphabet or 2)
+    return parse_automaton(_resolve_input(name), name=Path(name).stem)
+
+
+def _build_group(args: argparse.Namespace) -> SelfSimilarGroup:
+    """The structure a computation runs over; an automaton file must match
+    --alphabet and pass validation."""
+    name = args.hstruct
+    group = _load_group(name, args.alphabet)
+    if name in _BUILTIN_GROUPS:
+        return group
+    if args.alphabet is not None and group.alphabet.size != args.alphabet:
         raise LocalSimError(
-            f"--alphabet {config.alphabet} disagrees with the file's alphabet of size {group.alphabet.size}"
+            f"--alphabet {args.alphabet} disagrees with the file's alphabet of size {group.alphabet.size}"
         )
     violations = group.validate()
     if violations:
@@ -133,14 +123,9 @@ def parse_gens_file(text: str, group: SelfSimilarGroup) -> list[tuple[str, Canon
 # -- command bodies; each returns the exit status ------------------------------
 
 
-def _cmd_hstruct(config: RunConfig, group, emit: _Emitter) -> int:
-    target = config.opt("file") or config.hstruct
-    if target == "trivial":
-        group = trivial_group(config.alphabet or 2)
-    elif target == "symmetric":
-        group = symmetric_group(config.alphabet or 2)
-    else:
-        group = parse_automaton(_resolve_input(target), name=Path(target).stem)
+def _cmd_hstruct(args, _, emit: _Emitter) -> int:
+    target = args.file or args.hstruct
+    group = _load_group(target, args.alphabet)
     violations = group.validate()
     rec = {
         "cmd": "hstruct-validate",
@@ -164,51 +149,51 @@ def _element_out(cmd: str, g: CanonicalElement, emit: _Emitter) -> int:
     return 0
 
 
-def _cmd_canon(config, group, emit) -> int:
-    return _element_out("canon", parse_element(config.arguments[0], group), emit)
+def _cmd_canon(args, group, emit) -> int:
+    return _element_out("canon", parse_element(args.element, group), emit)
 
 
-def _cmd_compose(config, group, emit) -> int:
-    g = parse_element(config.arguments[0], group)
-    h = parse_element(config.arguments[1], group)
+def _cmd_compose(args, group, emit) -> int:
+    g = parse_element(args.left, group)
+    h = parse_element(args.right, group)
     return _element_out("compose", compose(g, h), emit)
 
 
-def _cmd_inverse(config, group, emit) -> int:
-    return _element_out("inverse", invert(parse_element(config.arguments[0], group)), emit)
+def _cmd_inverse(args, group, emit) -> int:
+    return _element_out("inverse", invert(parse_element(args.element, group)), emit)
 
 
-def _cmd_apply(config, group, emit) -> int:
-    g = parse_element(config.arguments[0], group)
-    x = group.alphabet.parse_point(config.arguments[1])
+def _cmd_apply(args, group, emit) -> int:
+    g = parse_element(args.element, group)
+    x = group.alphabet.parse_point(args.point)
     out = group.alphabet.format_point(apply(g, x))
     emit.record({"cmd": "apply", "point": out}, out)
     return 0
 
 
-def _cmd_maxpart(config, group, emit) -> int:
-    code = max_partition(parse_element(config.arguments[0], group))
+def _cmd_maxpart(args, group, emit) -> int:
+    code = max_partition(parse_element(args.element, group))
     balls = [group.alphabet.format_word(w) for w in code.words]
     emit.record({"cmd": "maxpart", "balls": balls, "size": len(balls)}, " ".join(balls))
     return 0
 
 
-def _cmd_member(config, group, emit) -> int:
-    g = parse_element(config.arguments[0], group)
-    which = config.opt("group")
+def _cmd_member(args, group, emit) -> int:
+    g = parse_element(args.element, group)
+    which = args.group
     ans = is_in_F(g) if which == "F" else is_in_T(g)
     emit.record({"cmd": "member", "group": which, "member": ans}, "true" if ans else "false")
     return 0
 
 
-def _cmd_zipper_length(config, group, emit) -> int:
-    n = zipper_length(parse_element(config.arguments[0], group))
+def _cmd_zipper_length(args, group, emit) -> int:
+    n = zipper_length(parse_element(args.element, group))
     emit.record({"cmd": "zipper-length", "length": n}, str(n))
     return 0
 
 
-def _cmd_symdiff(config, group, emit) -> int:
-    diff = symdiff(parse_element(config.arguments[0], group))
+def _cmd_symdiff(args, group, emit) -> int:
+    diff = symdiff(parse_element(args.element, group))
     for e, sign in diff.items():
         lit = _class_literal(e)
         emit.record({"cmd": "symdiff", "sign": sign, "class": lit}, f"{sign:+d} {lit}")
@@ -216,34 +201,29 @@ def _cmd_symdiff(config, group, emit) -> int:
     return 0
 
 
-def _cmd_cocycle_check(config, group, emit) -> int:
-    g1 = parse_element(config.arguments[0], group)
-    g2 = parse_element(config.arguments[1], group)
+def _cmd_cocycle_check(args, group, emit) -> int:
+    g1 = parse_element(args.left, group)
+    g2 = parse_element(args.right, group)
     defect = cocycle_identity_defect(g1, g2)
     emit.record({"cmd": "cocycle-check", "defect": defect, "ok": defect == 0}, f"defect {defect}")
     return 0 if defect == 0 else 2
 
 
-def _cmd_walls(config, group, emit) -> int:
-    g1 = parse_element(config.arguments[0], group)
-    g2 = parse_element(config.arguments[1], group)
+def _cmd_walls(args, group, emit) -> int:
+    g1 = parse_element(args.left, group)
+    g2 = parse_element(args.right, group)
     sep = wall_separation(g1, g2)
     emit.record({"cmd": "walls", "separation": sep}, f"separation {sep}")
-    if config.opt("list"):
+    if args.list:
         for e, side in separating_walls(g1, g2):
             lit = _class_literal(e)
             emit.record({"cmd": "wall", "side": side, "class": lit}, f"{side:+d} {lit}")
     return 0
 
 
-def _cmd_audit(config, group, emit) -> int:
-    gens = parse_gens_file(_resolve_input(config.opt("gens")), group)
-    report = properness_audit(
-        group,
-        [g for _, g in gens],
-        radius=config.opt("radius"),
-        threshold=config.opt("threshold"),
-    )
+def _cmd_audit(args, group, emit) -> int:
+    gens = parse_gens_file(_resolve_input(args.gens), group)
+    report = properness_audit(group, [g for _, g in gens], radius=args.radius, threshold=args.threshold)
     for row in report.rows:
         emit.record(
             {"cmd": "audit", "radius": row.radius, "ball": row.ball_size, "within": row.within_threshold},
@@ -256,8 +236,8 @@ def _cmd_audit(config, group, emit) -> int:
     return 0
 
 
-def _cmd_nowalls(config, group, emit) -> int:
-    rep = nowalls_demo(group, config.opt("count"))
+def _cmd_nowalls(args, group, emit) -> int:
+    rep = nowalls_demo(group, args.count)
     rec = {
         "cmd": "nowalls",
         "witnesses": len(rep.witnesses),
@@ -277,15 +257,13 @@ def _cmd_nowalls(config, group, emit) -> int:
     return 0 if rep.ok else 2
 
 
-def _cmd_walls2zipper(config, group, emit) -> int:
-    zline = config.opt("zline")
-    if zline is not None:
-        instance = integer_line_instance(zline)
+def _cmd_walls2zipper(args, group, emit) -> int:
+    if args.zline is not None:
+        instance = integer_line_instance(args.zline)
+    elif args.file is None:
+        raise LocalSimError("walls2zipper needs a file or --zline K")
     else:
-        target = config.opt("file")
-        if target is None:
-            raise LocalSimError("walls2zipper needs a file or --zline K")
-        instance = parse_walls_file(_resolve_input(target))
+        instance = parse_walls_file(_resolve_input(args.file))
     result = walls_to_zipper(instance)
     for r in result.reports:
         preserves = "-" if r.preserves_walls is None else ("true" if r.preserves_walls else "false")
@@ -307,20 +285,8 @@ def _cmd_walls2zipper(config, group, emit) -> int:
     return 0 if ok else 2
 
 
-_NEEDS_GROUP = {
-    "canon",
-    "compose",
-    "inverse",
-    "apply",
-    "maxpart",
-    "member",
-    "zipper-length",
-    "symdiff",
-    "cocycle-check",
-    "walls",
-    "audit",
-    "nowalls",
-}
+# every other command runs over the structure chosen by --hstruct
+_NO_GROUP = {"hstruct", "walls2zipper"}
 
 _BODIES: dict[str, Callable] = {
     "hstruct": _cmd_hstruct,
@@ -349,7 +315,6 @@ def _build_parser() -> _Parser:
         metavar="NAME",
         help="germ structure: trivial, symmetric, or an automaton file",
     )
-    parser.add_argument("--seed", type=int, default=0, metavar="N", help="random seed recorded in the config")
     parser.add_argument("--format", choices=["text", "records"], default="text", help="output mode")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -398,40 +363,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    arguments = []
-    options = []
-    for key in ("element", "left", "right", "point"):
-        if getattr(args, key, None) is not None:
-            arguments.append(getattr(args, key))
-    for key in ("action", "file", "group", "list", "gens", "radius", "threshold", "count", "zline"):
-        if getattr(args, key, None) is not None:
-            options.append((key, getattr(args, key)))
-    return RunConfig(
-        alphabet=args.alphabet,
-        hstruct=args.hstruct,
-        command=args.command,
-        arguments=tuple(arguments),
-        options=tuple(options),
-        output=args.format,
-        seed=args.seed,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured command; never raises on domain errors."""
-    if config.alphabet is not None and config.alphabet < 2:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; never raises on domain errors."""
+    if args.alphabet is not None and args.alphabet < 2:
         print("error: --alphabet must be at least 2", file=sys.stderr)
         return 1
-    emit = _Emitter(config.output)
-    body = _BODIES[config.command]
+    emit = _Emitter(args.format)
+    body = _BODIES[args.command]
     try:
-        group = _build_group(config) if config.command in _NEEDS_GROUP else None
-        return body(config, group, emit)
-    except LocalSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        group = None if args.command in _NO_GROUP else _build_group(args)
+        return body(args, group, emit)
+    except (LocalSimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -442,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    return run(_config_from_args(args))
+    return run(args)
 
 
 def main_entry() -> None:

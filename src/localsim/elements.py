@@ -38,8 +38,8 @@ from .errors import (
     NotInvertibleError,
     UnsupportedStructureError,
 )
-from .structure import Germ, SelfSimilarGroup, germ_apply
-from .words import Point, PrefixCode, Word, is_prefix
+from .structure import SelfSimilarGroup, germ_apply
+from .words import Point, PrefixCode, Word, is_complete_code, is_prefix
 
 ELEMENT = "element"
 EMBEDDING = "embedding"
@@ -95,14 +95,6 @@ def _is_antichain(sorted_words: tuple[Word, ...]) -> bool:
     ) and len(set(sorted_words)) == len(sorted_words)
 
 
-def _complete_over(words: Iterable[Word], base: Word, d: int) -> bool:
-    rel = [w[len(base):] for w in words]
-    if not rel:
-        return False
-    depth = max(len(w) for w in rel)
-    return sum(d ** (depth - len(w)) for w in rel) == d**depth
-
-
 def validate_table(t: SimTable) -> list[str]:
     """Structural violations of a table, as stable diagnostic strings."""
     out: list[str] = []
@@ -113,36 +105,21 @@ def validate_table(t: SimTable) -> list[str]:
     if not _is_antichain(srcs):
         out.append("domain-not-antichain")
     else:
-        base = srcs[0]
-        for w in srcs[1:]:
-            k = 0
-            while k < len(base) and k < len(w) and base[k] == w[k]:
-                k += 1
-            base = base[:k]
-        if t.kind == ELEMENT and base != ():
+        # in sorted order the common prefix of all sources is that of the extremes
+        first, last = srcs[0], srcs[-1]
+        k = 0
+        while k < len(first) and k < len(last) and first[k] == last[k]:
+            k += 1
+        if t.kind == ELEMENT and k > 0:
             out.append("incomplete-domain")
-        elif not all(is_prefix(base, w) for w in srcs) or not _complete_over(srcs, base, d):
+        elif not is_complete_code([w[k:] for w in srcs], d):
             out.append("incomplete-domain")
     tgts = tuple(sorted(t.targets()))
     if not _is_antichain(tgts):
         out.append("target-not-antichain")
-    elif t.kind == ELEMENT and not _complete_over(tgts, (), d):
+    elif t.kind == ELEMENT and not is_complete_code(tgts, d):
         out.append("target-incomplete")
     return out
-
-
-def domain_ball(t: SimTable) -> Word:
-    """Address of the ball the table's sources partition (their common prefix)."""
-    srcs = t.sources()
-    if not srcs:
-        raise NoSuchRowError("empty table has no domain")
-    base = srcs[0]
-    for w in srcs[1:]:
-        k = 0
-        while k < len(base) and k < len(w) and base[k] == w[k]:
-            k += 1
-        base = base[:k]
-    return base
 
 
 # -- the rewrite engine ------------------------------------------------------
@@ -331,7 +308,7 @@ def apply(g: CanonicalElement, x: Point) -> Point:
         if x.prefix(len(src)) == src:
             tail = x.drop(len(src))
             if germ:
-                tail = germ_apply(Germ(group, germ), tail)
+                tail = germ_apply(group, germ, tail)
             return tail.prepend(tgt)
     raise NoSuchRowError(f"no row covers the point {x}")
 
@@ -462,15 +439,15 @@ def format_element(g: CanonicalElement) -> str:
 def random_code_words(alphabet, rng, max_depth: int = 5, split_prob: float = 0.55) -> list[Word]:
     """A random complete code grown by independent splitting, depth-capped."""
     out: list[Word] = []
-
-    def grow(w: Word) -> None:
+    # depth-first in letter order, as the splitting draws are made; children
+    # are pushed in reverse so the first letter is visited first
+    stack: list[Word] = [()]
+    while stack:
+        w = stack.pop()
         if len(w) < max_depth and rng.random() < split_prob:
-            for a in alphabet.letters:
-                grow(w + (a,))
+            stack.extend(w + (a,) for a in reversed(alphabet.letters))
         else:
             out.append(w)
-
-    grow(())
     return out
 
 

@@ -115,12 +115,6 @@ class SelfSimilarGroup:
     def identity(self) -> int:
         return 0
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.mul[i][j]
-
-    def inverse_of(self, i: int) -> int:
-        return self.inv[i]
-
     def act_word(self, elem: int, word: Word) -> tuple[Word, int]:
         """Image of a finite word and the restriction left after reading it."""
         out = []
@@ -305,111 +299,24 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
     return SelfSimilarGroup(Alphabet(d), mul, inv, act, res, name=name)
 
 
-@dataclass(frozen=True)
-class Germ:
-    """One element of a self-similar group, as the germ of a similarity."""
-
-    group: SelfSimilarGroup
-    elem: int
-
-    def __post_init__(self):
-        if not 0 <= self.elem < self.group.size:
-            raise MalformedStructureError(f"no element {self.elem} in {self.group!r}")
-
-    def is_identity(self) -> bool:
-        return self.elem == 0
-
-    def compose(self, other: "Germ") -> "Germ":
-        """self after other."""
-        if self.group != other.group:
-            raise CompositionDomainError("germs from different structures")
-        return Germ(self.group, self.group.mul[self.elem][other.elem])
-
-    def inverse(self) -> "Germ":
-        return Germ(self.group, self.group.inv[self.elem])
-
-
-def germ_apply(germ: Germ, x: Point) -> Point:
-    """Run the transducer over an eventually periodic point.
+def germ_apply(group: SelfSimilarGroup, elem: int, x: Point) -> Point:
+    """Run the transducer of one group element over an eventually periodic point.
 
     The preperiod is consumed directly.  Over the period the restriction
     state evolves; since there are finitely many states, repeated passes
     over the period cycle, and the detected cycle is the output period.
     """
-    g = germ.group
-    if x.alphabet != g.alphabet:
+    if x.alphabet != group.alphabet:
         raise CompositionDomainError("point and germ live over different alphabets")
-    act, res = g.act, g.res
-    state = germ.elem
-    out_pre: list[int] = []
-    for a in x.preperiod:
-        out_pre.append(act[state][a])
-        state = res[state][a]
+    if not 0 <= elem < group.size:
+        raise MalformedStructureError(f"no element {elem} in {group!r}")
+    out_pre, state = group.act_word(elem, x.preperiod)
     seen: dict[int, int] = {}
-    chunks: list[list[int]] = []
+    chunks: list[Word] = []
     while state not in seen:
         seen[state] = len(chunks)
-        chunk = []
-        for a in x.period:
-            chunk.append(act[state][a])
-            state = res[state][a]
+        chunk, state = group.act_word(state, x.period)
         chunks.append(chunk)
     start = seen[state]
-    for chunk in chunks[:start]:
-        out_pre.extend(chunk)
-    per = tuple(c for chunk in chunks[start:] for c in chunk)
-    return Point(g.alphabet, tuple(out_pre), per)
-
-
-def germ_restrict(germ: Germ, word: Word) -> Germ:
-    """The germ left over after the transducer reads `word`."""
-    word = germ.group.alphabet.check_word(word)
-    return Germ(germ.group, germ.group.restrict_word(germ.elem, word))
-
-
-@dataclass(frozen=True)
-class Similarity:
-    """The map (source + x) -> (target + germ(x)) between two balls."""
-
-    source: Word
-    target: Word
-    germ: Germ
-
-    def __post_init__(self):
-        alphabet = self.germ.group.alphabet
-        object.__setattr__(self, "source", alphabet.check_word(self.source))
-        object.__setattr__(self, "target", alphabet.check_word(self.target))
-
-    def apply(self, x: Point) -> Point:
-        if x.prefix(len(self.source)) != self.source:
-            raise CompositionDomainError("point outside the source ball")
-        return germ_apply(self.germ, x.drop(len(self.source))).prepend(self.target)
-
-
-def sim_compose(second: Similarity, first: Similarity) -> Similarity:
-    """second after first; defined when first's target ball is second's source ball."""
-    if second.germ.group != first.germ.group:
-        raise CompositionDomainError("similarities over different structures")
-    if second.source != first.target:
-        raise CompositionDomainError(
-            f"cannot chain: first lands in {first.target}, second starts at {second.source}"
-        )
-    return Similarity(first.source, second.target, second.germ.compose(first.germ))
-
-
-def sim_invert(h: Similarity) -> Similarity:
-    return Similarity(h.target, h.source, h.germ.inverse())
-
-
-def sim_restrict(h: Similarity, sub: Word) -> Similarity:
-    """Restriction of a similarity to a subball of its source.
-
-    `sub` must extend the source address; the image ball and the new germ
-    come from running the transducer over the extra letters.
-    """
-    sub = h.germ.group.alphabet.check_word(sub)
-    if sub[: len(h.source)] != h.source:
-        raise CompositionDomainError(f"{sub} is not inside the source ball {h.source}")
-    rest = sub[len(h.source) :]
-    path, state = h.germ.group.act_word(h.germ.elem, rest)
-    return Similarity(sub, h.target + path, Germ(h.germ.group, state))
+    pre = out_pre + tuple(itertools.chain.from_iterable(chunks[:start]))
+    return Point(group.alphabet, pre, tuple(itertools.chain.from_iterable(chunks[start:])))

@@ -16,13 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidCodeError, LiteralParseError, MalformedWordError
 
 Word = tuple[int, ...]
-
-EMPTY: Word = ()
 
 
 def is_prefix(prefix: Word, word: Word) -> bool:
@@ -216,6 +214,18 @@ def distance_exponent(x: Point, y: Point) -> int | None:
     raise AssertionError("distinct canonical points must differ within the scan bound")
 
 
+def is_complete_code(words: Collection[Word], d: int) -> bool:
+    """True iff the balls of an antichain partition the whole space.
+
+    An antichain is complete exactly when the ball measures sum to 1;
+    with integers: sum of d^(D-|w|) over the code equals d^D.
+    """
+    if not words:
+        return False
+    depth = max(len(w) for w in words)
+    return sum(d ** (depth - len(w)) for w in words) == d**depth
+
+
 @dataclass(frozen=True)
 class PrefixCode:
     """A finite antichain of ball addresses, stored sorted.
@@ -244,16 +254,8 @@ class PrefixCode:
         return iter(self.words)
 
     def is_complete(self) -> bool:
-        """True iff the balls of the code partition the whole space.
-
-        An antichain is complete exactly when the ball measures sum to 1;
-        with integers: sum of d^(D-|w|) over the code equals d^D.
-        """
-        if not self.words:
-            return False
-        d = self.alphabet.size
-        depth = max(len(w) for w in self.words)
-        return sum(d ** (depth - len(w)) for w in self.words) == d**depth
+        """True iff the balls of the code partition the whole space."""
+        return is_complete_code(self.words, self.alphabet.size)
 
     def max_depth(self) -> int:
         if not self.words:
@@ -282,30 +284,13 @@ def proper_prefix_count(code: PrefixCode) -> int:
     return len(code.proper_prefixes())
 
 
-@dataclass(frozen=True)
-class ClopenSet:
-    """A finite union of balls in normal form.
+def clopen_normalize(alphabet: Alphabet, words: Iterable[Word]) -> tuple[Word, ...]:
+    """Normal form of a union of balls, as its sorted balls.
 
-    Normal form: an antichain in which no full family of d siblings is
-    present (such a family is merged into its parent).  Build instances via
-    clopen_normalize.
+    Nested balls are dropped and full sibling families merged into their
+    parent.  In normal form a ball lies inside the union iff one of the
+    returned balls sits at or above it.
     """
-
-    alphabet: Alphabet
-    balls: tuple[Word, ...]
-
-    def contains_ball(self, word: Word) -> bool:
-        """Whether the ball at `word` lies inside the union.
-
-        Exact for normalized sets: a ball is covered iff one of the set's
-        balls sits at or above it (a deeper cover would merge upward).
-        """
-        word = self.alphabet.check_word(word)
-        return any(is_prefix(b, word) for b in self.balls)
-
-
-def clopen_normalize(alphabet: Alphabet, words: Iterable[Word]) -> ClopenSet:
-    """Normal form of a union of balls: drop nested balls, merge full sibling families."""
     keep = {alphabet.check_word(w) for w in words}
     keep = {w for w in keep if not any(w[:k] in keep for k in range(len(w)))}
     d = alphabet.size
@@ -318,12 +303,12 @@ def clopen_normalize(alphabet: Alphabet, words: Iterable[Word]) -> ClopenSet:
                 keep.difference_update(family)
                 keep.add(parent)
                 changed = True
-    return ClopenSet(alphabet, tuple(sorted(keep)))
+    return tuple(sorted(keep))
 
 
 def complement_balls(alphabet: Alphabet, words: Iterable[Word]) -> tuple[Word, ...]:
     """Minimal ball cover of the complement of a union of balls."""
-    inside = clopen_normalize(alphabet, words).balls
+    inside = clopen_normalize(alphabet, words)
     out: list[Word] = []
     # depth-first in letter order; children are pushed in reverse so the
     # first letter is visited first

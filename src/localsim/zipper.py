@@ -23,6 +23,7 @@ still checked against the membership tests before it is emitted.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -43,7 +44,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, complement_balls, is_prefix
+from .words import Word, complement_balls, is_complete_code, is_prefix
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,7 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
         if not is_prefix(ball, r.source):
             raise InvalidClassError(f"source {r.source} is outside the ball {ball}")
     stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in f.rows]
-    d = group.alphabet.size
-    depth = max(len(r.source) for r in stripped)
-    if sum(d ** (depth - len(r.source)) for r in stripped) != d**depth:
+    if not is_complete_code([r.source for r in stripped], group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {ball}")
     rows = _reduce_rows(group, stripped)
     return EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, rows)))
@@ -171,9 +170,6 @@ class SignedSupport:
 
     def items(self) -> list[tuple[EmbeddingClass, int]]:
         return sorted(self._map.items(), key=lambda kv: kv[0].sort_key())
-
-    def support(self) -> list[EmbeddingClass]:
-        return sorted(self._map, key=lambda e: e.sort_key())
 
     def as_dict(self) -> dict[EmbeddingClass, int]:
         return dict(self._map)
@@ -243,11 +239,6 @@ def zipper_length(g: CanonicalElement) -> int:
     return len(symdiff(g))
 
 
-def cocycle(g: CanonicalElement) -> SignedSupport:
-    """The 1-cocycle value at g: the signed indicator of gZ minus that of Z."""
-    return symdiff(g)
-
-
 def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     """Number of classes violating the cocycle identity for the pair.
 
@@ -311,45 +302,6 @@ def separating_walls(
         out.append((wall, -v))
     out.sort(key=lambda kv: kv[0].sort_key())
     return out
-
-
-@dataclass(frozen=True)
-class WallSystem:
-    """Finitely many orbit points together with the induced wall structure.
-
-    Each embedding class x cuts the point set into the translates
-    containing x and those avoiding it; the class is a genuine wall for
-    this finite picture when both sides are inhabited.
-    """
-
-    representatives: tuple[CanonicalElement, ...]
-    labels: tuple[EmbeddingClass, ...]
-
-    @staticmethod
-    def from_elements(elements: Iterable[CanonicalElement]) -> "WallSystem":
-        reps: list[CanonicalElement] = []
-        labels: list[EmbeddingClass] = []
-        seen = set()
-        for g in elements:
-            lab = point_label(g)
-            if lab not in seen:
-                seen.add(lab)
-                reps.append(g)
-                labels.append(lab)
-        return WallSystem(tuple(reps), tuple(labels))
-
-    def half_spaces(self, x: EmbeddingClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Indices of the points whose translate contains x / avoids it."""
-        inside = tuple(i for i, g in enumerate(self.representatives) if gz_member(g, x))
-        outside = tuple(i for i in range(len(self.representatives)) if i not in inside)
-        return inside, outside
-
-    def is_wall(self, x: EmbeddingClass) -> bool:
-        inside, outside = self.half_spaces(x)
-        return bool(inside) and bool(outside)
-
-    def separation(self, i: int, j: int) -> int:
-        return wall_separation(self.representatives[i], self.representatives[j])
 
 
 # -- the Cayley-ball audit ------------------------------------------------------
@@ -477,14 +429,15 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     witnesses = [identity(group)]
     depth = 1
     while len(witnesses) < count:
-        leaves = [(1,) + tuple(w) for w in _binary_words(depth)]
+        leaves = [(1,) + w for w in itertools.product((0, 1), repeat=depth)]
         rows = [Row((0,), (0,), 0)]
         n = len(leaves)
         rows.extend(Row(leaves[i], leaves[(i + 1) % n], 0) for i in range(n))
         g = CanonicalElement(_trusted_table(group, ELEMENT, _reduce_rows(group, rows)))
         witnesses.append(g)
         depth += 1
-    assert len({w.packed() for w in witnesses}) == len(witnesses)
+    if len({w.packed() for w in witnesses}) != len(witnesses):
+        raise InvalidClassError("the witnesses must be distinct elements")
 
     first_in = tuple(gz_member(g, first) for g in witnesses)
     second_in = tuple(gz_member(g, second) for g in witnesses)
@@ -500,9 +453,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         srcs.remove(w)
         srcs.extend(w + (a,) for a in group.alphabet.letters)
     covering = None
-    import itertools as _it
-
-    for assignment in _it.permutations(missing):
+    for assignment in itertools.permutations(missing):
         rows = list(f2.rows) + [Row(s, t, 0) for s, t in zip(sorted(srcs), assignment)]
         cand = CanonicalElement(_trusted_table(group, ELEMENT, _reduce_rows(group, rows)))
         if gz_member(cand, second):
@@ -512,10 +463,3 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     if covering is None:
         covering = identity(group)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)
-
-
-def _binary_words(depth: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(depth):
-        out = [w + (a,) for w in out for a in (0, 1)]
-    return sorted(out)

@@ -30,6 +30,7 @@ from localsim import (
     reduce,
     validate_table,
 )
+from localsim.elements import random_code_words
 from oracles import (
     brute_force_gamma,
     coarsenings,
@@ -322,3 +323,19 @@ class TestGroupLaws:
                 h = elems[(i + 1) % len(elems)]
                 k = elems[(i + 2) % len(elems)]
                 assert compose(compose(g, h), k) == compose(g, compose(h, k))
+
+
+class TestRandomCodes:
+    def test_deeper_than_recursion_limit(self, t2):
+        class SplitsThenStops:
+            # splits on the first 1500 draws, never after
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return 0.0 if self.draws <= 1500 else 0.99
+
+        words = random_code_words(t2.alphabet, SplitsThenStops(), max_depth=1500)
+        assert len(words) == 1501
+        assert words[0] == (0,) * 1500 and words == sorted(words)
+        assert PrefixCode(t2.alphabet, words).is_complete()

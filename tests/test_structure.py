@@ -5,17 +5,11 @@ import pytest
 
 from localsim import (
     CompositionDomainError,
-    Germ,
     MalformedStructureError,
     Point,
     SelfSimilarGroup,
-    Similarity,
     germ_apply,
-    germ_restrict,
     parse_automaton,
-    sim_compose,
-    sim_invert,
-    sim_restrict,
     symmetric_group,
     trivial_group,
 )
@@ -108,22 +102,29 @@ class TestGermAction:
     def test_identity_fixes_points(self, s2):
         for text in ("(0)", "01(10)", "1(1)"):
             x = s2.alphabet.parse_point(text)
-            assert germ_apply(Germ(s2, 0), x) == x
+            assert germ_apply(s2, 0, x) == x
 
     def test_swap_on_constant(self, s2):
-        assert germ_apply(Germ(s2, 1), Point(s2.alphabet, (), (0,))) == Point(s2.alphabet, (), (1,))
+        assert germ_apply(s2, 1, Point(s2.alphabet, (), (0,))) == Point(s2.alphabet, (), (1,))
 
     def test_swap_on_mixed(self, s2):
         x = s2.alphabet.parse_point("01(10)")
-        assert s2.alphabet.format_point(germ_apply(Germ(s2, 1), x)) == "10(01)"
+        assert s2.alphabet.format_point(germ_apply(s2, 1, x)) == "10(01)"
+
+    def test_rejects_foreign_point_and_unknown_element(self, s2, t3):
+        x = s2.alphabet.parse_point("01(10)")
+        with pytest.raises(CompositionDomainError):
+            germ_apply(t3, 0, x)
+        with pytest.raises(MalformedStructureError):
+            germ_apply(s2, 2, x)
 
     def test_restrict_identity_and_empty(self, s3):
         for sigma in range(s3.size):
-            assert germ_restrict(Germ(s3, 0), (0, 1)) == Germ(s3, 0)
-            assert germ_restrict(Germ(s3, sigma), ()) == Germ(s3, sigma)
+            assert s3.restrict_word(0, (0, 1)) == 0
+            assert s3.restrict_word(sigma, ()) == sigma
 
     def test_letterwise_structure_restricts_to_itself(self, s2):
-        assert germ_restrict(Germ(s2, 1), (0,)) == Germ(s2, 1)
+        assert s2.restrict_word(1, (0,)) == 1
 
     def test_apply_respects_composition(self, s3):
         rng = random.Random(23)
@@ -132,8 +133,8 @@ class TestGermAction:
             pre = tuple(rng.randrange(3) for _ in range(rng.randrange(3)))
             per = tuple(rng.randrange(3) for _ in range(1, rng.randint(1, 3) + 1))
             x = Point(s3.alphabet, pre, per)
-            combined = germ_apply(Germ(s3, s3.multiply(i, j)), x)
-            chained = germ_apply(Germ(s3, i), germ_apply(Germ(s3, j), x))
+            combined = germ_apply(s3, s3.mul[i][j], x)
+            chained = germ_apply(s3, i, germ_apply(s3, j, x))
             assert combined == chained
 
     def test_wreath_cocycle_on_words(self, s3):
@@ -141,9 +142,9 @@ class TestGermAction:
         for _ in range(400):
             i, j = rng.randrange(s3.size), rng.randrange(s3.size)
             v = tuple(rng.randrange(3) for _ in range(rng.randrange(7)))
-            lhs = s3.restrict_word(s3.multiply(i, j), v)
+            lhs = s3.restrict_word(s3.mul[i][j], v)
             path, _ = s3.act_word(j, v)
-            rhs = s3.multiply(s3.restrict_word(i, path), s3.restrict_word(j, v))
+            rhs = s3.mul[s3.restrict_word(i, path)][s3.restrict_word(j, v)]
             assert lhs == rhs
 
     def test_inverse_restriction_identity(self, s3):
@@ -151,49 +152,6 @@ class TestGermAction:
             for a in s3.alphabet.letters:
                 lhs = s3.res[s3.inv[sigma]][s3.act[sigma][a]]
                 assert lhs == s3.inv[s3.res[sigma][a]]
-
-
-class TestSimilarities:
-    def test_identity_composition(self, s2):
-        h = Similarity((0,), (1, 0), Germ(s2, 1))
-        ident = Similarity((0,), (0,), Germ(s2, 0))
-        assert sim_compose(h, ident) == h
-
-    def test_chain_and_germ_product(self, s2):
-        h1 = Similarity((0,), (1,), Germ(s2, 1))
-        h2 = Similarity((1,), (0, 0), Germ(s2, 1))
-        both = sim_compose(h2, h1)
-        assert both.source == (0,) and both.target == (0, 0)
-        assert both.germ == Germ(s2, 0)
-
-    def test_mismatch_rejected(self, s2):
-        h1 = Similarity((0,), (1,), Germ(s2, 1))
-        with pytest.raises(CompositionDomainError):
-            sim_compose(h1, h1)
-
-    def test_invert_is_involution(self, s3):
-        h = Similarity((0, 2), (1,), Germ(s3, 4))
-        assert sim_invert(sim_invert(h)) == h
-        assert sim_compose(sim_invert(h), h) == Similarity((0, 2), (0, 2), Germ(s3, 0))
-
-    def test_structure_axioms_on_random_ball_pairs(self, s3):
-        # identities, inverses, compositions, restrictions, via evaluation
-        rng = random.Random(31)
-        alphabet = s3.alphabet
-        for _ in range(150):
-            v = tuple(rng.randrange(3) for _ in range(rng.randrange(3)))
-            w = tuple(rng.randrange(3) for _ in range(rng.randrange(3)))
-            sigma = rng.randrange(s3.size)
-            h = Similarity(v, w, Germ(s3, sigma))
-            x = Point(alphabet, v + tuple(rng.randrange(3) for _ in range(2)), (rng.randrange(3),))
-            y = h.apply(x)
-            assert y.prefix(len(w)) == w
-            assert sim_invert(h).apply(y) == x
-            sub = v + (rng.randrange(3),)
-            restricted = sim_restrict(h, sub)
-            assert restricted.source == sub
-            x2 = Point(alphabet, sub, (rng.randrange(3),))
-            assert restricted.apply(x2) == h.apply(x2)
 
 
 class TestEnumeratedSmallGroups:

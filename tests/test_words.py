@@ -14,6 +14,7 @@ from localsim import (
     clopen_normalize,
     complement_balls,
     distance_exponent,
+    is_prefix,
     proper_prefix_count,
 )
 from oracles import enumerate_complete_codes, slow_proper_prefix_count
@@ -155,16 +156,16 @@ class TestProperPrefixCount:
 
 class TestClopen:
     def test_sibling_merge(self):
-        assert clopen_normalize(A2, [(0,), (1,)]).balls == ((),)
+        assert clopen_normalize(A2, [(0,), (1,)]) == ((),)
 
     def test_already_normal(self):
-        assert clopen_normalize(A2, [(0,), (1, 0)]).balls == ((0,), (1, 0))
+        assert clopen_normalize(A2, [(0,), (1, 0)]) == ((0,), (1, 0))
 
     def test_two_merge_rounds(self):
-        assert clopen_normalize(A2, [(0, 0), (0, 1), (1, 0), (1, 1)]).balls == ((),)
+        assert clopen_normalize(A2, [(0, 0), (0, 1), (1, 0), (1, 1)]) == ((),)
 
     def test_nested_dropped(self):
-        assert clopen_normalize(A2, [(0,), (0, 1)]).balls == ((0,),)
+        assert clopen_normalize(A2, [(0,), (0, 1)]) == ((0,),)
 
     def test_idempotent_and_union_preserving(self):
         rng = random.Random(3)
@@ -174,12 +175,12 @@ class TestClopen:
                 for _ in range(rng.randrange(1, 6))
             ]
             normal = clopen_normalize(A2, words)
-            again = clopen_normalize(A2, normal.balls)
-            assert again.balls == normal.balls
+            assert clopen_normalize(A2, normal) == normal
             depth = 1 + max((len(w) for w in words), default=0)
             for probe in itertools.product(range(2), repeat=depth):
                 covered = any(probe[: len(w)] == w for w in words)
-                assert covered == normal.contains_ball(probe)
+                # in normal form a ball is covered iff a ball of the set sits at or above it
+                assert covered == any(is_prefix(b, probe) for b in normal)
 
     def test_complement(self):
         assert complement_balls(A2, [(1, 0), (1, 1, 1)]) == ((0,), (1, 1, 0))
