@@ -78,23 +78,23 @@ _BUILTIN_GROUPS = {"trivial": trivial_group, "symmetric": symmetric_group}
 
 
 def _load_group(name: str, alphabet: int | None) -> SelfSimilarGroup:
-    """A built-in structure over `alphabet` letters (default 2), else an automaton file."""
+    """A built-in structure over `alphabet` letters (default 2), else an
+    automaton file, whose alphabet must match `alphabet` when one is given."""
     if name in _BUILTIN_GROUPS:
         return _BUILTIN_GROUPS[name](alphabet or 2)
-    return parse_automaton(_resolve_input(name), name=Path(name).stem)
+    group = parse_automaton(_resolve_input(name), name=Path(name).stem)
+    if alphabet is not None and group.alphabet.size != alphabet:
+        raise LocalSimError(f"--alphabet {alphabet} disagrees with the file's alphabet of size {group.alphabet.size}")
+    return group
 
 
 def _build_group(args: argparse.Namespace) -> SelfSimilarGroup:
-    """The structure a computation runs over; an automaton file must match
-    --alphabet and pass validation."""
+    """The structure a computation runs over; an automaton file must pass
+    validation."""
     name = args.hstruct
     group = _load_group(name, args.alphabet)
     if name in _BUILTIN_GROUPS:
         return group
-    if args.alphabet is not None and group.alphabet.size != args.alphabet:
-        raise LocalSimError(
-            f"--alphabet {args.alphabet} disagrees with the file's alphabet of size {group.alphabet.size}"
-        )
     violations = group.validate()
     if violations:
         lines = "; ".join(str(v) for v in violations)

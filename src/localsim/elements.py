@@ -358,8 +358,9 @@ def enumerate_gamma(
     inverse has maximal partition exactly p_minus.
 
     Works by trying every bijection between the codes and every germ
-    labelling, keeping the tables that survive reduction unchanged on both
-    sides.  Finite because there are only n! * m^n candidates.
+    labelling, keeping the tables that reduction leaves unchanged.  Such a
+    table is its own reduced form, so its inverse is the swapped table with
+    sources p_minus.  Finite because there are only n! * m^n candidates.
     """
     if not p_plus.is_complete() or not p_minus.is_complete():
         raise InvalidCodeError("both codes must be complete")
@@ -371,11 +372,8 @@ def enumerate_gamma(
         for germs in itertools.product(range(group.size), repeat=len(srcs)):
             rows = tuple(Row(s, t, g) for s, t, g in zip(srcs, perm, germs))
             cand = reduce(SimTable(group, ELEMENT, rows))
-            if cand.table.sources() != srcs:
-                continue
-            if invert(cand).table.sources() != p_minus.words:
-                continue
-            out.append(cand)
+            if cand.table.sources() == srcs:
+                out.append(cand)
     return tuple(sorted(out, key=lambda e: e.rows))
 
 
@@ -385,8 +383,9 @@ def enumerate_gamma(
 def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> CanonicalElement:
     """Parse 'v->w[:germ](;v->w[:germ])*' and return the reduced element.
 
-    'id' is accepted for the identity.  Germs are decimal element ids of
-    the structure; a missing germ means the identity germ.
+    'id' is accepted for the identity.  Germs are element ids of the
+    structure in ASCII decimal digits; a missing germ means the identity
+    germ.
     """
     if text.strip() == "id":
         return identity(group)
@@ -403,10 +402,10 @@ def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> Ca
         germ = 0
         if ":" in right:
             right, germ_txt = right.split(":", 1)
-            try:
-                germ = int(germ_txt.strip())
-            except ValueError:
-                raise LiteralParseError(f"bad germ name {germ_txt.strip()!r}", row=rownum, column=col) from None
+            germ_txt = germ_txt.strip()
+            if not (germ_txt.isascii() and germ_txt.isdigit()):
+                raise LiteralParseError(f"bad germ name {germ_txt!r}", row=rownum, column=col)
+            germ = int(germ_txt)
         try:
             src = alphabet.parse_word(left)
             tgt = alphabet.parse_word(right)

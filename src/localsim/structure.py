@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CompositionDomainError, MalformedStructureError
+from .errors import CompositionDomainError, MalformedStructureError, UnsupportedStructureError
 from .words import Alphabet, Point, Word
 
 
@@ -221,8 +221,11 @@ def symmetric_group(d: int) -> SelfSimilarGroup:
 
     Elements are the permutations of {0..d-1} in lexicographic order of
     their one-line notation (the identity comes first); every restriction
-    is the element itself.
+    is the element itself.  The multiplication table has (d!)^2 cells, so
+    d is limited to 6.
     """
+    if d > 6:
+        raise UnsupportedStructureError(f"symmetric germs are limited to alphabets of at most 6 letters, got {d}")
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     mul = tuple(tuple(index[tuple(p[q[a]] for a in range(d))] for q in perms) for p in perms)

@@ -72,7 +72,10 @@ class Alphabet:
     # -- literals ----------------------------------------------------------
 
     def parse_word(self, text: str) -> Word:
-        """Parse a word literal: digits for d <= 10, '[a,b,...]' otherwise, 'e' empty."""
+        """Parse a word literal: digits for d <= 10, '[a,b,...]' otherwise, 'e' empty.
+
+        Letters are ASCII decimal digits only.
+        """
         t = text.strip()
         if t == "e":
             return ()
@@ -82,11 +85,11 @@ class Alphabet:
             body = t[1:-1].strip()
             if not body:
                 raise LiteralParseError("empty word is spelled 'e', not '[]'")
-            try:
-                word = tuple(int(p.strip()) for p in body.split(","))
-            except ValueError:
-                raise LiteralParseError(f"bad bracket word {text!r}") from None
-        elif t.isdigit():
+            parts = [p.strip() for p in body.split(",")]
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise LiteralParseError(f"bad bracket word {text!r}")
+            word = tuple(int(p) for p in parts)
+        elif t.isascii() and t.isdigit():
             if self.size > 10:
                 raise LiteralParseError("alphabets larger than 10 need the bracket syntax [a,b,...]")
             word = tuple(int(c) for c in t)

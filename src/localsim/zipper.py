@@ -9,16 +9,23 @@ only finitely many classes; the signed difference is the value of a
 1-cocycle at g, its support size is a length function, and the classes in
 the difference are the walls separating the orbit points Z and gZ.
 
-Membership in gZ is always decided by translating back by the inverse,
-which is computed once per element, and testing for a one-row table.
-The difference itself is read off the maximal partitions.  Each ball
-properly containing a maximal ball of the inverse loses its inclusion
-class.  Each ball B properly containing a maximal ball of g picks up the
-class of g restricted to B, and that class is read straight off the
-reduced table of g: the rows under B with B stripped from their sources
-are already reduced, because a mergeable family among them would be
-mergeable in g, so only twist minimization is left to do.  Every entry is
-still checked against the membership tests before it is emitted.
+Each quantity has one derivation.  `symdiff` reads the difference off the
+maximal partitions.  Each ball properly containing a maximal ball of the
+inverse loses its inclusion class.  Each ball B properly containing a
+maximal ball of g picks up the class of g restricted to B, read straight
+off the reduced table of g: the rows under B with B stripped from their
+sources are already reduced, because a mergeable family among them would
+be mergeable in g, so only twist minimization is left to do.  Every entry
+is still checked against the membership tests before it is emitted;
+membership in gZ translates back by the inverse, computed once per
+element, and tests for a one-row table.
+
+The entries are the internal nodes of the two maximal-partition trees, and
+a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
+so `zipper_length` is the closed form 2(n-1)/(d-1); the test suite checks
+it against the size of `symdiff`.  `SignedSupport.translate` is the one
+translation of a support, used by the cocycle identity and by the
+separating walls.
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ from .elements import (
     invert,
     max_partition,
 )
-from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
+from .errors import IncompatibleElementsError, InvalidClassError, NotInvertibleError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, complement_balls, is_complete_code, is_prefix
+from .words import Word, is_complete_code, is_prefix
 
 
 @dataclass(frozen=True)
@@ -89,11 +96,13 @@ def _twist(table: SimTable, s: int) -> SimTable:
     return _trusted_table(group, table.kind, tuple(sorted(rows)))
 
 
-def _twist_minimal(table: SimTable) -> SimTable:
-    group = table.group
-    if group.size == 1:
-        return table
-    return min((_twist(table, s) for s in range(group.size)), key=lambda t: t.rows)
+def _eclass(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> EmbeddingClass:
+    """The class of the embedding with these reduced rows, sorted by source:
+    the least of its right twists."""
+    table = _trusted_table(group, EMBEDDING, rows)
+    if group.size > 1:
+        table = min((_twist(table, s) for s in range(group.size)), key=lambda t: t.rows)
+    return EmbeddingClass(table)
 
 
 def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
@@ -116,8 +125,7 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in f.rows]
     if not is_complete_code([r.source for r in stripped], group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {ball}")
-    rows = _reduce_rows(group, stripped)
-    return EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, rows)))
+    return _eclass(group, _reduce_rows(group, stripped))
 
 
 def incl_class(group: SelfSimilarGroup, ball: Word) -> EmbeddingClass:
@@ -145,8 +153,7 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
         raise IncompatibleElementsError("element and class over different structures")
     if g.table.kind != ELEMENT:
         raise IncompatibleElementsError("only group elements act on classes")
-    rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.table.rows))
-    return EmbeddingClass(_twist_minimal(_trusted_table(g.group, EMBEDDING, rows)))
+    return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.table.rows)))
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
@@ -224,8 +231,7 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
         lo = bisect_left(sources, b)
         hi = bisect_left(sources, b + past, lo)
         k = len(b)
-        under = tuple(Row(s[k:], t, germ) for s, t, germ in rows[lo:hi])
-        e = EmbeddingClass(_twist_minimal(_trusted_table(group, EMBEDDING, under)))
+        e = _eclass(group, tuple(Row(s[k:], t, germ) for s, t, germ in rows[lo:hi]))
         if z_member(e) or not gz_member(g, e):
             raise InvalidClassError("translated class failed its membership check")
         if e in out:
@@ -235,8 +241,15 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
 
 
 def zipper_length(g: CanonicalElement) -> int:
-    """Size of the symmetric difference between gZ and Z."""
-    return len(symdiff(g))
+    """Size of the symmetric difference between gZ and Z, in closed form.
+
+    Both maximal partitions of g have n balls, and each contributes its
+    (n-1)/(d-1) internal nodes, so the size is 2(n-1)/(d-1).  Like
+    `symdiff`, it is defined for group elements only.
+    """
+    if g.table.kind != ELEMENT:
+        raise NotInvertibleError("embeddings are not invertible on the whole space")
+    return 2 * (len(g.rows) - 1) // (g.group.alphabet.size - 1)
 
 
 def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
@@ -248,9 +261,8 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     """
     lhs = symdiff(compose(g1, g2)).as_dict()
     pred = symdiff(g1).as_dict()
-    for e, v in symdiff(g2).items():
-        te = act_on_eclass(g1, e)
-        pred[te] = pred.get(te, 0) + v
+    for e, v in symdiff(g2).translate(g1).as_dict().items():
+        pred[e] = pred.get(e, 0) + v
     pred = {e: v for e, v in pred.items() if v}
     keys = set(lhs) | set(pred)
     return sum(1 for e in keys if lhs.get(e, 0) != pred.get(e, 0))
@@ -266,7 +278,7 @@ def point_label(g: CanonicalElement) -> EmbeddingClass:
     similarity on the right, which is exactly twist equivalence of their
     tables read as embeddings.
     """
-    return EmbeddingClass(_twist_minimal(_trusted_table(g.group, EMBEDDING, g.rows)))
+    return _eclass(g.group, g.rows)
 
 
 def wall_separation(g1: CanonicalElement, g2: CanonicalElement) -> int:
@@ -277,31 +289,17 @@ def wall_separation(g1: CanonicalElement, g2: CanonicalElement) -> int:
     return zipper_length(compose(invert(g1), g2))
 
 
-def separating_walls(
-    g1: CanonicalElement,
-    g2: CanonicalElement,
-    known: Iterable[CanonicalElement] = (),
-) -> list[tuple[EmbeddingClass, int]]:
-    """The classes separating g1Z from g2Z, each with the side of g1Z.
+def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[EmbeddingClass, int]]:
+    """The classes separating g1Z from g2Z, each with the side of g1Z, sorted.
 
-    Side +1 means the class lies in g1Z only, -1 in g2Z only.  A candidate
-    is excluded when, among the supplied orbit points (g1 and g2 are always
-    included), one of its two half-spaces comes out empty; with only the
-    two defining points this never fires, but callers tracking more orbit
-    points use it to drop degenerate walls.
+    Side +1 means the class lies in g1Z only, -1 in g2Z only.  The walls
+    are the g1-translate of the symmetric difference of h = g1^-1 g2, with
+    the signs flipped: a +1 entry lies in hZ only, so its translate lies in
+    g2Z only, and a -1 entry lies in Z only, so its translate lies in g1Z
+    only.
     """
-    h = compose(invert(g1), g2)
-    points = [g1, g2, *known]
-    out = []
-    for e, v in symdiff(h).items():
-        wall = act_on_eclass(g1, e)
-        inside = [p for p in points if gz_member(p, wall)]
-        if not inside or len(inside) == len(points):
-            continue
-        # v = +1 marks (g1^-1 g2)Z \ Z, whose g1-translate lies in g2Z only
-        out.append((wall, -v))
-    out.sort(key=lambda kv: kv[0].sort_key())
-    return out
+    walls = symdiff(compose(invert(g1), g2)).translate(g1)
+    return [(e, -v) for e, v in walls.items()]
 
 
 # -- the Cayley-ball audit ------------------------------------------------------
@@ -336,13 +334,11 @@ def properness_audit(
     every radius up to the bound, reports the ball size and how many
     distinct elements in the ball have zipper length <= threshold.  The
     report carries a `stabilized` flag set when that count did not change
-    over the last two radius increments.  Lengths are computed from the
-    maximal-partition size (2(n-1)/(d-1)); the equality of that formula
-    with the symmetric-difference size is covered by the test suite.
+    over the last two radius increments.  Lengths come from
+    `zipper_length`.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    d = group.alphabet.size
     gens: list[CanonicalElement] = []
     seen_gen = set()
     for g in generators:
@@ -355,13 +351,10 @@ def properness_audit(
                     seen_gen.add(k)
                     gens.append(h)
 
-    def fast_length(e: CanonicalElement) -> int:
-        return 2 * (len(e.rows) - 1) // (d - 1)
-
     start = identity(group)
     visited = {start.packed()}
     frontier = [start]
-    count = 1 if fast_length(start) <= threshold else 0
+    count = 1 if zipper_length(start) <= threshold else 0
     rows = [AuditRow(0, 1, count)]
     for r in range(1, radius + 1):
         new_frontier = []
@@ -372,7 +365,7 @@ def properness_audit(
                 if k not in visited:
                     visited.add(k)
                     new_frontier.append(y)
-                    if fast_length(y) <= threshold:
+                    if zipper_length(y) <= threshold:
                         count += 1
         frontier = new_frontier
         rows.append(AuditRow(r, len(visited), count))
@@ -442,24 +435,10 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     first_in = tuple(gz_member(g, first) for g in witnesses)
     second_in = tuple(gz_member(g, second) for g in witnesses)
 
-    # an element whose translate does contain the second class: extend the
-    # second embedding to a bijection of the whole space by a small search
-    # over matchings of ball 0 onto the uncovered targets
-    image = [r.target for r in f2.rows]
-    missing = complement_balls(group.alphabet, image)
-    srcs: list[Word] = [(0,)]
-    while len(srcs) < len(missing):
-        w = min(srcs, key=len)
-        srcs.remove(w)
-        srcs.extend(w + (a,) for a in group.alphabet.letters)
-    covering = None
-    for assignment in itertools.permutations(missing):
-        rows = list(f2.rows) + [Row(s, t, 0) for s, t in zip(sorted(srcs), assignment)]
-        cand = CanonicalElement(_trusted_table(group, ELEMENT, _reduce_rows(group, rows)))
-        if gz_member(cand, second):
-            covering = cand
-            break
-    ok = all(first_in) and not any(second_in) and covering is not None
-    if covering is None:
-        covering = identity(group)
+    # an element whose translate does contain the second class: the second
+    # embedding extended to a bijection by sending ball 0 onto the balls its
+    # image leaves uncovered, 0 and 110 (the table is already reduced)
+    rows = (Row((0, 0), (0,), 0), Row((0, 1), (1, 1, 0), 0)) + f2.rows
+    covering = CanonicalElement(_trusted_table(group, ELEMENT, rows))
+    ok = all(first_in) and not any(second_in) and gz_member(covering, second)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)

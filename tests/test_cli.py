@@ -93,6 +93,11 @@ class TestStructureSelection:
         assert code == 1
         assert "disagrees" in err
 
+    def test_symmetric_size_limit(self, capsys):
+        code, _, err = run(capsys, "--hstruct", "symmetric", "--alphabet", "7", "canon", "id")
+        assert code == 1
+        assert "at most 6 letters" in err
+
     def test_invalid_structure_blocks_computation(self, capsys, tmp_path):
         bad = _resolve_input("sigma2.aut").replace("res 1 0 1", "res 1 0 0")
         path = tmp_path / "bad.aut"
@@ -115,6 +120,11 @@ class TestHstructValidate:
         code, out, _ = run(capsys, "hstruct", "validate", str(path))
         assert code == 2
         assert "restriction-cocycle" in out
+
+    def test_alphabet_mismatch(self, capsys):
+        code, out, err = run(capsys, "--alphabet", "3", "hstruct", "validate", "sigma2.aut")
+        assert code == 1 and out == ""
+        assert "--alphabet 3 disagrees with the file's alphabet of size 2" in err
 
     def test_records_mode(self, capsys):
         code, out, _ = run(capsys, "--format", "records", "hstruct", "validate", "sigma2.aut")

@@ -310,6 +310,12 @@ class TestLiterals:
         with pytest.raises(LiteralParseError):
             parse_element("e->e:1", t2)
 
+    def test_letters_and_germs_are_ascii_decimal(self, s2):
+        for text in ("e->e:١", "e->e:+1", "e->e:-1", "e->e:1_0", "e->e:²", "e->e:", "²->e", "0->1;١->0"):
+            with pytest.raises(LiteralParseError):
+                parse_element(text, s2)
+        assert parse_element("e->e: 1 ", s2) == parse_element("e->e:1", s2)
+
 
 class TestGroupLaws:
     def test_associativity_and_inverses(self, configurations):

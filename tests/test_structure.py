@@ -8,6 +8,7 @@ from localsim import (
     MalformedStructureError,
     Point,
     SelfSimilarGroup,
+    UnsupportedStructureError,
     germ_apply,
     parse_automaton,
     symmetric_group,
@@ -159,6 +160,11 @@ class TestEnumeratedSmallGroups:
         for d, size in ((2, 2), (3, 6), (4, 24)):
             group = symmetric_group(d)
             assert group.size == size
+
+    def test_symmetric_size_limit(self):
+        # refused before the 5040 x 5040 table is built
+        with pytest.raises(UnsupportedStructureError, match="at most 6 letters"):
+            symmetric_group(7)
 
     def test_letterwise_action_table(self, s3):
         # every element permutes letters; restriction is the element itself

@@ -7,6 +7,7 @@ from localsim import (
     Alphabet,
     Containment,
     InvalidCodeError,
+    LiteralParseError,
     MalformedWordError,
     Point,
     PrefixCode,
@@ -208,3 +209,14 @@ class TestLiterals:
         for text in ("(0)", "(01)", "01(10)", "1(1)"):
             p = A2.parse_point(text)
             assert A2.parse_point(A2.format_point(p)) == p
+
+    def test_letters_are_ascii_decimal(self):
+        # str.isdigit and int() also take superscripts, other scripts' digits,
+        # signs and underscores
+        for text in ("²", "١", "0١", "[1_0]", "[+1]", "[1,²]", "[1,,0]"):
+            with pytest.raises(LiteralParseError):
+                A2.parse_word(text)
+        for text in ("²(0)", "(١)"):
+            with pytest.raises(LiteralParseError):
+                A2.parse_point(text)
+        assert Alphabet(12).parse_word("[ 1 , 10 ]") == (1, 10)

@@ -7,6 +7,7 @@ from localsim import zipper
 from localsim import (
     CanonicalElement,
     InvalidClassError,
+    NotInvertibleError,
     Row,
     SignedSupport,
     SimTable,
@@ -190,6 +191,23 @@ class TestZipperLength:
     def test_x0(self, x0):
         assert zipper_length(x0) == 4
 
+    def test_closed_form_matches_symdiff_and_walls(self, configurations):
+        rng = random.Random(113)
+        for group in configurations:
+            ident = identity(group)
+            for _ in range(20):
+                g = random_element(group, rng, max_depth=3)
+                assert len(symdiff(g)) == zipper_length(g) == wall_separation(ident, g)
+
+    def test_embedding_rejected(self, t2):
+        # 0->00;1->01 reduces to the single row e->0, where the bare formula reads 0
+        emb = reduce(embed(t2, [((0,), (0, 0), 0), ((1,), (0, 1), 0)]))
+        with pytest.raises(NotInvertibleError):
+            zipper_length(emb)
+        for g1, g2 in ((identity(t2), emb), (emb, identity(t2))):
+            with pytest.raises(NotInvertibleError):
+                wall_separation(g1, g2)
+
     def test_inverse_symmetry_and_closed_form(self, configurations):
         rng = random.Random(83)
         for group in configurations:
@@ -254,8 +272,14 @@ class TestWalls:
                 assert wall_separation(g1, g2) == wall_separation(g2, g1)
                 assert wall_separation(compose(h, g1), compose(h, g2)) == wall_separation(g1, g2)
 
-    def test_separating_walls_really_separate(self, t2, x0, x1):
-        for g1, g2 in ((identity(t2), x0), (x0, x1)):
+    def test_separating_walls_really_separate(self, configurations, t2, x0, x1):
+        # each wall lies in exactly one of g1Z and g2Z, on the reported side
+        rng = random.Random(127)
+        pairs = [(identity(t2), x0), (x0, x1)]
+        for group in configurations:
+            for _ in range(6):
+                pairs.append((random_element(group, rng, max_depth=3), random_element(group, rng, max_depth=3)))
+        for g1, g2 in pairs:
             walls = separating_walls(g1, g2)
             assert len(walls) == wall_separation(g1, g2)
             for e, side in walls:
@@ -327,12 +351,13 @@ class TestPropernessAudit:
         assert longer.stabilized
 
     def test_counts_agree_with_lengths(self, t2, v_gens):
-        # spot check the fast in-audit length against the real one
+        # spot check the closed-form length the audit counts with against
+        # the symmetric difference it measures
         rng = random.Random(109)
         for _ in range(20):
             g = random_element(t2, rng, max_depth=3)
             d = t2.alphabet.size
-            assert zipper_length(g) == 2 * (len(g.rows) - 1) // (d - 1)
+            assert len(symdiff(g)) == 2 * (len(g.rows) - 1) // (d - 1)
 
 
 class TestNowalls:
