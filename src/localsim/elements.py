@@ -17,6 +17,13 @@ point form a chain, so every table has a unique reduced form.  Reduced
 tables are canonical: two tables describe the same map iff their reduced
 sorted forms coincide, and the reduced source code is the coarsest ball
 partition on which the map acts by single similarities.
+
+Reduction runs over rows sorted by source, in one pass.  A sorted prefix
+code lists its tree in preorder, so the rows are shifted onto a stack and
+a sibling family is tried as soon as its last child is on top; a merge
+puts the parent on top, which may complete the family above it.
+Composition feeds this pass directly: it emits its rows already sorted by
+source, as plain tuples, and only the reduced rows become `Row`s.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -126,35 +133,49 @@ def validate_table(t: SimTable) -> list[str]:
 
 
 _source = itemgetter(0)
+# a Row from any 3-tuple, without the keyword handling of Row(...)
+_as_row = partial(tuple.__new__, Row)
 
 
-def _compose_rows(group: SelfSimilarGroup, g_rows: tuple[Row, ...], h_rows: Iterable[Row]) -> list[Row]:
-    """Rows of g after h (h applied first); `g_rows` are sorted by source.
+def _compose_rows(
+    group: SelfSimilarGroup, g_rows: tuple[Row, ...], h_rows: tuple[Row, ...]
+) -> list[tuple[Word, Word, int]]:
+    """Rows of g after h (h applied first), as plain tuples sorted by source.
 
-    Each h-row's target is looked up among g's sources by bisection: in a
-    prefix code, the source that is a prefix of the target, if there is
-    one, is the last source not after it.  Then the two similarities
-    chain: the composite germ is g's leftover restriction times the h
-    germ.  A target that lies above several source balls is split into
-    its d children, and each child is searched only among the rows under
-    its parent.  A target that meets no source ball lies outside g's
-    domain, and no amount of splitting brings it back.  Nothing is built
+    Both row tuples must be sorted by source.  Each h-row's target is
+    looked up among g's sources by bisection: in a prefix code, the source
+    that is a prefix of the target, if there is one, is the last source
+    not after it.  Then the two similarities chain: the composite germ is
+    g's leftover restriction times the h germ, and the h germ itself when
+    g's germ is the identity.  A target that lies above several source
+    balls is split into its d children, and each child is searched only
+    among the rows under its parent.  A target that meets no source ball
+    lies outside g's domain, and no amount of splitting brings it back.
+
+    The h-rows and the children of a split are pushed in reverse, so the
+    stack pops them depth first in letter order and the rows come out in
+    increasing source order, ready for `_reduce_rows`.  Nothing is built
     from g, so translating many small classes by one large element costs
     only their lookups.
     """
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
-    out: list[Row] = []
-    stack = [(src, tgt, germ, 0, len(g_rows)) for src, tgt, germ in h_rows]
+    out: list[tuple[Word, Word, int]] = []
+    emit = out.append
+    stack = [(src, tgt, germ, 0, len(g_rows)) for src, tgt, germ in reversed(h_rows)]
+    pop, push = stack.pop, stack.append
     while stack:
-        src, tgt, germ, lo, hi = stack.pop()
+        src, tgt, germ, lo, hi = pop()
         i = bisect_right(g_rows, tgt, lo, hi, key=_source)
         if i > lo:
             g_source, g_target, g_germ = g_rows[i - 1]
             k = len(g_source)
             if tgt[:k] == g_source:
-                path, rest = group.act_word(g_germ, tgt[k:])
-                out.append(Row(src, g_target + path, mul[rest][germ]))
+                if g_germ:
+                    path, rest = group.act_word(g_germ, tgt[k:])
+                    emit((src, g_target + path, mul[rest][germ]))
+                else:
+                    emit((src, g_target + tgt[k:], germ))
                 continue
         if i == hi or g_rows[i].source[: len(tgt)] != tgt:
             raise CompositionDomainError(
@@ -163,44 +184,47 @@ def _compose_rows(group: SelfSimilarGroup, g_rows: tuple[Row, ...], h_rows: Iter
         # the rows under tgt run from i up to tgt followed by a letter past the alphabet
         end = bisect_left(g_rows, tgt + (d,), i, hi, key=_source)
         row_act, row_res = act[germ], res[germ]
-        for a in range(d):
-            stack.append((src + (a,), tgt + (row_act[a],), row_res[a], i, end))
+        for a in reversed(range(d)):
+            push((src + (a,), tgt + (row_act[a],), row_res[a], i, end))
     return out
 
 
-def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """Merge sibling families until none matches a single similarity."""
+def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]) -> tuple[Row, ...]:
+    """Merge sibling families until none matches a single similarity.
+
+    The rows must be sorted by source, and their sources must form a prefix
+    code.  Sorted, a prefix code lists its tree in preorder, so a sibling
+    family is complete exactly when its last child (letter d-1) arrives,
+    and its members are then the top d entries of a stack of the rows seen
+    so far.  Each arrival, and each merge, checks that family once, so one
+    shift-reduce pass finds every merge; the rows it leaves are sorted.
+    """
     d = group.alphabet.size
-    act, res = group.act, group.res
-    table = {src: (tgt, germ) for src, tgt, germ in rows}
-    pending = {src[:-1] for src in table if src}
-    while pending:
-        p = pending.pop()
-        kids = []
-        for a in range(d):
-            r = table.get(p + (a,))
-            if r is None:
+    last = d - 1
+    by_action = group._by_action
+    stack: list[tuple[Word, Word, int]] = []
+    for row in rows:
+        stack.append(row)
+        src = row[0]
+        while src and src[-1] == last and len(stack) >= d:
+            parent = src[:-1]
+            stem = row[1][:-1]
+            letters: list[int] = []
+            germs: list[int] = []
+            for s, t, g in stack[-d:]:
+                if s[:-1] != parent or not t or t[:-1] != stem:
+                    break
+                letters.append(t[-1])
+                germs.append(g)
+            # a family cut short gives a key shorter than any in by_action
+            merged = by_action.get(tuple(letters + germs))
+            if merged is None:
                 break
-            kids.append(r)
-        if len(kids) != d:
-            continue
-        stem = kids[0][0][:-1] if kids[0][0] else None
-        if stem is None or any(not t or t[:-1] != stem for t, _ in kids):
-            continue
-        merged = None
-        for s in range(group.size):
-            s_act, s_res = act[s], res[s]
-            if all(kids[a][0][-1] == s_act[a] and kids[a][1] == s_res[a] for a in range(d)):
-                merged = s
-                break
-        if merged is None:
-            continue
-        for a in range(d):
-            del table[p + (a,)]
-        table[p] = (stem, merged)
-        if p:
-            pending.add(p[:-1])
-    return tuple(sorted(Row(s, t, g) for s, (t, g) in table.items()))
+            del stack[-d:]
+            row = (parent, stem, merged)
+            stack.append(row)
+            src = parent
+    return tuple(map(_as_row, stack))
 
 
 @dataclass(frozen=True)
@@ -229,20 +253,19 @@ class CanonicalElement:
 
     def packed(self) -> bytes | tuple:
         """Compact serialization used for dedup sets; falls back to the
-        row tuple when letters or germs do not fit in single bytes."""
+        row tuple when a letter, a germ or a word length does not fit in a
+        byte."""
         g = self.group
         if g.alphabet.size > 256 or g.size > 256:
             return self.rows
-        out = bytearray()
+        flat: list[int] = []
         for s, t, germ in self.rows:
-            if len(s) > 255 or len(t) > 255:
-                return self.rows
-            out.append(len(s))
-            out.extend(s)
-            out.append(len(t))
-            out.extend(t)
-            out.append(germ)
-        return bytes(out)
+            flat += (len(s), *s, len(t), *t, germ)
+        try:
+            return bytes(flat)
+        except ValueError:
+            # a word longer than 255 letters
+            return self.rows
 
     def __repr__(self) -> str:
         kind = "" if self.table.kind == ELEMENT else " (embedding)"
@@ -250,7 +273,11 @@ class CanonicalElement:
 
 
 def reduce(t: SimTable) -> CanonicalElement:
-    """The unique reduced form of a table (kind is preserved)."""
+    """The unique reduced form of a table (kind is preserved).
+
+    The table's rows are sorted by source, as every `SimTable` keeps them,
+    and its sources must form a prefix code, as `validate_table` checks.
+    """
     rows = _reduce_rows(t.group, t.rows)
     return CanonicalElement(_trusted_table(t.group, t.kind, rows))
 

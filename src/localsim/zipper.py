@@ -336,38 +336,63 @@ def properness_audit(
     report carries a `stabilized` flag set when that count did not change
     over the last two radius increments.  Lengths come from
     `zipper_length`.
+
+    Each frontier element remembers the generator that reached it.  Its
+    product with that generator's inverse is its parent, which is already
+    visited, so that product is skipped; the counts do not change.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    start = identity(group)
     gens: list[CanonicalElement] = []
-    seen_gen = set()
+    # the position in gens of each generator's inverse; the symmetrized set
+    # holds every inverse, because generators enter it with theirs
+    inverse_at: list[int] = []
+    # the identity is seen from the start, so it never becomes a generator
+    seen_gen = {start.packed()}
     for g in generators:
         if g.group != group:
             raise IncompatibleElementsError("generator over a different structure")
-        for h in (g, invert(g)):
-            k = h.packed()
-            if len(h.rows) > 1 or h.rows[0].germ or h.rows[0].target:
-                if k not in seen_gen:
-                    seen_gen.add(k)
-                    gens.append(h)
+        h = invert(g)
+        k = g.packed()
+        if k in seen_gen:
+            continue
+        k_inv = h.packed()
+        i = len(gens)
+        seen_gen.add(k)
+        gens.append(g)
+        if k_inv == k:
+            inverse_at.append(i)
+        else:
+            seen_gen.add(k_inv)
+            gens.append(h)
+            inverse_at += (i + 1, i)
 
-    start = identity(group)
     visited = {start.packed()}
+    # the generator that reached each frontier element, in a parallel list of
+    # small ints (pairs would cost a tuple per element); -1 for the start
     frontier = [start]
+    reached_by = [-1]
     count = 1 if zipper_length(start) <= threshold else 0
     rows = [AuditRow(0, 1, count)]
     for r in range(1, radius + 1):
-        new_frontier = []
-        for x in frontier:
-            for s in gens:
+        new_frontier: list[CanonicalElement] = []
+        new_reached_by: list[int] = []
+        for x, j in zip(frontier, reached_by):
+            back = inverse_at[j] if j >= 0 else -1
+            for i, s in enumerate(gens):
+                if i == back:
+                    continue
                 y = compose(s, x)
                 k = y.packed()
                 if k not in visited:
                     visited.add(k)
                     new_frontier.append(y)
+                    new_reached_by.append(i)
                     if zipper_length(y) <= threshold:
                         count += 1
         frontier = new_frontier
+        reached_by = new_reached_by
         rows.append(AuditRow(r, len(visited), count))
     stabilized = (
         len(rows) >= 3

@@ -17,12 +17,15 @@ from localsim import (
     Row,
     SimTable,
     act_on_eclass,
+    compose,
     gz_member,
+    identity,
     incl_class,
     invert,
     max_partition,
     reduce,
     z_member,
+    zipper_length,
 )
 from localsim.structure import SelfSimilarGroup
 from localsim.words import Alphabet, Containment, Point, Word, ball_contains
@@ -150,3 +153,68 @@ def coarsenings(code: PrefixCode) -> list[tuple[Word, ...]]:
         for q in enumerate_complete_codes(code.alphabet, code.max_depth())
         if code.refines(PrefixCode(code.alphabet, q))
     ]
+
+
+def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
+    """Reduction by repeated search: keep a pending set of parents, merge any
+    whose d children are all rows matching one similarity, sort at the end.
+    Accepts the rows in any order."""
+    d = group.alphabet.size
+    act, res = group.act, group.res
+    table = {src: (tgt, germ) for src, tgt, germ in rows}
+    pending = {src[:-1] for src in table if src}
+    while pending:
+        p = pending.pop()
+        kids = []
+        for a in range(d):
+            r = table.get(p + (a,))
+            if r is None:
+                break
+            kids.append(r)
+        if len(kids) != d:
+            continue
+        stem = kids[0][0][:-1] if kids[0][0] else None
+        if stem is None or any(not t or t[:-1] != stem for t, _ in kids):
+            continue
+        merged = None
+        for s in range(group.size):
+            s_act, s_res = act[s], res[s]
+            if all(kids[a][0][-1] == s_act[a] and kids[a][1] == s_res[a] for a in range(d)):
+                merged = s
+                break
+        if merged is None:
+            continue
+        for a in range(d):
+            del table[p + (a,)]
+        table[p] = (stem, merged)
+        if p:
+            pending.add(p[:-1])
+    return tuple(sorted(Row(s, t, g) for s, (t, g) in table.items()))
+
+
+def slow_associativity_witnesses(mul) -> tuple[tuple[int, int, int], ...]:
+    """Every triple (i, j, k) with (ij)k != i(jk), by scanning all of them."""
+    m = len(mul)
+    return tuple(
+        (i, j, k)
+        for i in range(m)
+        for j in range(m)
+        for k in range(m)
+        if mul[mul[i][j]][k] != mul[i][mul[j][k]]
+    )
+
+
+def slow_audit_counts(group: SelfSimilarGroup, generators, radius: int, threshold: int) -> list[tuple[int, int]]:
+    """(ball size, elements within the threshold) per radius, by a plain
+    breadth-first search over sets of elements: every generator and every
+    inverse is applied to every frontier element, the parent included."""
+    steps = {g for g in generators} | {invert(g) for g in generators}
+    start = identity(group)
+    visited = {start}
+    frontier = {start}
+    out = [(1, int(zipper_length(start) <= threshold))]
+    for _ in range(radius):
+        frontier = {compose(s, x) for x in frontier for s in steps} - visited
+        visited |= frontier
+        out.append((len(visited), sum(1 for g in visited if zipper_length(g) <= threshold)))
+    return out

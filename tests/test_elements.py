@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -30,12 +31,13 @@ from localsim import (
     reduce,
     validate_table,
 )
-from localsim.elements import random_code_words
+from localsim.elements import _compose_rows, _reduce_rows, random_code_words
 from oracles import (
     brute_force_gamma,
     coarsenings,
     enumerate_complete_codes,
     point_letter,
+    slow_reduce_rows,
     stepwise_apply_letters,
 )
 
@@ -94,6 +96,67 @@ class TestExpandReduce:
                     source = rng.choice([r.source for r in t.rows])
                     t = expand_at(t, source)
                 assert reduce(t) == g
+
+
+KERNEL_DEPTH = {2: 4, 3: 3}
+
+
+def random_table(group, rng, shape: str, splits: int) -> SimTable:
+    """A random element's table, or an embedding made from one by moving its
+    targets ("embedding") or its sources ("sub-ball") under a random letter,
+    expanded at `splits` random rows."""
+    g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
+    a = (rng.randrange(group.alphabet.size),)
+    if shape == "element":
+        t = g.table
+    elif shape == "embedding":
+        t = SimTable(group, "embedding", tuple(Row(s, a + w, z) for s, w, z in g.rows))
+    else:
+        t = SimTable(group, "embedding", tuple(Row(a + s, w, z) for s, w, z in g.rows))
+    for _ in range(splits):
+        t = expand_at(t, rng.choice(t.sources()))
+    return t
+
+
+class TestRewriteKernel:
+    """The in-order compose and the shift-reduce pass, against the dict-based
+    reduction in the oracles."""
+
+    def test_compose_rows_come_out_sorted(self, x0, x1, rot):
+        # x0's target 10 lies above x1's sources 100 and 101, so it is split
+        for g, h in ((x1, x0), (x0, rot), (rot, x1), (x1, invert(x1))):
+            sources = [s for s, _, _ in _compose_rows(g.group, g.rows, h.rows)]
+            assert all(u < v for u, v in itertools.pairwise(sources))
+        assert len(_compose_rows(x1.group, x1.rows, x0.rows)) == 4
+
+    def test_random_tables(self, configurations):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.sampled_from(configurations),
+            st.randoms(use_true_random=True),
+            st.sampled_from(["element", "embedding", "sub-ball"]),
+            st.integers(0, 6),
+        )
+        def check(group, rng, shape, splits):
+            t = random_table(group, rng, shape, splits)
+            assert _reduce_rows(group, t.rows) == slow_reduce_rows(group, t.rows)
+
+            g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
+            h = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
+            right = random_table(group, rng, "element", splits)
+            rows = _compose_rows(group, g.rows, right.rows)
+            assert all(u[0] < v[0] for u, v in itertools.pairwise(rows))
+            assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(right)).rows
+
+            # a left operand on a proper ball misses some target of any element
+            on_ball = reduce(random_table(group, rng, "sub-ball", 0))
+            with pytest.raises(CompositionDomainError):
+                compose(on_ball, h)
+
+        check()
 
 
 class TestComposeInvert:

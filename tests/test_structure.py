@@ -15,6 +15,7 @@ from localsim import (
     trivial_group,
 )
 from localsim.cli import _resolve_input
+from oracles import slow_associativity_witnesses
 
 AXIOMS = {
     "identity-element",
@@ -52,6 +53,26 @@ class TestValidate:
         v = violations[0]
         assert v.axiom == "restriction-cocycle"
         assert (1, 1, 0) in v.witnesses and (1, 1, 1) in v.witnesses
+
+    def test_symmetric_six_is_clean(self):
+        # 720 elements: associativity follows from Light's test on a few generators
+        assert symmetric_group(6).validate() == []
+
+    def test_associativity_witnesses_match_full_scan(self, s3):
+        # every single corrupted mul cell of sigma2.aut and of symmetric(3)
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        broken = 0
+        for group in (sigma2, s3):
+            for i, j in itertools.product(range(group.size), repeat=2):
+                for value in range(group.size):
+                    if value == group.mul[i][j]:
+                        continue
+                    bad = mutated(group, "mul", i, j, value)
+                    want = slow_associativity_witnesses(bad.mul)
+                    got = {v.axiom: v.witnesses for v in bad.validate()}
+                    assert got.get("associativity", ()) == want
+                    broken += bool(want)
+        assert broken > 0
 
     def test_corrupted_identity_action(self, s2):
         bad = mutated(s2, "act", 0, 0, 1)
@@ -93,6 +114,14 @@ class TestAutomatonFile:
     def test_duplicate_cell(self):
         with pytest.raises(MalformedStructureError, match="line 6: duplicate"):
             parse_automaton(self.COMPLETE.replace("act 0 0 0\n", "act 0 0 0\nact 0 0 0\n"))
+
+    def test_fields_are_ascii_decimal(self):
+        # int() alone reads these as 0, 1 and 10
+        text = _resolve_input("sigma2.aut")
+        lineno = text.splitlines().index("inv 1 1") + 1
+        for field in ("٠", "+1", "1_0"):
+            with pytest.raises(MalformedStructureError, match=f"line {lineno}: non-integer field"):
+                parse_automaton(text.replace("inv 1 1", f"inv 1 {field}"))
 
     def test_out_of_range_entry(self):
         with pytest.raises(MalformedStructureError):

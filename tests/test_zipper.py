@@ -17,6 +17,7 @@ from localsim import (
     cocycle_identity_defect,
     complement_balls,
     compose,
+    format_element,
     gz_member,
     identity,
     incl_class,
@@ -34,7 +35,7 @@ from localsim import (
     z_member,
     zipper_length,
 )
-from oracles import brute_force_symdiff
+from oracles import brute_force_symdiff, slow_audit_counts
 
 
 def embed(group, rows):
@@ -349,6 +350,27 @@ class TestPropernessAudit:
         longer = properness_audit(t2, v_gens, radius=6, threshold=4)
         assert longer.counts()[-3:] == [22, 22, 22]
         assert longer.stabilized
+
+    def test_skipped_inverse_keeps_counts(self, t2, s2, v_gens):
+        # the audit skips the product that leads back to an element's parent;
+        # the counts must match a search that tries every product
+        x0, x1, c, pi0 = v_gens
+        rng = random.Random(113)
+        swap = parse_element("e->e:1", s2)
+        over_s2 = [parse_element(format_element(g), s2) for g in v_gens]
+        cases = [
+            (t2, rng.sample(v_gens, len(v_gens))),
+            (t2, rng.sample(v_gens, len(v_gens))),
+            (t2, [x0, c, identity(t2), x0, pi0]),  # a duplicated generator, and the identity
+            (t2, [c, x1, invert(c)]),  # a generator and its inverse
+            (t2, [pi0, x1]),  # pi0 is its own inverse
+            (s2, [swap] + rng.sample(over_s2, len(over_s2))),  # e->e:1 is its own inverse
+        ]
+        for group, gens in cases:
+            for radius in (0, 1, 4):
+                report = properness_audit(group, gens, radius=radius, threshold=4)
+                got = [(row.ball_size, row.within_threshold) for row in report.rows]
+                assert got == slow_audit_counts(group, gens, radius, 4)
 
     def test_counts_agree_with_lengths(self, t2, v_gens):
         # spot check the closed-form length the audit counts with against
