@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .structure import SelfSimilarGroup, germ_apply
-from .words import Point, PrefixCode, Word, is_complete_code, is_prefix
+from .words import Point, PrefixCode, Word, is_complete_code
 
 ELEMENT = "element"
 EMBEDDING = "embedding"
@@ -96,10 +96,14 @@ def _trusted_table(group: SelfSimilarGroup, kind: str, rows: tuple[Row, ...]) ->
     return t
 
 
-def _is_antichain(sorted_words: tuple[Word, ...]) -> bool:
-    return all(
-        not is_prefix(u, v) for u, v in itertools.pairwise(sorted_words)
-    ) and len(set(sorted_words)) == len(sorted_words)
+def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
+    """Two neighbours of which the first is a prefix of (or equal to) the
+    second, or None if the words are an antichain.  In sorted order the
+    extensions of a word directly follow it, so neighbours are enough."""
+    for u, v in itertools.pairwise(sorted_words):
+        if v[: len(u)] == u:
+            return u, v
+    return None
 
 
 def validate_table(t: SimTable) -> list[str]:
@@ -109,7 +113,7 @@ def validate_table(t: SimTable) -> list[str]:
         return ["empty-table"]
     d = t.group.alphabet.size
     srcs = t.sources()
-    if not _is_antichain(srcs):
+    if _overlap(srcs) is not None:
         out.append("domain-not-antichain")
     else:
         # in sorted order the common prefix of all sources is that of the extremes
@@ -122,7 +126,7 @@ def validate_table(t: SimTable) -> list[str]:
         elif not is_complete_code([w[k:] for w in srcs], d):
             out.append("incomplete-domain")
     tgts = tuple(sorted(t.targets()))
-    if not _is_antichain(tgts):
+    if _overlap(tgts) is not None:
         out.append("target-not-antichain")
     elif t.kind == ELEMENT and not is_complete_code(tgts, d):
         out.append("target-incomplete")
@@ -251,6 +255,13 @@ class CanonicalElement:
         # it is computed once per element rather than once per class
         return invert(self)
 
+    @cached_property
+    def _sources_depth(self) -> tuple[tuple[Word, ...], int]:
+        # apply locates a point's row by one prefix as deep as the deepest
+        # source, bisected among the sources
+        sources = self.table.sources()
+        return sources, max(map(len, sources), default=0)
+
     def packed(self) -> bytes | tuple:
         """Compact serialization used for dedup sets; falls back to the
         row tuple when a letter, a germ or a word length does not fit in a
@@ -275,9 +286,14 @@ class CanonicalElement:
 def reduce(t: SimTable) -> CanonicalElement:
     """The unique reduced form of a table (kind is preserved).
 
-    The table's rows are sorted by source, as every `SimTable` keeps them,
-    and its sources must form a prefix code, as `validate_table` checks.
+    The table's rows are sorted by source, as every `SimTable` keeps them.
+    Its sources must form a prefix code: InvalidCodeError names two that
+    overlap, found in one pass over neighbouring sources.
     """
+    pair = _overlap(t.sources())
+    if pair is not None:
+        u, v = map(t.group.alphabet.format_word, pair)
+        raise InvalidCodeError(f"sources {u} and {v} overlap; not a prefix code")
     rows = _reduce_rows(t.group, t.rows)
     return CanonicalElement(_trusted_table(t.group, t.kind, rows))
 
@@ -327,16 +343,26 @@ def invert(g: CanonicalElement) -> CanonicalElement:
 
 
 def apply(g: CanonicalElement, x: Point) -> Point:
-    """Image of an eventually periodic point."""
+    """Image of an eventually periodic point.
+
+    One prefix of x, as deep as g's deepest source, is bisected among the
+    sources: the source that is a prefix of it is the last one not after
+    it.  No letter is validated here; the point's were checked when it was
+    built and the rows' when the table was, so the image is built directly
+    from the tail.
+    """
     group = g.group
     if x.alphabet != group.alphabet:
         raise IncompatibleElementsError("point and element live over different alphabets")
-    for src, tgt, germ in g.rows:
-        if x.prefix(len(src)) == src:
-            tail = x.drop(len(src))
-            if germ:
-                tail = germ_apply(group, germ, tail)
-            return tail.prepend(tgt)
+    sources, depth = g._sources_depth
+    w = x.prefix(depth)
+    i = bisect_right(sources, w)
+    if i and w[: len(sources[i - 1])] == sources[i - 1]:
+        src, tgt, germ = g.rows[i - 1]
+        tail = x.drop(len(src))
+        if germ:
+            tail = germ_apply(group, germ, tail)
+        return tail._prepend(tgt)
     raise NoSuchRowError(f"no row covers the point {x}")
 
 
@@ -412,11 +438,22 @@ def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> Ca
 
     'id' is accepted for the identity.  Germs are element ids of the
     structure in ASCII decimal digits; a missing germ means the identity
-    germ.
+    germ.  Each distinct word text is parsed, and its letters validated,
+    once by `Alphabet.parse_word`; sources and targets spelled alike share
+    one tuple.  The rows are not checked again: the table is built sorted
+    and handed to `validate_table`, then reduced.
     """
     if text.strip() == "id":
         return identity(group)
     alphabet = group.alphabet
+    words: dict[str, Word] = {}
+
+    def word(t: str) -> Word:
+        w = words.get(t)
+        if w is None:
+            w = words[t] = alphabet.parse_word(t)
+        return w
+
     rows = []
     offset = 0
     for rownum, chunk in enumerate(text.split(";")):
@@ -434,18 +471,22 @@ def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> Ca
                 raise LiteralParseError(f"bad germ name {germ_txt!r}", row=rownum, column=col)
             germ = int(germ_txt)
         try:
-            src = alphabet.parse_word(left)
-            tgt = alphabet.parse_word(right)
+            src = word(left)
+            tgt = word(right)
         except LiteralParseError as e:
             raise LiteralParseError(str(e), row=rownum, column=col) from None
         if not 0 <= germ < group.size:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
         rows.append(Row(src, tgt, germ))
-    table = SimTable(group, kind, tuple(rows))
+    if kind not in (ELEMENT, EMBEDDING):
+        raise MalformedStructureError(f"unknown table kind {kind!r}")
+    rows.sort(key=_source)
+    table = _trusted_table(group, kind, tuple(rows))
     violations = validate_table(table)
     if violations:
         raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
-    return reduce(table)
+    # validate_table has checked that the sources form a prefix code
+    return CanonicalElement(_trusted_table(group, kind, _reduce_rows(group, table.rows)))
 
 
 def format_element(g: CanonicalElement) -> str:

@@ -6,8 +6,12 @@ Everything here is integer-exact: distances are handled through their
 exponent (the length of the longest common prefix), never as floats.
 
 Words are plain tuples of small ints.  The alphabet is passed where an
-operation actually needs to know d; letters are validated at the
-boundaries (literal parsing, code/table construction).
+operation actually needs to know d.  Letters are validated once, where a
+word enters the library: in `Alphabet.parse_word` for literals, and by
+`check_word` wherever a public constructor or function takes a word
+(`Point`, `Point.prepend`, `PrefixCode`, `SimTable`, ...).  Words derived
+from checked ones (suffixes, rotations, table rows, images under a germ)
+are not checked again.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from typing import Collection, Iterable, Iterator
 from .errors import InvalidCodeError, LiteralParseError, MalformedWordError
 
 Word = tuple[int, ...]
+
+# ASCII digit -> letter, so that a digit word converts in one call
+_DIGIT_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def is_prefix(prefix: Word, word: Word) -> bool:
@@ -74,7 +81,11 @@ class Alphabet:
     def parse_word(self, text: str) -> Word:
         """Parse a word literal: digits for d <= 10, '[a,b,...]' otherwise, 'e' empty.
 
-        Letters are ASCII decimal digits only.
+        Letters are ASCII decimal digits only.  This is where a literal's
+        letters are validated, once: a digit word is range-checked on the
+        string and converted in one call, and a bracket word goes through
+        `check_word`.  Out-of-range letters raise `check_word`'s
+        MalformedWordError either way.
         """
         t = text.strip()
         if t == "e":
@@ -88,21 +99,22 @@ class Alphabet:
             parts = [p.strip() for p in body.split(",")]
             if not all(p.isascii() and p.isdigit() for p in parts):
                 raise LiteralParseError(f"bad bracket word {text!r}")
-            word = tuple(int(p) for p in parts)
-        elif t.isascii() and t.isdigit():
-            if self.size > 10:
-                raise LiteralParseError("alphabets larger than 10 need the bracket syntax [a,b,...]")
-            word = tuple(int(c) for c in t)
-        else:
+            return self.check_word(int(p) for p in parts)
+        if not (t.isascii() and t.isdigit()):
             raise LiteralParseError(f"bad word literal {text!r}")
-        return self.check_word(word)
+        if self.size > 10:
+            raise LiteralParseError("alphabets larger than 10 need the bracket syntax [a,b,...]")
+        # stripping the alphabet's digits leaves exactly the out-of-range ones
+        if t.strip("0123456789"[: self.size]):
+            self.check_word(int(c) for c in t)
+        return tuple(t.encode().translate(_DIGIT_LETTERS))
 
     def format_word(self, word: Word) -> str:
         if not word:
             return "e"
         if self.size <= 10:
-            return "".join(str(a) for a in word)
-        return "[" + ",".join(str(a) for a in word) + "]"
+            return "".join(map(str, word))
+        return "[" + ",".join(map(str, word)) + "]"
 
     def parse_point(self, text: str) -> "Point":
         """Parse 'prefix(period)', e.g. '01(10)'; the prefix may be absent."""
@@ -171,12 +183,9 @@ class Point:
             if n % p == 0 and per[:p] * (n // p) == per:
                 per = per[:p]
                 break
-        pre_l, per_l = list(pre), list(per)
-        while pre_l and pre_l[-1] == per_l[-1]:
-            per_l.insert(0, per_l.pop())
-            pre_l.pop()
-        object.__setattr__(self, "preperiod", tuple(pre_l))
-        object.__setattr__(self, "period", tuple(per_l))
+        pre, per = _absorb(pre, per)
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
 
     def letter(self, i: int) -> int:
         if i < len(self.preperiod):
@@ -184,20 +193,60 @@ class Point:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self.letter(i) for i in range(n))
+        pre, per = self.preperiod, self.period
+        if n <= len(pre):
+            return pre[: max(n, 0)]
+        k = n - len(pre)
+        return pre + (per * (k // len(per) + 1))[:k]
 
     def drop(self, n: int) -> "Point":
-        """The point with its first n letters removed."""
-        if n <= len(self.preperiod):
-            return Point(self.alphabet, self.preperiod[n:], self.period)
-        shift = (n - len(self.preperiod)) % len(self.period)
-        return Point(self.alphabet, (), self.period[shift:] + self.period[:shift])
+        """The point with its first n letters removed.
+
+        Built directly, with no letter checked again: a suffix of a
+        canonical preperiod still ends off the period, and a rotation of a
+        primitive period is primitive, so the result is already canonical.
+        """
+        pre, per = self.preperiod, self.period
+        if n <= len(pre):
+            return _trusted_point(self.alphabet, pre[n:], per)
+        shift = (n - len(pre)) % len(per)
+        return _trusted_point(self.alphabet, (), per[shift:] + per[:shift])
 
     def prepend(self, word: Word) -> "Point":
-        return Point(self.alphabet, tuple(word) + self.preperiod, self.period)
+        """The point spelled by `word` followed by this point.
+
+        The letters of `word` are checked here, once; those of the point
+        were checked when it was built.
+        """
+        return self._prepend(self.alphabet.check_word(word))
+
+    def _prepend(self, word: Word) -> "Point":
+        # `word` is already checked.  The period stays primitive, so only
+        # the trailing letters that match the period need absorbing.
+        return _trusted_point(self.alphabet, *_absorb(word + self.preperiod, self.period))
 
     def __str__(self) -> str:
         return self.alphabet.format_point(self)
+
+
+def _absorb(pre: Word, per: Word) -> tuple[Word, Word]:
+    """Shorten the preperiod while its last letter equals the period's,
+    rotating the period right once per absorbed letter."""
+    p = len(per)
+    k = 0
+    while k < len(pre) and pre[-1 - k] == per[(-1 - k) % p]:
+        k += 1
+    r = k % p
+    return pre[: len(pre) - k], per[p - r :] + per[: p - r]
+
+
+def _trusted_point(alphabet: Alphabet, preperiod: Word, period: Word) -> Point:
+    # internal fast path: letters already checked, parts already canonical
+    x = object.__new__(Point)
+    object.__setattr__(x, "alphabet", alphabet)
+    object.__setattr__(x, "preperiod", preperiod)
+    object.__setattr__(x, "period", period)
+    return x
 
 
 def distance_exponent(x: Point, y: Point) -> int | None:

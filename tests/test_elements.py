@@ -11,6 +11,7 @@ from localsim import (
     LiteralParseError,
     NoSuchRowError,
     NotInvertibleError,
+    Point,
     PrefixCode,
     Row,
     SimTable,
@@ -29,6 +30,7 @@ from localsim import (
     random_element,
     random_point,
     reduce,
+    trivial_group,
     validate_table,
 )
 from localsim.elements import _compose_rows, _reduce_rows, random_code_words
@@ -78,6 +80,17 @@ class TestExpandReduce:
     def test_reduce_recognizes_identity(self, t2):
         t = SimTable(t2, "element", (Row((0,), (0,), 0), Row((1,), (1,), 0)))
         assert reduce(t) == identity(t2)
+
+    def test_reduce_rejects_overlapping_sources(self, t2):
+        # the root above a second row, and a repeated source
+        for rows in (
+            (Row((), (), 0), Row((0,), (1,), 0)),
+            (Row((0,), (0,), 0), Row((0,), (1,), 0), Row((1,), (1,), 0)),
+        ):
+            t = SimTable(t2, "element", rows)
+            assert "domain-not-antichain" in validate_table(t)
+            with pytest.raises(InvalidCodeError, match="not a prefix code"):
+                reduce(t)
 
     def test_reduce_reverses_germ_expansion(self, s2):
         t = SimTable(s2, "element", (Row((0,), (1,), 1), Row((1,), (0,), 1)))
@@ -224,6 +237,15 @@ class TestApply:
         a = t2.alphabet
         assert apply(x0, a.parse_point("1(1)")) == a.parse_point("11(1)")
 
+    def test_point_outside_embedding_domain(self, t2):
+        # the domain is the ball at 01, so the points on either side of it miss
+        g = parse_element("010->0;011->1", t2, kind="embedding")
+        a = t2.alphabet
+        assert apply(g, a.parse_point("011(0)")) == a.parse_point("10(0)")
+        for text in ("00(1)", "(0)", "1(0)", "(1)"):
+            with pytest.raises(NoSuchRowError):
+                apply(g, a.parse_point(text))
+
     def test_matches_stepwise_automaton(self, configurations):
         rng = random.Random(53)
         for group in configurations:
@@ -234,6 +256,28 @@ class TestApply:
                     y = apply(g, x)
                     want = stepwise_apply_letters(g, x, 16)
                     assert [point_letter(y, i) for i in range(16)] == want
+
+    def test_matches_stepwise_automaton_generated(self, configurations):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.sampled_from(configurations),
+            st.randoms(use_true_random=True),
+            st.lists(st.integers(0, 2), max_size=8),
+            st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        )
+        def check(group, rng, pre, per):
+            d = group.alphabet.size
+            x = Point(group.alphabet, tuple(a % d for a in pre), tuple(a % d for a in per))
+            g = random_element(group, rng, max_depth=KERNEL_DEPTH[d])
+            y = apply(g, x)
+            n = len(pre) + 2 * len(per) + KERNEL_DEPTH[d] + 1
+            assert [point_letter(y, i) for i in range(n)] == stepwise_apply_letters(g, x, n)
+            assert apply(invert(g), y) == x
+
+        check()
 
     def test_homomorphism_on_points(self, configurations):
         rng = random.Random(59)
@@ -351,6 +395,35 @@ class TestLiterals:
                 g = random_element(group, rng, max_depth=4)
                 assert parse_element(format_element(g), group) == g
 
+    def test_round_trip_generated(self, configurations):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.sampled_from(configurations), st.randoms(use_true_random=True))
+        def check(group, rng):
+            g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
+            assert parse_element(format_element(g), group) == g
+            embedded = reduce(SimTable(group, "embedding", tuple(Row(s, (0,) + t, z) for s, t, z in g.rows)))
+            assert parse_element(format_element(embedded), group, kind="embedding") == embedded
+
+        check()
+
+    def test_row_errors_located_after_repeated_words(self, t2, s2):
+        cases = (
+            # the same bad word twice: the first occurrence is reported
+            ("0->1;1->x;x->0", t2, 1, 6),
+            # a bad row after rows whose words are all seen before
+            ("0->0;1->1;0->0;junk", t2, 3, 16),
+            ("00->0;01->10;1->11;00->0:7", s2, 3, 20),
+            # a digit word over d > 10, spelled earlier as a germ
+            ("[0]->[0]:0;[1]->0", trivial_group(12), 1, 12),
+        )
+        for text, group, row, column in cases:
+            with pytest.raises(LiteralParseError) as err:
+                parse_element(text, group)
+            assert (err.value.row, err.value.column) == (row, column), text
+
     def test_id_literal(self, t2):
         assert parse_element("id", t2) == identity(t2)
 
@@ -374,7 +447,8 @@ class TestLiterals:
             parse_element("e->e:1", t2)
 
     def test_letters_and_germs_are_ascii_decimal(self, s2):
-        for text in ("e->e:١", "e->e:+1", "e->e:-1", "e->e:1_0", "e->e:²", "e->e:", "²->e", "0->1;١->0"):
+        for text in ("e->e:١", "e->e:+1", "e->e:-1", "e->e:1_0", "e->e:²", "e->e:", "²->e", "0->1;١->0",
+                     "0->０;1->1", "0->0;1->1;𝟘->0"):
             with pytest.raises(LiteralParseError):
                 parse_element(text, s2)
         assert parse_element("e->e: 1 ", s2) == parse_element("e->e:1", s2)

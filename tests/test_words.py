@@ -18,7 +18,7 @@ from localsim import (
     is_prefix,
     proper_prefix_count,
 )
-from oracles import enumerate_complete_codes, slow_proper_prefix_count
+from oracles import enumerate_complete_codes, point_letter, slow_proper_prefix_count
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -220,3 +220,115 @@ class TestLiterals:
             with pytest.raises(LiteralParseError):
                 A2.parse_point(text)
         assert Alphabet(12).parse_word("[ 1 , 10 ]") == (1, 10)
+
+    def test_out_of_range_digit_message(self):
+        for alphabet, text, letter in ((A2, "012", 2), (A2, "2", 2), (A3, "0213", 3), (Alphabet(7), "97", 9)):
+            with pytest.raises(MalformedWordError) as err:
+                alphabet.parse_word(text)
+            assert str(err.value) == f"letter {letter} out of range for alphabet of size {alphabet.size}"
+        with pytest.raises(MalformedWordError, match="^letter 12 out of range for alphabet of size 12$"):
+            Alphabet(12).parse_word("[0,12]")
+
+    def test_non_int_letters_rejected(self):
+        for word in ((1.0,), ("1",), (0, None), (0, 1.0)):
+            with pytest.raises(MalformedWordError):
+                A2.check_word(word)
+        with pytest.raises(MalformedWordError):
+            Point(A2, (1.0,), (0,))
+        with pytest.raises(MalformedWordError):
+            Point(A2, (), ("0",))
+        x = Point(A2, (), (0, 1))
+        for word in ((1.0,), (2,), (-1,)):
+            with pytest.raises(MalformedWordError):
+                x.prepend(word)
+
+    def test_non_ascii_digits_rejected(self):
+        # fullwidth, mathematical double-struck, N'Ko and Bengali digits all pass str.isdigit
+        for text in ("０", "𝟘", "߀", "৪", "0０", "1𝟙0"):
+            with pytest.raises(LiteralParseError):
+                A2.parse_word(text)
+            with pytest.raises(LiteralParseError):
+                A2.parse_point(f"({text})")
+        with pytest.raises(LiteralParseError):
+            Alphabet(12).parse_word("[1,０]")
+
+
+def _hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    return hypothesis, st, settings
+
+
+def _point_parts(st, max_size=6):
+    """(alphabet, preperiod, period) with digit (d <= 10) and bracket alphabets."""
+    sizes = st.one_of(st.integers(2, 10), st.integers(11, 300))
+    return sizes.flatmap(
+        lambda d: st.tuples(
+            st.just(Alphabet(d)),
+            st.lists(st.integers(0, d - 1), max_size=max_size).map(tuple),
+            st.lists(st.integers(0, d - 1), min_size=1, max_size=max_size).map(tuple),
+        )
+    )
+
+
+class TestLiteralProperties:
+    """Round trips and canonical forms over generated input, guarding the
+    one-call digit conversion and the direct `Point` paths."""
+
+    def test_word_round_trip(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(_point_parts(st, max_size=40))
+        def check(parts):
+            alphabet, word, _ = parts
+            assert alphabet.parse_word(alphabet.format_word(word)) == word
+
+        check()
+
+    def test_point_round_trip(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(_point_parts(st))
+        def check(parts):
+            x = Point(*parts)
+            alphabet = x.alphabet
+            assert alphabet.parse_point(alphabet.format_point(x)) == x
+
+        check()
+
+    def test_aliases_share_one_canonical_form(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(_point_parts(st), st.integers(0, 3), st.integers(1, 3), st.integers(0, 12))
+        def check(parts, unroll, repeat, r):
+            alphabet, pre, per = parts
+            x = Point(alphabet, pre, per)
+            r %= len(per)
+            aliases = (
+                Point(alphabet, pre + per * unroll, per),
+                Point(alphabet, pre, per * repeat),
+                Point(alphabet, pre + per[:r], per[r:] + per[:r]),
+                Point(alphabet, x.preperiod, x.period),
+            )
+            assert all(y == x for y in aliases)
+            # the canonical form: shortest preperiod, primitive period
+            assert not x.preperiod or x.preperiod[-1] != x.period[-1]
+            p = len(x.period)
+            assert all(p % q or x.period[:q] * (p // q) != x.period for q in range(1, p))
+            n = len(pre) + 2 * len(per) + 1
+            raw = (list(pre) + list(per) * n)[:n]
+            assert list(x.prefix(n)) == raw == [point_letter(x, i) for i in range(n)]
+            # drop and prepend build their results without the constructor;
+            # from letter n on, the word runs through the period rotated by s
+            s = (n - len(pre)) % len(per)
+            for k in range(n + 1):
+                assert x.drop(k) == Point(alphabet, tuple(raw[k:]), per[s:] + per[:s])
+            word = tuple(raw[:r])
+            assert x.prepend(word) == Point(alphabet, word + pre, per)
+            assert x.prepend(word).drop(len(word)) == x
+
+        check()
