@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .structure import SelfSimilarGroup, germ_apply
-from .words import Point, PrefixCode, Word, is_complete_code
+from .words import Point, PrefixCode, Word, _canonical, _trusted_point, is_complete_code
 
 ELEMENT = "element"
 EMBEDDING = "embedding"
@@ -532,8 +532,11 @@ def random_element(
         w = tgts.pop(i)
         tgts.extend(w + (a,) for a in alphabet.letters)
     rng.shuffle(tgts)
-    rows = tuple(Row(s, t, rng.randrange(group.size)) for s, t in zip(srcs, tgts))
-    return reduce(SimTable(group, ELEMENT, rows))
+    # the preorder walk lists the sources sorted, and both columns are
+    # complete codes spelled with the alphabet's letters, so nothing needs
+    # checking before the reduction
+    rows = [(s, t, rng.randrange(group.size)) for s, t in zip(srcs, tgts)]
+    return CanonicalElement(_trusted_table(group, ELEMENT, _reduce_rows(group, rows)))
 
 
 def random_point(alphabet, rng, max_len: int = 4) -> Point:
@@ -541,4 +544,4 @@ def random_point(alphabet, rng, max_len: int = 4) -> Point:
     per_len = rng.randrange(1, max_len)
     pre = tuple(rng.randrange(alphabet.size) for _ in range(pre_len))
     per = tuple(rng.randrange(alphabet.size) for _ in range(per_len))
-    return Point(alphabet, pre, per)
+    return _trusted_point(alphabet, *_canonical(pre, per))

@@ -34,7 +34,7 @@ class IncompatibleElementsError(LocalSimError):
 
 
 class UnsupportedStructureError(LocalSimError):
-    """The operation is only defined for another alphabet/structure."""
+    """The operation is only defined for another alphabet/structure, or up to a size limit."""
 
 
 class InvalidClassError(LocalSimError):

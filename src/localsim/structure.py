@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CompositionDomainError, MalformedStructureError, UnsupportedStructureError
-from .words import Alphabet, Point, Word
+from .words import Alphabet, Point, Word, _canonical, _trusted_point
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,6 @@ class SelfSimilarGroup:
     def __repr__(self) -> str:
         label = self.name or f"{self.size} elements"
         return f"SelfSimilarGroup({label}, d={self.alphabet.size})"
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def act_word(self, elem: int, word: Word) -> tuple[Word, int]:
         """Image of a finite word and the restriction left after reading it."""
@@ -369,4 +365,6 @@ def germ_apply(group: SelfSimilarGroup, elem: int, x: Point) -> Point:
         chunks.append(chunk)
     start = seen[state]
     pre = out_pre + tuple(itertools.chain.from_iterable(chunks[:start]))
-    return Point(group.alphabet, pre, tuple(itertools.chain.from_iterable(chunks[start:])))
+    per = tuple(itertools.chain.from_iterable(chunks[start:]))
+    # the letters come from the action table; only the form needs finding
+    return _trusted_point(group.alphabet, *_canonical(pre, per))

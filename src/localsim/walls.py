@@ -14,9 +14,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InvalidWallError, LiteralParseError
+from .errors import InvalidWallError, LiteralParseError, UnsupportedStructureError
 
 Wall = tuple[frozenset[str], frozenset[str]]
+
+_MAX_LINE_K = 500
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,6 @@ class Move:
     name: str
     image: str
     mapping: tuple[tuple[str, str], ...] | None = None
-
-    def mapping_dict(self) -> dict[str, str] | None:
-        return None if self.mapping is None else dict(self.mapping)
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,6 @@ class MoveReport:
 
 @dataclass(frozen=True)
 class ZipperFromWalls:
-    instance: WallsInstance
-    base_set: frozenset[tuple[int, int]]
     reports: tuple[MoveReport, ...]
 
     def ok(self) -> bool:
@@ -124,10 +121,9 @@ def walls_to_zipper(instance: WallsInstance) -> ZipperFromWalls:
         there = instance.half_space_set(m.image)
         sep = instance.separation(instance.basepoint, m.image)
         size = len(base ^ there)
-        mp = m.mapping_dict()
-        preserves = None if mp is None else instance.permutes_walls(mp)
+        preserves = None if m.mapping is None else instance.permutes_walls(dict(m.mapping))
         reports.append(MoveReport(m.name, m.image, sep, size, size == 2 * sep, preserves))
-    return ZipperFromWalls(instance, base, tuple(reports))
+    return ZipperFromWalls(tuple(reports))
 
 
 def integer_line_instance(k: int, max_shift: int | None = None) -> WallsInstance:
@@ -136,10 +132,15 @@ def integer_line_instance(k: int, max_shift: int | None = None) -> WallsInstance
     Moves are the shifts by 1..max_shift (default k // 2), given as bare
     basepoint-image pairs since a shift of a truncated line is not a
     bijection, plus the identity with its full mapping.  The expected
-    symmetric-difference size for the shift by s is 2s.
+    symmetric-difference size for the shift by s is 2s.  The instance
+    takes space quadratic in k, so k is limited to 500.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > _MAX_LINE_K:
+        raise UnsupportedStructureError(
+            f"the integer line is limited to k <= {_MAX_LINE_K}, got {k}: it has 2k walls over 2k+1 points"
+        )
     if max_shift is None:
         max_shift = max(1, k // 2)
     if not 1 <= max_shift <= k:

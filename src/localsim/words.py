@@ -2,24 +2,21 @@
 
 Infinite words over a d-letter alphabet form a compact ultrametric space;
 a finite word addresses the closed ball of all its infinite extensions.
-Everything here is integer-exact: distances are handled through their
-exponent (the length of the longest common prefix), never as floats.
+Everything here is integer-exact.
 
 Words are plain tuples of small ints.  The alphabet is passed where an
 operation actually needs to know d.  Letters are validated once, where a
 word enters the library: in `Alphabet.parse_word` for literals, and by
 `check_word` wherever a public constructor or function takes a word
-(`Point`, `Point.prepend`, `PrefixCode`, `SimTable`, ...).  Words derived
-from checked ones (suffixes, rotations, table rows, images under a germ)
-are not checked again.
+(`Point`, `PrefixCode`, `SimTable`, ...).  Words derived from checked ones
+(suffixes, rotations, table rows, images under a germ) are not checked
+again.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidCodeError, LiteralParseError, MalformedWordError
@@ -32,15 +29,6 @@ _DIGIT_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 def is_prefix(prefix: Word, word: Word) -> bool:
     return word[: len(prefix)] == prefix
-
-
-class Containment(Enum):
-    """How the ball at `outer` relates to the ball at `inner`."""
-
-    PROPER = "proper"
-    EQUAL = "equal"
-    NONE = "none"
-    REVERSE = "reverse"
 
 
 @dataclass(frozen=True)
@@ -63,18 +51,6 @@ class Alphabet:
             if not isinstance(a, int) or not 0 <= a < self.size:
                 raise MalformedWordError(f"letter {a!r} out of range for alphabet of size {self.size}")
         return word
-
-    def words_up_to(self, depth: int) -> list[Word]:
-        """All ball addresses of length <= depth, in canonical order.
-
-        Canonical word order is lexicographic with prefixes first, which is
-        exactly Python tuple comparison.
-        """
-        out: list[Word] = []
-        for n in range(depth + 1):
-            out.extend(itertools.product(self.letters, repeat=n))
-        out.sort()
-        return out
 
     # -- literals ----------------------------------------------------------
 
@@ -135,30 +111,6 @@ class Alphabet:
         return f"{pre}({self.format_word(point.period)})"
 
 
-def ball_contains(outer: Word, inner: Word, alphabet: Alphabet | None = None) -> Containment:
-    """Relate the balls addressed by two words.
-
-    Returns PROPER/EQUAL when the outer ball contains the inner one,
-    REVERSE when the containment is strictly the other way, NONE when the
-    balls are disjoint.  Two balls meeting at all are nested, so these four
-    cases are exhaustive.
-    """
-    if alphabet is not None:
-        outer = alphabet.check_word(outer)
-        inner = alphabet.check_word(inner)
-    else:
-        for a in outer + inner:
-            if not isinstance(a, int) or a < 0:
-                raise MalformedWordError(f"letter {a!r} is not a valid alphabet letter")
-    if outer == inner:
-        return Containment.EQUAL
-    if is_prefix(outer, inner):
-        return Containment.PROPER
-    if is_prefix(inner, outer):
-        return Containment.REVERSE
-    return Containment.NONE
-
-
 @dataclass(frozen=True)
 class Point:
     """An eventually periodic infinite word, kept in minimal canonical form.
@@ -178,19 +130,9 @@ class Point:
         per = self.alphabet.check_word(self.period)
         if not per:
             raise MalformedWordError("a point needs a nonempty period")
-        n = len(per)
-        for p in range(1, n + 1):
-            if n % p == 0 and per[:p] * (n // p) == per:
-                per = per[:p]
-                break
-        pre, per = _absorb(pre, per)
+        pre, per = _canonical(pre, per)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-
-    def letter(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
         pre, per = self.preperiod, self.period
@@ -212,14 +154,6 @@ class Point:
         shift = (n - len(pre)) % len(per)
         return _trusted_point(self.alphabet, (), per[shift:] + per[:shift])
 
-    def prepend(self, word: Word) -> "Point":
-        """The point spelled by `word` followed by this point.
-
-        The letters of `word` are checked here, once; those of the point
-        were checked when it was built.
-        """
-        return self._prepend(self.alphabet.check_word(word))
-
     def _prepend(self, word: Word) -> "Point":
         # `word` is already checked.  The period stays primitive, so only
         # the trailing letters that match the period need absorbing.
@@ -227,6 +161,17 @@ class Point:
 
     def __str__(self) -> str:
         return self.alphabet.format_point(self)
+
+
+def _canonical(pre: Word, per: Word) -> tuple[Word, Word]:
+    """The canonical parts of the point pre(per), for a nonempty period:
+    the primitive root of the period, then the preperiod absorbed."""
+    n = len(per)
+    for p in range(1, n + 1):
+        if n % p == 0 and per[:p] * (n // p) == per:
+            per = per[:p]
+            break
+    return _absorb(pre, per)
 
 
 def _absorb(pre: Word, per: Word) -> tuple[Word, Word]:
@@ -247,23 +192,6 @@ def _trusted_point(alphabet: Alphabet, preperiod: Word, period: Word) -> Point:
     object.__setattr__(x, "preperiod", preperiod)
     object.__setattr__(x, "period", period)
     return x
-
-
-def distance_exponent(x: Point, y: Point) -> int | None:
-    """Length of the longest common prefix of two points, None if they coincide.
-
-    The ultrametric distance between distinct points is exp(-t) for the
-    returned t; only the exponent is ever needed, so no floats appear.
-    """
-    if x.alphabet != y.alphabet:
-        raise MalformedWordError("points live over different alphabets")
-    if x == y:
-        return None
-    bound = max(len(x.preperiod), len(y.preperiod)) + math.lcm(len(x.period), len(y.period)) + 1
-    for i in range(bound):
-        if x.letter(i) != y.letter(i):
-            return i
-    raise AssertionError("distinct canonical points must differ within the scan bound")
 
 
 def is_complete_code(words: Collection[Word], d: int) -> bool:
@@ -309,68 +237,7 @@ class PrefixCode:
         """True iff the balls of the code partition the whole space."""
         return is_complete_code(self.words, self.alphabet.size)
 
-    def max_depth(self) -> int:
-        if not self.words:
-            raise InvalidCodeError("empty code has no depth")
-        return max(len(w) for w in self.words)
-
     def proper_prefixes(self) -> tuple[Word, ...]:
         """All balls properly containing some ball of the code, sorted."""
         seen = {w[:k] for w in self.words for k in range(len(w))}
         return tuple(sorted(seen))
-
-    def refines(self, other: "PrefixCode") -> bool:
-        """Every ball of this code lies inside some ball of `other`."""
-        others = set(other.words)
-        return all(any(w[:k] in others for k in range(len(w) + 1)) for w in self.words)
-
-
-def proper_prefix_count(code: PrefixCode) -> int:
-    """Number of distinct balls properly containing some ball of the code.
-
-    For a complete code with n words over a d-letter alphabet this equals
-    (n - 1) / (d - 1): the internal nodes of the code's tree.
-    """
-    if not code.words:
-        raise InvalidCodeError("empty code")
-    return len(code.proper_prefixes())
-
-
-def clopen_normalize(alphabet: Alphabet, words: Iterable[Word]) -> tuple[Word, ...]:
-    """Normal form of a union of balls, as its sorted balls.
-
-    Nested balls are dropped and full sibling families merged into their
-    parent.  In normal form a ball lies inside the union iff one of the
-    returned balls sits at or above it.
-    """
-    keep = {alphabet.check_word(w) for w in words}
-    keep = {w for w in keep if not any(w[:k] in keep for k in range(len(w)))}
-    d = alphabet.size
-    changed = True
-    while changed:
-        changed = False
-        for parent in sorted({w[:-1] for w in keep if w}, key=len, reverse=True):
-            family = [parent + (a,) for a in range(d)]
-            if all(f in keep for f in family):
-                keep.difference_update(family)
-                keep.add(parent)
-                changed = True
-    return tuple(sorted(keep))
-
-
-def complement_balls(alphabet: Alphabet, words: Iterable[Word]) -> tuple[Word, ...]:
-    """Minimal ball cover of the complement of a union of balls."""
-    inside = clopen_normalize(alphabet, words)
-    out: list[Word] = []
-    # depth-first in letter order; children are pushed in reverse so the
-    # first letter is visited first
-    stack: list[Word] = [()]
-    while stack:
-        p = stack.pop()
-        if any(is_prefix(b, p) for b in inside):
-            continue
-        if not any(is_prefix(p, b) for b in inside):
-            out.append(p)
-            continue
-        stack.extend(p + (a,) for a in reversed(alphabet.letters))
-    return tuple(out)

@@ -70,9 +70,6 @@ class EmbeddingClass:
     def group(self) -> SelfSimilarGroup:
         return self.table.group
 
-    def sort_key(self) -> tuple[Row, ...]:
-        return self.table.rows
-
     def __repr__(self) -> str:
         from .elements import format_element
 
@@ -172,11 +169,8 @@ class SignedSupport:
                 raise ValueError(f"entries must be +1 or -1, got {v}")
         self._map = dict(mapping)
 
-    def value(self, e: EmbeddingClass) -> int:
-        return self._map.get(e, 0)
-
     def items(self) -> list[tuple[EmbeddingClass, int]]:
-        return sorted(self._map.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._map.items(), key=lambda kv: kv[0].table.rows)
 
     def as_dict(self) -> dict[EmbeddingClass, int]:
         return dict(self._map)
@@ -269,16 +263,6 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
 
 
 # -- walls --------------------------------------------------------------------
-
-
-def point_label(g: CanonicalElement) -> EmbeddingClass:
-    """Canonical label of the orbit point gZ.
-
-    Two elements give the same point iff they differ by a global ball
-    similarity on the right, which is exactly twist equivalence of their
-    tables read as embeddings.
-    """
-    return _eclass(g.group, g.rows)
 
 
 def wall_separation(g1: CanonicalElement, g2: CanonicalElement) -> int:
@@ -404,6 +388,9 @@ def properness_audit(
 # -- the two-classes demonstration ---------------------------------------------
 
 
+_MAX_WITNESSES = 16
+
+
 @dataclass(frozen=True)
 class NowallsReport:
     """Witnesses that the naive orbit walls cannot separate two classes.
@@ -430,12 +417,18 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
 
     Only the binary alphabet with trivial germs is supported: the second
     class is the map fixing 10* and sending 11w to 111w, and the witnesses
-    are cyclic shifts of ever deeper uniform partitions of ball 1.
+    are cyclic shifts of ever deeper uniform partitions of ball 1.  Witness
+    k has 2^(k-1) leaves, so `count` is limited to 16.
     """
     if group.alphabet.size != 2 or group.size != 1:
         raise UnsupportedStructureError("the demonstration needs the binary alphabet with trivial germs")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > _MAX_WITNESSES:
+        raise UnsupportedStructureError(
+            f"the demonstration is limited to {_MAX_WITNESSES} witnesses, got {count}: "
+            "witness k has 2^(k-1) leaves"
+        )
     first = incl_class(group, (0,))
     f2 = SimTable(
         group,

@@ -28,7 +28,7 @@ from localsim import (
     zipper_length,
 )
 from localsim.structure import SelfSimilarGroup
-from localsim.words import Alphabet, Containment, Point, Word, ball_contains
+from localsim.words import Alphabet, Point, Word
 
 
 def enumerate_complete_codes(alphabet: Alphabet, max_depth: int) -> list[tuple[Word, ...]]:
@@ -45,14 +45,12 @@ def enumerate_complete_codes(alphabet: Alphabet, max_depth: int) -> list[tuple[W
 
 def slow_proper_prefix_count(code: PrefixCode) -> int:
     """Count balls properly containing a code word, by scanning all words."""
-    depth = code.max_depth()
-    alphabet = code.alphabet
-    count = 0
-    for n in range(depth + 1):
-        for w in itertools.product(alphabet.letters, repeat=n):
-            if any(ball_contains(w, v) is Containment.PROPER for v in code.words):
-                count += 1
-    return count
+    depth = max(map(len, code.words))
+    return sum(
+        1
+        for w in all_balls(code.alphabet, depth)
+        if any(len(w) < len(v) and v[: len(w)] == w for v in code.words)
+    )
 
 
 def point_letter(x: Point, i: int) -> int:
@@ -83,6 +81,24 @@ def stepwise_apply_letters(g: CanonicalElement, x: Point, n: int) -> list[int]:
 
 def all_balls(alphabet: Alphabet, max_depth: int) -> list[Word]:
     return [w for n in range(max_depth + 1) for w in itertools.product(alphabet.letters, repeat=n)]
+
+
+def complement_cover(alphabet: Alphabet, balls) -> list[Word]:
+    """Disjoint balls covering what a union of balls leaves out, in letter
+    order.  Depth first from the root: a ball inside one of the given balls
+    is skipped, a ball meeting none of them is kept, and any other ball is
+    split into its children."""
+    out: list[Word] = []
+    stack: list[Word] = [()]
+    while stack:
+        p = stack.pop()
+        if any(p[: len(b)] == b for b in balls):
+            continue
+        if not any(b[: len(p)] == p for b in balls):
+            out.append(p)
+            continue
+        stack.extend(p + (a,) for a in reversed(alphabet.letters))
+    return out
 
 
 def brute_force_symdiff(g: CanonicalElement) -> dict:
@@ -147,11 +163,13 @@ def tables_over(group: SelfSimilarGroup, src, dst) -> set[CanonicalElement]:
 
 
 def coarsenings(code: PrefixCode) -> list[tuple[Word, ...]]:
-    """All complete codes the given one refines, including itself."""
+    """All complete codes the given one refines, including itself: those
+    with a ball at or above every ball of the code."""
+    depth = max(map(len, code.words))
     return [
         q
-        for q in enumerate_complete_codes(code.alphabet, code.max_depth())
-        if code.refines(PrefixCode(code.alphabet, q))
+        for q in enumerate_complete_codes(code.alphabet, depth)
+        if all(any(w[: len(u)] == u for u in q) for w in code.words)
     ]
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -194,6 +196,23 @@ class TestDemoCommands:
         assert code == 0
         assert "ok true" in out
 
+    def test_nowalls_count_limit(self, capsys):
+        # witness k has 2^(k-1) leaves; the limit is refused before any is built
+        code, out, _ = run(capsys, "nowalls", "--count", "16")
+        assert code == 0
+        assert out.startswith("witnesses 16\n") and out.endswith("ok true\n")
+        code, out, err = run(capsys, "nowalls", "--count", "17")
+        assert (code, out) == (1, "")
+        assert err == "error: the demonstration is limited to 16 witnesses, got 17: witness k has 2^(k-1) leaves\n"
+
+    def test_zline_limit(self, capsys):
+        code, out, _ = run(capsys, "walls2zipper", "--zline", "500")
+        assert code == 0
+        assert "move shift+250 image 250 separating 250 symdiff 500 match true" in out
+        code, out, err = run(capsys, "walls2zipper", "--zline", "501")
+        assert (code, out) == (1, "")
+        assert "limited to k <= 500, got 501" in err
+
     def test_walls_file(self, capsys, tmp_path):
         path = tmp_path / "inst.walls"
         path.write_text("points a b\nwall a | b\nbase a\npair hop a b\n")
@@ -220,3 +239,66 @@ class TestDeterminism:
         for line in first[1].splitlines():
             rec = json.loads(line)
             assert list(rec) == sorted(rec)
+
+
+def _hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    return hypothesis, st, settings
+
+
+def _element_text(st):
+    """Element literals, well formed or nearly so, and stray text."""
+    word = st.one_of(
+        st.just("e"),
+        st.text("0123", min_size=1, max_size=4),
+        st.lists(st.integers(0, 12), min_size=1, max_size=3).map(lambda xs: "[" + ",".join(map(str, xs)) + "]"),
+    )
+    germ = st.one_of(st.just(""), st.integers(0, 7).map(":{}".format))
+    row = st.tuples(word, word, germ).map(lambda r: f"{r[0]}->{r[1]}{r[2]}")
+    return st.one_of(
+        st.lists(row, min_size=1, max_size=5).map(";".join),
+        st.text("0123e->;:[], id", max_size=24),
+        st.text(max_size=12),
+    )
+
+
+def _point_text(st):
+    word = st.text("0123", max_size=4)
+    return st.one_of(
+        st.tuples(word, word).map(lambda p: f"{p[0]}({p[1]})"),
+        st.text("0123e()[], ", max_size=16),
+        st.text(max_size=12),
+    )
+
+
+class TestArbitraryText:
+    """`main` never raises on any text: it exits 0, 1 or 2."""
+
+    @staticmethod
+    def _exit(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    def test_element_commands(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(_element_text(st))
+        def check(text):
+            assert self._exit(["canon", text]) in (0, 1, 2)
+            assert self._exit(["--hstruct", "symmetric", "inverse", text]) in (0, 1, 2)
+            assert self._exit(["--alphabet", "3", "zipper-length", text]) in (0, 1, 2)
+
+        check()
+
+    def test_apply_points(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(_point_text(st))
+        def check(text):
+            assert self._exit(["apply", X0, text]) in (0, 1, 2)
+
+        check()

@@ -5,56 +5,44 @@ import pytest
 
 from localsim import (
     Alphabet,
-    Containment,
     InvalidCodeError,
     LiteralParseError,
     MalformedWordError,
     Point,
     PrefixCode,
-    ball_contains,
-    clopen_normalize,
-    complement_balls,
-    distance_exponent,
     is_prefix,
-    proper_prefix_count,
 )
-from oracles import enumerate_complete_codes, point_letter, slow_proper_prefix_count
+from oracles import all_balls, enumerate_complete_codes, point_letter, slow_proper_prefix_count
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
 
 
 class TestBallContains:
+    """A ball contains another exactly when its address is a prefix of the other's."""
+
     def test_root_contains_everything(self):
-        assert ball_contains((), (0, 1)) is Containment.PROPER
+        assert is_prefix((), (0, 1))
 
     def test_equal(self):
-        assert ball_contains((0, 1), (0, 1)) is Containment.EQUAL
+        assert is_prefix((0, 1), (0, 1))
 
     def test_siblings_disjoint(self):
-        assert ball_contains((0,), (1,)) is Containment.NONE
+        assert not is_prefix((0,), (1,)) and not is_prefix((1,), (0,))
 
     def test_reverse(self):
-        assert ball_contains((0, 1), (0,)) is Containment.REVERSE
-
-    def test_bad_letter(self):
-        with pytest.raises(MalformedWordError):
-            ball_contains((0, 2), (0,), A2)
+        assert not is_prefix((0, 1), (0,)) and is_prefix((0,), (0, 1))
 
     def test_nesting_is_chainlike(self):
-        # any two balls either nest or are disjoint, and containment
-        # agrees with the prefix relation computed by hand
-        words = A2.words_up_to(4)
+        # balls as sets of depth-5 words: containment is the prefix relation,
+        # and two balls that do not nest are disjoint
+        words = all_balls(A2, 4)
+        deep = list(itertools.product((0, 1), repeat=5))
+        ball = {w: {x for x in deep if x[: len(w)] == w} for w in words}
         for u, v in itertools.product(words, repeat=2):
-            rel = ball_contains(u, v)
-            if u == v:
-                assert rel is Containment.EQUAL
-            elif v[: len(u)] == u:
-                assert rel is Containment.PROPER
-            elif u[: len(v)] == v:
-                assert rel is Containment.REVERSE
-            else:
-                assert rel is Containment.NONE
+            assert is_prefix(u, v) == (ball[v] <= ball[u])
+            if not is_prefix(u, v) and not is_prefix(v, u):
+                assert not ball[u] & ball[v]
 
 
 class TestPointCanonicalForm:
@@ -78,35 +66,7 @@ class TestPointCanonicalForm:
             per = tuple(rng.randrange(2) for _ in range(1, rng.randint(1, 4) + 1))
             raw = list(pre) + list(per) * 12
             p = Point(A2, pre, per)
-            assert [p.letter(i) for i in range(12)] == raw[:12]
-
-
-class TestDistanceExponent:
-    def test_equal_points(self):
-        assert distance_exponent(Point(A2, (), (0,)), Point(A2, (0, 0), (0,))) is None
-
-    def test_differ_at_root(self):
-        assert distance_exponent(Point(A2, (), (0,)), Point(A2, (), (1,))) == 0
-
-    def test_alternating_vs_eventually_zero(self):
-        x = A2.parse_point("(01)")
-        y = A2.parse_point("01(0)")
-        assert distance_exponent(x, y) == 3
-
-    def test_symmetric_and_ultrametric(self):
-        rng = random.Random(7)
-        pts = []
-        for _ in range(60):
-            pre = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
-            per = tuple(rng.randrange(2) for _ in range(1, rng.randint(1, 3) + 1))
-            pts.append(Point(A2, pre, per))
-        big = 10**9
-        for _ in range(400):
-            x, y, z = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-            txy = distance_exponent(x, y)
-            assert txy == distance_exponent(y, x)
-            t = lambda v: big if v is None else v
-            assert t(distance_exponent(x, z)) >= min(t(txy), t(distance_exponent(y, z)))
+            assert [point_letter(p, i) for i in range(12)] == raw[:12]
 
 
 class TestPrefixCode:
@@ -123,26 +83,19 @@ class TestPrefixCode:
         with pytest.raises(InvalidCodeError):
             PrefixCode(A2, ((0,), (0, 1)))
 
-    def test_refines(self):
-        fine = PrefixCode(A2, ((0, 0), (0, 1), (1,)))
-        assert fine.refines(PrefixCode(A2, ((),)))
-        assert fine.refines(PrefixCode(A2, ((0,), (1,))))
-        assert not PrefixCode(A2, ((0,), (1,))).refines(fine)
-
 
 class TestProperPrefixCount:
+    """The balls properly containing a code ball: the internal nodes of the
+    code's tree, which `symdiff` reads off and `zipper_length` counts."""
+
     def test_root(self):
-        assert proper_prefix_count(PrefixCode(A2, ((),))) == 0
+        assert PrefixCode(A2, ((),)).proper_prefixes() == ()
 
     def test_three_leaves(self):
-        assert proper_prefix_count(PrefixCode(A2, ((0, 0), (0, 1), (1,)))) == 2
+        assert PrefixCode(A2, ((0, 0), (0, 1), (1,))).proper_prefixes() == ((), (0,))
 
     def test_ternary_root_split(self):
-        assert proper_prefix_count(PrefixCode(A3, ((0,), (1,), (2,)))) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidCodeError):
-            proper_prefix_count(PrefixCode(A2, ()))
+        assert PrefixCode(A3, ((0,), (1,), (2,))).proper_prefixes() == ((),)
 
     def test_matches_enumeration_and_closed_form(self):
         # every complete binary code of depth <= 4, plus ternary to depth 2
@@ -150,50 +103,14 @@ class TestProperPrefixCount:
             d = alphabet.size
             for words in enumerate_complete_codes(alphabet, depth):
                 code = PrefixCode(alphabet, words)
-                n = proper_prefix_count(code)
+                n = len(code.proper_prefixes())
                 assert n == slow_proper_prefix_count(code)
                 assert n * (d - 1) == len(words) - 1
 
 
-class TestClopen:
-    def test_sibling_merge(self):
-        assert clopen_normalize(A2, [(0,), (1,)]) == ((),)
-
-    def test_already_normal(self):
-        assert clopen_normalize(A2, [(0,), (1, 0)]) == ((0,), (1, 0))
-
-    def test_two_merge_rounds(self):
-        assert clopen_normalize(A2, [(0, 0), (0, 1), (1, 0), (1, 1)]) == ((),)
-
-    def test_nested_dropped(self):
-        assert clopen_normalize(A2, [(0,), (0, 1)]) == ((0,),)
-
-    def test_idempotent_and_union_preserving(self):
-        rng = random.Random(3)
-        for _ in range(300):
-            words = [
-                tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
-                for _ in range(rng.randrange(1, 6))
-            ]
-            normal = clopen_normalize(A2, words)
-            assert clopen_normalize(A2, normal) == normal
-            depth = 1 + max((len(w) for w in words), default=0)
-            for probe in itertools.product(range(2), repeat=depth):
-                covered = any(probe[: len(w)] == w for w in words)
-                # in normal form a ball is covered iff a ball of the set sits at or above it
-                assert covered == any(is_prefix(b, probe) for b in normal)
-
-    def test_complement(self):
-        assert complement_balls(A2, [(1, 0), (1, 1, 1)]) == ((0,), (1, 1, 0))
-        assert complement_balls(A2, [()]) == ()
-        # deeper than the interpreter's recursion limit
-        deep = complement_balls(A2, [(1,) * 1500])
-        assert deep == tuple((1,) * i + (0,) for i in range(1500))
-
-
 class TestLiterals:
     def test_word_round_trip(self):
-        for w in A2.words_up_to(4):
+        for w in all_balls(A2, 4):
             assert A2.parse_word(A2.format_word(w)) == w
 
     def test_empty_word_spelled_e(self):
@@ -237,10 +154,6 @@ class TestLiterals:
             Point(A2, (1.0,), (0,))
         with pytest.raises(MalformedWordError):
             Point(A2, (), ("0",))
-        x = Point(A2, (), (0, 1))
-        for word in ((1.0,), (2,), (-1,)):
-            with pytest.raises(MalformedWordError):
-                x.prepend(word)
 
     def test_non_ascii_digits_rejected(self):
         # fullwidth, mathematical double-struck, N'Ko and Bengali digits all pass str.isdigit
@@ -322,13 +235,14 @@ class TestLiteralProperties:
             n = len(pre) + 2 * len(per) + 1
             raw = (list(pre) + list(per) * n)[:n]
             assert list(x.prefix(n)) == raw == [point_letter(x, i) for i in range(n)]
-            # drop and prepend build their results without the constructor;
+            # drop and _prepend (the path apply takes) build their results
+            # without the constructor;
             # from letter n on, the word runs through the period rotated by s
             s = (n - len(pre)) % len(per)
             for k in range(n + 1):
                 assert x.drop(k) == Point(alphabet, tuple(raw[k:]), per[s:] + per[:s])
             word = tuple(raw[:r])
-            assert x.prepend(word) == Point(alphabet, word + pre, per)
-            assert x.prepend(word).drop(len(word)) == x
+            assert x._prepend(word) == Point(alphabet, word + pre, per)
+            assert x._prepend(word).drop(len(word)) == x
 
         check()
