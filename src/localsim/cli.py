@@ -6,11 +6,16 @@ line-delimited records (one JSON object per line, keys sorted), so runs
 with the same configuration are byte-identical.  Exit status 0 means
 success, 1 a usage or domain error, 2 a failed property check; scripts can
 therefore use the tool directly as an oracle.
+
+The argument parser is built on the first `main` call and reused by every
+later one, so `main` may be called repeatedly in one process at little
+cost beyond the command itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -306,7 +311,10 @@ _BODIES: dict[str, Callable] = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # argparse keeps no per-parse state: each parse fills a fresh Namespace,
+    # and usage and help read the streams and COLUMNS when they are printed
     parser = _Parser(prog="localsim", description="local similarities on the boundary of the rooted tree")
     parser.add_argument("--alphabet", type=int, default=None, metavar="D", help="alphabet size (default 2)")
     parser.add_argument(
@@ -379,6 +387,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line (default `sys.argv[1:]`) and return its exit
+    status; may be called repeatedly in one process."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from localsim.cli import _resolve_input, main
+from localsim.cli import _build_parser, _resolve_input, main
 
 X0 = "00->0;01->10;1->11"
 
@@ -302,3 +306,70 @@ class TestArbitraryText:
             assert self._exit(["apply", X0, text]) in (0, 1, 2)
 
         check()
+
+
+class TestParserReuse:
+    """Consecutive calls share one parser; none may see another's arguments."""
+
+    def test_flag_does_not_persist(self, capsys):
+        code, out, _ = run(capsys, "walls", X0, "id", "--list")
+        assert (code, len(out.splitlines())) == (0, 5)
+        assert run(capsys, "walls", X0, "id") == (0, "separation 4\n", "")
+
+    def test_global_option_does_not_persist(self, capsys):
+        three_cycle = "0->1;1->2;2->0"
+        assert run(capsys, "--alphabet", "3", "zipper-length", three_cycle) == (0, "2\n", "")
+        code, out, err = run(capsys, "zipper-length", three_cycle)
+        assert (code, out) == (1, "")
+        assert "out of range for alphabet of size 2" in err
+
+    def test_format_does_not_persist(self, capsys):
+        records = '{"cmd":"zipper-length","length":4}\n'
+        assert run(capsys, "--format", "records", "zipper-length", X0) == (0, records, "")
+        assert run(capsys, "zipper-length", X0) == (0, "4\n", "")
+
+    def test_optional_positional_does_not_persist(self, capsys):
+        code, out, _ = run(capsys, "hstruct", "validate", "sigma2.aut")
+        assert (code, out) == (0, "ok: 2 elements over 2 letters, all axioms hold\n")
+        code, out, _ = run(capsys, "hstruct", "validate")
+        assert (code, out) == (0, "ok: 1 elements over 2 letters, all axioms hold\n")
+
+    def test_usage_error_repeats(self, capsys):
+        first = run(capsys, "member", "id")
+        assert first[0] == 1
+        assert first[2].startswith("usage: localsim member")
+        assert run(capsys, "member", "id") == first
+
+    def test_help_follows_terminal_width(self, capsys, monkeypatch):
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run(capsys, "--help")
+            assert code == 0
+            assert out == _build_parser.__wrapped__().format_help()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter, through `python -m localsim.cli`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "localsim.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestFreshProcess:
+    def test_zipper_length(self):
+        assert run_fresh("zipper-length", X0) == (0, "4\n", "")
+
+    def test_usage_error(self):
+        code, out, err = run_fresh("member", "id")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: localsim member")
+
+    def test_help(self):
+        code, out, _ = run_fresh("--help")
+        assert code == 0
+        assert out.startswith("usage: localsim")

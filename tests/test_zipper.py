@@ -165,6 +165,25 @@ class TestSymdiff:
             g = parse_element(";".join(f"{s}->{t}" for s, t in zip(words, words[1:] + words[:1])), t2)
             assert symdiff(g).as_dict() == brute_force_symdiff(g)
 
+    def test_random_elements_match_membership_oracle(self, t2, s2, t3):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # depth at most 5 over two letters and 3 over three: up to about 30 leaves
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.sampled_from([t2, s2, t3]),
+            st.randoms(use_true_random=True),
+            st.integers(1, 5),
+            st.sampled_from([0.55, 0.8]),
+        )
+        def check(group, rng, depth, split_prob):
+            max_depth = min(depth, 5 if group.alphabet.size == 2 else 3)
+            g = random_element(group, rng, max_depth=max_depth, split_prob=split_prob)
+            assert symdiff(g).as_dict() == brute_force_symdiff(g)
+
+        check()
+
     def test_failed_membership_check_raises(self, x0, monkeypatch):
         # the checks are exceptions, not asserts, so they also run under -O
         monkeypatch.setattr(zipper, "z_member", lambda e: False)
