@@ -38,7 +38,6 @@ from .errors import LocalSimError
 from .structure import SelfSimilarGroup, parse_automaton, symmetric_group, trivial_group
 from .walls import integer_line_instance, parse_walls_file, walls_to_zipper
 from .zipper import (
-    EmbeddingClass,
     cocycle_identity_defect,
     nowalls_demo,
     properness_audit,
@@ -105,10 +104,6 @@ def _build_group(args: argparse.Namespace) -> SelfSimilarGroup:
         lines = "; ".join(str(v) for v in violations)
         raise LocalSimError(f"structure {name} fails validation: {lines}")
     return group
-
-
-def _class_literal(e: EmbeddingClass) -> str:
-    return format_element(CanonicalElement(e.table))
 
 
 def parse_gens_file(text: str, group: SelfSimilarGroup) -> list[tuple[str, CanonicalElement]]:
@@ -200,7 +195,7 @@ def _cmd_zipper_length(args, group, emit) -> int:
 def _cmd_symdiff(args, group, emit) -> int:
     diff = symdiff(parse_element(args.element, group))
     for e, sign in diff.items():
-        lit = _class_literal(e)
+        lit = format_element(e)
         emit.record({"cmd": "symdiff", "sign": sign, "class": lit}, f"{sign:+d} {lit}")
     emit.record({"cmd": "symdiff-total", "length": len(diff)}, f"length {len(diff)}")
     return 0
@@ -221,7 +216,7 @@ def _cmd_walls(args, group, emit) -> int:
     emit.record({"cmd": "walls", "separation": sep}, f"separation {sep}")
     if args.list:
         for e, side in separating_walls(g1, g2):
-            lit = _class_literal(e)
+            lit = format_element(e)
             emit.record({"cmd": "wall", "side": side, "class": lit}, f"{side:+d} {lit}")
     return 0
 

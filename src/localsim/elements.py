@@ -1,11 +1,12 @@
-"""Group elements and embeddings as germ-decorated prefix-replacement tables.
+"""Group elements as germ-decorated prefix-replacement tables.
 
 A table row (source, target, germ) declares: on the ball at `source`, the
 map replaces the source address by `target` and lets the germ act on the
-tail.  A table whose sources partition the whole space and whose targets
-also form a complete code describes a homeomorphism of the boundary (kind
-"element"); with merely pairwise-disjoint targets it describes an
-injection (kind "embedding").
+tail.  A table whose sources and targets are both complete codes, in
+bijection, describes a homeomorphism of the boundary: a group element.
+`reduce` and `parse_element` accept no other table.  Embeddings of the
+whole space into itself appear only as the points the group acts on, the
+embedding classes of `zipper`, which reduce their rows with the same pass.
 
 Two moves generate everything here.  Expansion replaces a row by its d
 children (one letter deeper, targets pushed through the germ's action,
@@ -42,14 +43,10 @@ from .errors import (
     LiteralParseError,
     MalformedStructureError,
     NoSuchRowError,
-    NotInvertibleError,
     UnsupportedStructureError,
 )
 from .structure import SelfSimilarGroup, germ_apply
-from .words import Point, PrefixCode, Word, _canonical, _trusted_point, is_complete_code
-
-ELEMENT = "element"
-EMBEDDING = "embedding"
+from .words import Point, PrefixCode, Word, _canonical, _is_int, _overlap, _trusted_point, is_complete_code
 
 
 class Row(NamedTuple):
@@ -60,22 +57,24 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class SimTable:
-    """An immutable table of rows, sorted by source word."""
+    """An immutable table of rows, sorted by source word.
+
+    Construction checks letters and germs only, so that an unreduced or
+    broken table can be built and diagnosed by `validate_table`; `reduce`
+    turns it into an element once both columns are complete codes.
+    """
 
     group: SelfSimilarGroup
-    kind: str
     rows: tuple[Row, ...]
 
     def __post_init__(self):
-        if self.kind not in (ELEMENT, EMBEDDING):
-            raise MalformedStructureError(f"unknown table kind {self.kind!r}")
         alphabet = self.group.alphabet
         rows = []
         for r in self.rows:
             src = alphabet.check_word(r.source)
             tgt = alphabet.check_word(r.target)
-            if not 0 <= r.germ < self.group.size:
-                raise MalformedStructureError(f"no germ {r.germ} in {self.group!r}")
+            if not _is_int(r.germ) or not 0 <= r.germ < self.group.size:
+                raise MalformedStructureError(f"no germ {r.germ!r} in {self.group!r}")
             rows.append(Row(src, tgt, r.germ))
         rows.sort(key=lambda r: r.source)
         object.__setattr__(self, "rows", tuple(rows))
@@ -87,27 +86,20 @@ class SimTable:
         return tuple(r.target for r in self.rows)
 
 
-def _trusted_table(group: SelfSimilarGroup, kind: str, rows: tuple[Row, ...]) -> SimTable:
+def _trusted_table(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> SimTable:
     # internal fast path: rows already validated and sorted
     t = object.__new__(SimTable)
     object.__setattr__(t, "group", group)
-    object.__setattr__(t, "kind", kind)
     object.__setattr__(t, "rows", rows)
     return t
 
 
-def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
-    """Two neighbours of which the first is a prefix of (or equal to) the
-    second, or None if the words are an antichain.  In sorted order the
-    extensions of a word directly follow it, so neighbours are enough."""
-    for u, v in itertools.pairwise(sorted_words):
-        if v[: len(u)] == u:
-            return u, v
-    return None
-
-
 def validate_table(t: SimTable) -> list[str]:
-    """Structural violations of a table, as stable diagnostic strings."""
+    """Structural violations of a table, as stable diagnostic strings.
+
+    A table is an element when both columns are complete antichains; the
+    rows then pair the two codes one to one.
+    """
     out: list[str] = []
     if not t.rows:
         return ["empty-table"]
@@ -115,20 +107,12 @@ def validate_table(t: SimTable) -> list[str]:
     srcs = t.sources()
     if _overlap(srcs) is not None:
         out.append("domain-not-antichain")
-    else:
-        # in sorted order the common prefix of all sources is that of the extremes
-        first, last = srcs[0], srcs[-1]
-        k = 0
-        while k < len(first) and k < len(last) and first[k] == last[k]:
-            k += 1
-        if t.kind == ELEMENT and k > 0:
-            out.append("incomplete-domain")
-        elif not is_complete_code([w[k:] for w in srcs], d):
-            out.append("incomplete-domain")
+    elif not is_complete_code(srcs, d):
+        out.append("incomplete-domain")
     tgts = tuple(sorted(t.targets()))
     if _overlap(tgts) is not None:
         out.append("target-not-antichain")
-    elif t.kind == ELEMENT and not is_complete_code(tgts, d):
+    elif not is_complete_code(tgts, d):
         out.append("target-incomplete")
     return out
 
@@ -233,7 +217,8 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
 
 @dataclass(frozen=True)
 class CanonicalElement:
-    """A table in reduced sorted form; equality here is equality of maps.
+    """A group element: a table in reduced sorted form whose columns are
+    complete codes; equality here is equality of maps.
 
     Build instances through reduce / compose / invert / identity /
     parse_element rather than directly.
@@ -279,27 +264,27 @@ class CanonicalElement:
             return self.rows
 
     def __repr__(self) -> str:
-        kind = "" if self.table.kind == ELEMENT else " (embedding)"
-        return f"<{format_element(self)}{kind}>"
+        return f"<{format_element(self)}>"
 
 
 def reduce(t: SimTable) -> CanonicalElement:
-    """The unique reduced form of a table (kind is preserved).
+    """The unique reduced form of a table that describes a group element.
 
-    The table's rows are sorted by source, as every `SimTable` keeps them.
-    Its sources must form a prefix code: InvalidCodeError names two that
-    overlap, found in one pass over neighbouring sources.
+    Both columns must be complete codes, as `validate_table` checks.
+    InvalidCodeError names two overlapping sources when the sources are no
+    prefix code, and lists the violations otherwise.
     """
-    pair = _overlap(t.sources())
-    if pair is not None:
-        u, v = map(t.group.alphabet.format_word, pair)
+    violations = validate_table(t)
+    if "domain-not-antichain" in violations:
+        u, v = map(t.group.alphabet.format_word, _overlap(t.sources()))
         raise InvalidCodeError(f"sources {u} and {v} overlap; not a prefix code")
-    rows = _reduce_rows(t.group, t.rows)
-    return CanonicalElement(_trusted_table(t.group, t.kind, rows))
+    if violations:
+        raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
+    return CanonicalElement(_trusted_table(t.group, _reduce_rows(t.group, t.rows)))
 
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:
-    return CanonicalElement(_trusted_table(group, ELEMENT, (Row((), (), 0),)))
+    return CanonicalElement(_trusted_table(group, (Row((), (), 0),)))
 
 
 def expand_at(t: SimTable, source: Word) -> SimTable:
@@ -313,7 +298,7 @@ def expand_at(t: SimTable, source: Word) -> SimTable:
     act, res = t.group.act[r.germ], t.group.res[r.germ]
     children = [Row(source + (a,), r.target + (act[a],), res[a]) for a in t.group.alphabet.letters]
     rows = tuple(x for x in t.rows if x.source != source) + tuple(children)
-    return SimTable(t.group, t.kind, rows)
+    return SimTable(t.group, rows)
 
 
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
@@ -324,9 +309,8 @@ def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
-    kind = ELEMENT if g.table.kind == ELEMENT and h.table.kind == ELEMENT else EMBEDDING
     rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, h.rows))
-    return CanonicalElement(_trusted_table(g.group, kind, rows))
+    return CanonicalElement(_trusted_table(g.group, rows))
 
 
 def invert(g: CanonicalElement) -> CanonicalElement:
@@ -335,11 +319,9 @@ def invert(g: CanonicalElement) -> CanonicalElement:
     No re-reduction is needed: the image of a maximal ball of g is a
     maximal ball of the inverse, so the swapped table is already reduced.
     """
-    if g.table.kind != ELEMENT:
-        raise NotInvertibleError("embeddings are not invertible on the whole space")
     inv = g.group.inv
     rows = tuple(sorted(Row(t, s, inv[germ]) for s, t, germ in g.rows))
-    return CanonicalElement(_trusted_table(g.group, ELEMENT, rows))
+    return CanonicalElement(_trusted_table(g.group, rows))
 
 
 def apply(g: CanonicalElement, x: Point) -> Point:
@@ -411,9 +393,10 @@ def enumerate_gamma(
     inverse has maximal partition exactly p_minus.
 
     Works by trying every bijection between the codes and every germ
-    labelling, keeping the tables that reduction leaves unchanged.  Such a
-    table is its own reduced form, so its inverse is the swapped table with
-    sources p_minus.  Finite because there are only n! * m^n candidates.
+    labelling, keeping the tables in which reduction merges nothing.  Such
+    a table is its own reduced form, so its inverse is the swapped table
+    with sources p_minus.  Finite because there are only n! * m^n
+    candidates.
     """
     if not p_plus.is_complete() or not p_minus.is_complete():
         raise InvalidCodeError("both codes must be complete")
@@ -423,17 +406,17 @@ def enumerate_gamma(
     out = []
     for perm in itertools.permutations(p_minus.words):
         for germs in itertools.product(range(group.size), repeat=len(srcs)):
-            rows = tuple(Row(s, t, g) for s, t, g in zip(srcs, perm, germs))
-            cand = reduce(SimTable(group, ELEMENT, rows))
-            if cand.table.sources() == srcs:
-                out.append(cand)
+            # the codes are complete and sorted, so the rows need no checks
+            rows = _reduce_rows(group, zip(srcs, perm, germs))
+            if len(rows) == len(srcs):
+                out.append(CanonicalElement(_trusted_table(group, rows)))
     return tuple(sorted(out, key=lambda e: e.rows))
 
 
 # -- literals ----------------------------------------------------------------
 
 
-def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> CanonicalElement:
+def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     """Parse 'v->w[:germ](;v->w[:germ])*' and return the reduced element.
 
     'id' is accepted for the identity.  Germs are element ids of the
@@ -441,7 +424,8 @@ def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> Ca
     germ.  Each distinct word text is parsed, and its letters validated,
     once by `Alphabet.parse_word`; sources and targets spelled alike share
     one tuple.  The rows are not checked again: the table is built sorted
-    and handed to `validate_table`, then reduced.
+    and handed to `validate_table`, which must find both columns complete
+    codes (InvalidCodeError lists what it found otherwise), then reduced.
     """
     if text.strip() == "id":
         return identity(group)
@@ -478,18 +462,18 @@ def parse_element(text: str, group: SelfSimilarGroup, kind: str = ELEMENT) -> Ca
         if not 0 <= germ < group.size:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
         rows.append(Row(src, tgt, germ))
-    if kind not in (ELEMENT, EMBEDDING):
-        raise MalformedStructureError(f"unknown table kind {kind!r}")
     rows.sort(key=_source)
-    table = _trusted_table(group, kind, tuple(rows))
+    table = _trusted_table(group, tuple(rows))
     violations = validate_table(table)
     if violations:
         raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
     # validate_table has checked that the sources form a prefix code
-    return CanonicalElement(_trusted_table(group, kind, _reduce_rows(group, table.rows)))
+    return CanonicalElement(_trusted_table(group, _reduce_rows(group, table.rows)))
 
 
-def format_element(g: CanonicalElement) -> str:
+def format_element(g) -> str:
+    """The literal of an element, or of an embedding class's representative:
+    anything with a `group` and sorted `rows`."""
     alphabet = g.group.alphabet
     parts = []
     for src, tgt, germ in g.rows:
@@ -536,7 +520,7 @@ def random_element(
     # complete codes spelled with the alphabet's letters, so nothing needs
     # checking before the reduction
     rows = [(s, t, rng.randrange(group.size)) for s, t in zip(srcs, tgts)]
-    return CanonicalElement(_trusted_table(group, ELEMENT, _reduce_rows(group, rows)))
+    return CanonicalElement(_trusted_table(group, _reduce_rows(group, rows)))
 
 
 def random_point(alphabet, rng, max_len: int = 4) -> Point:

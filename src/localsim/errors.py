@@ -25,10 +25,6 @@ class NoSuchRowError(LocalSimError):
     """A table row was addressed by a source word it does not contain."""
 
 
-class NotInvertibleError(LocalSimError):
-    """Inversion was requested for a non-invertible table."""
-
-
 class IncompatibleElementsError(LocalSimError):
     """Operands live over different alphabets or different structures."""
 

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CompositionDomainError, MalformedStructureError, UnsupportedStructureError
-from .words import Alphabet, Point, Word, _canonical, _trusted_point
+from .words import Alphabet, Point, Word, _canonical, _is_int, _trusted_point
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ class SelfSimilarGroup:
                 if len(row) != width:
                     raise MalformedStructureError(f"{label} row has length {len(row)}, expected {width}")
                 for v in row:
-                    if not isinstance(v, int) or not 0 <= v < bound:
+                    if not _is_int(v) or not 0 <= v < bound:
                         raise MalformedStructureError(f"{label} entry {v!r} out of range")
         for v in inv:
-            if not isinstance(v, int) or not 0 <= v < size:
+            if not _is_int(v) or not 0 <= v < size:
                 raise MalformedStructureError(f"inv entry {v!r} out of range")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "size", size)

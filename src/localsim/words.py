@@ -31,6 +31,22 @@ def is_prefix(prefix: Word, word: Word) -> bool:
     return word[: len(prefix)] == prefix
 
 
+def _is_int(v) -> bool:
+    """The one test for a letter, a germ or a structure table entry: an
+    int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
+    """Two neighbours of which the first is a prefix of (or equal to) the
+    second, or None if the words are an antichain.  In sorted order the
+    extensions of a word directly follow it, so neighbours are enough."""
+    for u, v in itertools.pairwise(sorted_words):
+        if v[: len(u)] == u:
+            return u, v
+    return None
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """The ordered alphabet {0, ..., size-1}."""
@@ -48,7 +64,7 @@ class Alphabet:
     def check_word(self, word: Iterable[int]) -> Word:
         word = tuple(word)
         for a in word:
-            if not isinstance(a, int) or not 0 <= a < self.size:
+            if not _is_int(a) or not 0 <= a < self.size:
                 raise MalformedWordError(f"letter {a!r} out of range for alphabet of size {self.size}")
         return word
 
@@ -218,14 +234,14 @@ class PrefixCode:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        ws = sorted(self.alphabet.check_word(w) for w in self.words)
-        if len(set(ws)) != len(ws):
-            raise InvalidCodeError("repeated word in prefix code")
-        # in sorted order a prefix lands immediately before its extensions
-        for u, v in itertools.pairwise(ws):
-            if is_prefix(u, v):
-                raise InvalidCodeError(f"{u} is a prefix of {v}; not an antichain")
-        object.__setattr__(self, "words", tuple(ws))
+        ws = tuple(sorted(self.alphabet.check_word(w) for w in self.words))
+        pair = _overlap(ws)
+        if pair is not None:
+            u, v = pair
+            if u == v:
+                raise InvalidCodeError("repeated word in prefix code")
+            raise InvalidCodeError(f"{u} is a prefix of {v}; not an antichain")
+        object.__setattr__(self, "words", ws)
 
     def __len__(self) -> int:
         return len(self.words)

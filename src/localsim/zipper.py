@@ -2,12 +2,14 @@
 
 The ambient set consists of classes of ball embeddings: an embedding given
 by a table with domain the whole space, taken up to right twist by the
-finitely many global ball similarities.  The distinguished family Z inside
-it collects the classes of plain ball inclusions, one per ball.  A group
-element g translates a class by post-composition, and gZ differs from Z in
-only finitely many classes; the signed difference is the value of a
-1-cocycle at g, its support size is a length function, and the classes in
-the difference are the walls separating the orbit points Z and gZ.
+finitely many global ball similarities.  These classes are the library's
+only embeddings; a `CanonicalElement` is always a group element.  The
+distinguished family Z inside the ambient set collects the classes of
+plain ball inclusions, one per ball.  A group element g translates a
+class by post-composition, and gZ differs from Z in only finitely many
+classes; the signed difference is the value of a 1-cocycle at g, its
+support size is a length function, and the classes in the difference are
+the walls separating the orbit points Z and gZ.
 
 Each quantity has one derivation.  `symdiff` reads the difference off the
 maximal partitions.  Each ball properly containing a maximal ball of the
@@ -36,8 +38,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .elements import (
-    ELEMENT,
-    EMBEDDING,
     CanonicalElement,
     Row,
     SimTable,
@@ -45,11 +45,12 @@ from .elements import (
     _reduce_rows,
     _trusted_table,
     compose,
+    format_element,
     identity,
     invert,
     max_partition,
 )
-from .errors import IncompatibleElementsError, InvalidClassError, NotInvertibleError, UnsupportedStructureError
+from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
 from .words import Word, is_complete_code, is_prefix
 
@@ -58,10 +59,11 @@ from .words import Word, is_complete_code, is_prefix
 class EmbeddingClass:
     """Canonical representative of an embedding class.
 
-    The table has kind "embedding", domain the whole space, is reduced, and
-    is the lexicographically least among its right twists by the global
-    ball similarities; two embeddings define the same class iff their
-    canonical representatives are equal.
+    The table's sources are a complete code and its targets pairwise
+    disjoint balls; it is reduced, and it is the lexicographically least
+    among its right twists by the global ball similarities.  Two
+    embeddings define the same class iff their canonical representatives
+    are equal.  This is the library's one representation of an embedding.
     """
 
     table: SimTable
@@ -70,10 +72,12 @@ class EmbeddingClass:
     def group(self) -> SelfSimilarGroup:
         return self.table.group
 
-    def __repr__(self) -> str:
-        from .elements import format_element
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        return self.table.rows
 
-        return f"<class {format_element(CanonicalElement(self.table))}>"
+    def __repr__(self) -> str:
+        return f"<class {format_element(self)}>"
 
 
 def _twist(table: SimTable, s: int) -> SimTable:
@@ -90,13 +94,13 @@ def _twist(table: SimTable, s: int) -> SimTable:
     for v, w, g in table.rows:
         v2, _ = group.act_word(si, v)
         rows.append(Row(v2, w, group.mul[g][group.restrict_word(s, v2)]))
-    return _trusted_table(group, table.kind, tuple(sorted(rows)))
+    return _trusted_table(group, tuple(sorted(rows)))
 
 
 def _eclass(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> EmbeddingClass:
     """The class of the embedding with these reduced rows, sorted by source:
     the least of its right twists."""
-    table = _trusted_table(group, EMBEDDING, rows)
+    table = _trusted_table(group, rows)
     if group.size > 1:
         table = min((_twist(table, s) for s in range(group.size)), key=lambda t: t.rows)
     return EmbeddingClass(table)
@@ -105,15 +109,13 @@ def _eclass(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> EmbeddingClass:
 def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     """The class of an embedding defined on the ball at `ball`.
 
-    The sources of f must partition that ball.  The class is represented on
-    the whole space by precomposing with the canonical similarity onto the
-    ball (strip the ball address off every source), then reduced and twist
-    minimized.
+    The sources of f must partition that ball; its targets are not checked.
+    The class is represented on the whole space by precomposing with the
+    canonical similarity onto the ball (strip the ball address off every
+    source), then reduced and twist minimized.
     """
     group = f.group
     ball = group.alphabet.check_word(ball)
-    if f.kind != EMBEDDING:
-        raise InvalidClassError("embedding-kind table required")
     if not f.rows:
         raise InvalidClassError("empty table")
     for r in f.rows:
@@ -132,7 +134,7 @@ def incl_class(group: SelfSimilarGroup, ball: Word) -> EmbeddingClass:
     germ (any germ twists away, and the identity germ is least).
     """
     ball = group.alphabet.check_word(ball)
-    return EmbeddingClass(_trusted_table(group, EMBEDDING, (Row((), ball, 0),)))
+    return EmbeddingClass(_trusted_table(group, (Row((), ball, 0),)))
 
 
 def z_member(e: EmbeddingClass) -> bool:
@@ -148,8 +150,6 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
     """Translate a class by post-composition with a group element."""
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    if g.table.kind != ELEMENT:
-        raise IncompatibleElementsError("only group elements act on classes")
     return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.table.rows)))
 
 
@@ -238,11 +238,9 @@ def zipper_length(g: CanonicalElement) -> int:
     """Size of the symmetric difference between gZ and Z, in closed form.
 
     Both maximal partitions of g have n balls, and each contributes its
-    (n-1)/(d-1) internal nodes, so the size is 2(n-1)/(d-1).  Like
-    `symdiff`, it is defined for group elements only.
+    (n-1)/(d-1) internal nodes, so the size is 2(n-1)/(d-1).  Every
+    `CanonicalElement` is a group element, so both partitions are complete.
     """
-    if g.table.kind != ELEMENT:
-        raise NotInvertibleError("embeddings are not invertible on the whole space")
     return 2 * (len(g.rows) - 1) // (g.group.alphabet.size - 1)
 
 
@@ -430,11 +428,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
             "witness k has 2^(k-1) leaves"
         )
     first = incl_class(group, (0,))
-    f2 = SimTable(
-        group,
-        EMBEDDING,
-        (Row((1, 0), (1, 0), 0), Row((1, 1), (1, 1, 1), 0)),
-    )
+    f2 = SimTable(group, (Row((1, 0), (1, 0), 0), Row((1, 1), (1, 1, 1), 0)))
     second = canonical_eclass(f2, (1,))
 
     witnesses = [identity(group)]
@@ -444,7 +438,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         rows = [Row((0,), (0,), 0)]
         n = len(leaves)
         rows.extend(Row(leaves[i], leaves[(i + 1) % n], 0) for i in range(n))
-        g = CanonicalElement(_trusted_table(group, ELEMENT, _reduce_rows(group, rows)))
+        g = CanonicalElement(_trusted_table(group, _reduce_rows(group, rows)))
         witnesses.append(g)
         depth += 1
     if len({w.packed() for w in witnesses}) != len(witnesses):
@@ -457,6 +451,6 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     # embedding extended to a bijection by sending ball 0 onto the balls its
     # image leaves uncovered, 0 and 110 (the table is already reduced)
     rows = (Row((0, 0), (0,), 0), Row((0, 1), (1, 1, 0), 0)) + f2.rows
-    covering = CanonicalElement(_trusted_table(group, ELEMENT, rows))
+    covering = CanonicalElement(_trusted_table(group, rows))
     ok = all(first_in) and not any(second_in) and gz_member(covering, second)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)

@@ -158,7 +158,7 @@ def tables_over(group: SelfSimilarGroup, src, dst) -> set[CanonicalElement]:
     for perm in itertools.permutations(dst):
         for germs in itertools.product(range(group.size), repeat=len(src)):
             rows = tuple(Row(s, t, z) for s, t, z in zip(src, perm, germs))
-            out.add(reduce(SimTable(group, "element", rows)))
+            out.add(reduce(SimTable(group, rows)))
     return out
 
 

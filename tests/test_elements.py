@@ -9,8 +9,8 @@ from localsim import (
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
+    MalformedStructureError,
     NoSuchRowError,
-    NotInvertibleError,
     Point,
     PrefixCode,
     Row,
@@ -46,21 +46,29 @@ from oracles import (
 
 class TestValidateTable:
     def test_identity_clean(self, t2):
-        assert validate_table(SimTable(t2, "element", (Row((), (), 0),))) == []
+        assert validate_table(SimTable(t2, (Row((), (), 0),))) == []
 
     def test_incomplete_domain(self, t2):
-        issues = validate_table(SimTable(t2, "element", (Row((0,), (0,), 0),)))
+        issues = validate_table(SimTable(t2, (Row((0,), (0,), 0),)))
         assert "incomplete-domain" in issues
 
     def test_target_collision(self, t2):
         issues = validate_table(
-            SimTable(t2, "element", (Row((0,), (0,), 0), Row((1,), (0, 1), 0)))
+            SimTable(t2, (Row((0,), (0,), 0), Row((1,), (0, 1), 0)))
         )
         assert "target-not-antichain" in issues
 
-    def test_embedding_allows_partial_image(self, t2):
-        t = SimTable(t2, "embedding", (Row((0,), (0, 0), 0), Row((1,), (1, 0), 0)))
-        assert validate_table(t) == []
+    def test_partial_image_rejected(self, t2):
+        # an embedding of the whole space onto two smaller balls is no element
+        t = SimTable(t2, (Row((0,), (0, 0), 0), Row((1,), (1, 0), 0)))
+        assert validate_table(t) == ["target-incomplete"]
+        with pytest.raises(InvalidCodeError, match="invalid table: target-incomplete"):
+            reduce(t)
+
+    def test_germs_are_ints(self, s2):
+        for germ in (1.0, True, "1"):
+            with pytest.raises(MalformedStructureError, match="no germ"):
+                SimTable(s2, (Row((), (), germ),))
 
 
 class TestExpandReduce:
@@ -69,7 +77,7 @@ class TestExpandReduce:
         assert t.rows == (Row((0,), (0,), 0), Row((1,), (1,), 0))
 
     def test_expand_pushes_germ(self, s2):
-        root_swap = SimTable(s2, "element", (Row((), (), 1),))
+        root_swap = SimTable(s2, (Row((), (), 1),))
         t = expand_at(root_swap, ())
         assert t.rows == (Row((0,), (1,), 1), Row((1,), (0,), 1))
 
@@ -78,7 +86,7 @@ class TestExpandReduce:
             expand_at(identity(t2).table, (0, 1))
 
     def test_reduce_recognizes_identity(self, t2):
-        t = SimTable(t2, "element", (Row((0,), (0,), 0), Row((1,), (1,), 0)))
+        t = SimTable(t2, (Row((0,), (0,), 0), Row((1,), (1,), 0)))
         assert reduce(t) == identity(t2)
 
     def test_reduce_rejects_overlapping_sources(self, t2):
@@ -87,13 +95,24 @@ class TestExpandReduce:
             (Row((), (), 0), Row((0,), (1,), 0)),
             (Row((0,), (0,), 0), Row((0,), (1,), 0), Row((1,), (1,), 0)),
         ):
-            t = SimTable(t2, "element", rows)
+            t = SimTable(t2, rows)
             assert "domain-not-antichain" in validate_table(t)
             with pytest.raises(InvalidCodeError, match="not a prefix code"):
                 reduce(t)
 
+    def test_reduce_rejects_incomplete_domain(self, t2):
+        # 0->0 alone maps the ball at 0 only; its reduced form would be a
+        # one-row table that no group element has
+        for rows, issue in (
+            ((Row((0,), (0,), 0),), "incomplete-domain, target-incomplete"),
+            ((Row((0,), (0,), 0), Row((1, 0), (1,), 0)), "incomplete-domain"),
+            ((), "empty-table"),
+        ):
+            with pytest.raises(InvalidCodeError, match=f"^invalid table: {issue}$"):
+                reduce(SimTable(t2, rows))
+
     def test_reduce_reverses_germ_expansion(self, s2):
-        t = SimTable(s2, "element", (Row((0,), (1,), 1), Row((1,), (0,), 1)))
+        t = SimTable(s2, (Row((0,), (1,), 1), Row((1,), (0,), 1)))
         assert reduce(t).rows == (Row((), (), 1),)
 
     def test_x0_already_reduced(self, x0):
@@ -123,9 +142,9 @@ def random_table(group, rng, shape: str, splits: int) -> SimTable:
     if shape == "element":
         t = g.table
     elif shape == "embedding":
-        t = SimTable(group, "embedding", tuple(Row(s, a + w, z) for s, w, z in g.rows))
+        t = SimTable(group, tuple(Row(s, a + w, z) for s, w, z in g.rows))
     else:
-        t = SimTable(group, "embedding", tuple(Row(a + s, w, z) for s, w, z in g.rows))
+        t = SimTable(group, tuple(Row(a + s, w, z) for s, w, z in g.rows))
     for _ in range(splits):
         t = expand_at(t, rng.choice(t.sources()))
     return t
@@ -165,9 +184,9 @@ class TestRewriteKernel:
             assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(right)).rows
 
             # a left operand on a proper ball misses some target of any element
-            on_ball = reduce(random_table(group, rng, "sub-ball", 0))
+            on_ball = random_table(group, rng, "sub-ball", 0)
             with pytest.raises(CompositionDomainError):
-                compose(on_ball, h)
+                _compose_rows(group, on_ball.rows, h.rows)
 
         check()
 
@@ -203,20 +222,15 @@ class TestComposeInvert:
 
     def test_left_operand_must_cover_targets(self, t2):
         # the left operand's sources cover only the ball at 0
-        g = parse_element("00->00;01->01", t2, kind="embedding")
+        rows = SimTable(t2, (Row((0, 0), (0, 0), 0), Row((0, 1), (0, 1), 0))).rows
         with pytest.raises(CompositionDomainError, match="target 1 "):
-            compose(g, identity(t2))
+            _compose_rows(t2, rows, identity(t2).rows)
 
     def test_cached_inverse_leaves_equality_alone(self, t2):
         g = random_element(t2, random.Random(5), max_depth=4)
         same = CanonicalElement(g.table)
         assert g._inverse == invert(g) and compose(g, g._inverse) == identity(t2)
         assert g == same and hash(g) == hash(same)
-
-    def test_embedding_not_invertible(self, t2):
-        t = SimTable(t2, "embedding", (Row((), (0,), 0),))
-        with pytest.raises(NotInvertibleError):
-            invert(CanonicalElement(t))
 
     def test_structure_mismatch(self, t2, s2):
         with pytest.raises(IncompatibleElementsError):
@@ -238,8 +252,9 @@ class TestApply:
         assert apply(x0, a.parse_point("1(1)")) == a.parse_point("11(1)")
 
     def test_point_outside_embedding_domain(self, t2):
-        # the domain is the ball at 01, so the points on either side of it miss
-        g = parse_element("010->0;011->1", t2, kind="embedding")
+        # the domain is the ball at 01, so the points on either side of it miss;
+        # no literal or operation yields such a map, so it is built directly
+        g = CanonicalElement(SimTable(t2, (Row((0, 1), (), 0),)))
         a = t2.alphabet
         assert apply(g, a.parse_point("011(0)")) == a.parse_point("10(0)")
         for text in ("00(1)", "(0)", "1(0)", "(1)"):
@@ -404,8 +419,6 @@ class TestLiterals:
         def check(group, rng):
             g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
             assert parse_element(format_element(g), group) == g
-            embedded = reduce(SimTable(group, "embedding", tuple(Row(s, (0,) + t, z) for s, t, z in g.rows)))
-            assert parse_element(format_element(embedded), group, kind="embedding") == embedded
 
         check()
 

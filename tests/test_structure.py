@@ -95,6 +95,18 @@ class TestValidate:
         with pytest.raises(MalformedStructureError):
             SelfSimilarGroup(s2.alphabet, s2.mul, s2.inv, [[0, 3], [1, 0]], s2.res)
 
+    def test_entries_are_ints_not_bools(self, s2):
+        # a bool passes isinstance(v, int); as a table entry it would print as True/False
+        cases = (
+            (((0, 1), (True, 0)), s2.inv, s2.act, s2.res),
+            (s2.mul, (0, True), s2.act, s2.res),
+            (s2.mul, s2.inv, ((0, 1), (True, False)), s2.res),
+            (s2.mul, s2.inv, s2.act, ((0, 0), (1, True))),
+        )
+        for mul, inv, act, res in cases:
+            with pytest.raises(MalformedStructureError, match="True|False"):
+                SelfSimilarGroup(s2.alphabet, mul, inv, act, res)
+
 
 class TestAutomatonFile:
     def test_packaged_file_matches_builtin(self, s2):

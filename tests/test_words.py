@@ -80,8 +80,10 @@ class TestPrefixCode:
         assert not PrefixCode(A2, ((0, 0), (1,))).is_complete()
 
     def test_non_antichain_rejected(self):
-        with pytest.raises(InvalidCodeError):
+        with pytest.raises(InvalidCodeError, match=r"^\(0,\) is a prefix of \(0, 1\); not an antichain$"):
             PrefixCode(A2, ((0,), (0, 1)))
+        with pytest.raises(InvalidCodeError, match="^repeated word in prefix code$"):
+            PrefixCode(A2, ((1,), (0,), (1,)))
 
 
 class TestProperPrefixCount:
@@ -147,13 +149,15 @@ class TestLiterals:
             Alphabet(12).parse_word("[0,12]")
 
     def test_non_int_letters_rejected(self):
-        for word in ((1.0,), ("1",), (0, None), (0, 1.0)):
+        for word in ((1.0,), ("1",), (0, None), (0, 1.0), (True,), (False,), (0, True)):
             with pytest.raises(MalformedWordError):
                 A2.check_word(word)
         with pytest.raises(MalformedWordError):
             Point(A2, (1.0,), (0,))
         with pytest.raises(MalformedWordError):
             Point(A2, (), ("0",))
+        with pytest.raises(MalformedWordError):
+            Point(A2, (True,), (False,))
 
     def test_non_ascii_digits_rejected(self):
         # fullwidth, mathematical double-struck, N'Ko and Bengali digits all pass str.isdigit
