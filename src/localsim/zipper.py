@@ -19,8 +19,8 @@ off the reduced table of g: the rows under B with B stripped from their
 sources are already reduced, because a mergeable family among them would
 be mergeable in g, so only twist minimization is left to do.  Every entry
 is still checked against the membership tests before it is emitted;
-membership in gZ translates back by the inverse, computed once per
-element, and tests for a one-row table.
+membership in gZ composes with the inverse, computed once per element,
+and counts the reduced rows: one row means an inclusion class.
 
 The entries are the internal nodes of the two maximal-partition trees, and
 a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
@@ -41,6 +41,7 @@ from .elements import (
     CanonicalElement,
     Row,
     SimTable,
+    _as_row,
     _compose_rows,
     _reduce_rows,
     _trusted_table,
@@ -52,7 +53,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, is_complete_code, is_prefix
+from .words import Word, _overlap, is_complete_code, is_prefix
 
 
 @dataclass(frozen=True)
@@ -80,39 +81,40 @@ class EmbeddingClass:
         return f"<class {format_element(self)}>"
 
 
-def _twist(table: SimTable, s: int) -> SimTable:
-    """Right-compose with the global similarity of germ s.
-
-    Sources are pulled back through s, germs pick up the restriction of s
-    on the pulled-back ball.  Twisting preserves reducedness: s permutes
-    sibling families, so a mergeable family in the twist would pull back to
-    a mergeable family in the original.
+def _twisted_rows(group: SelfSimilarGroup, rows: tuple[Row, ...], s: int) -> tuple[tuple[Word, Word, int], ...]:
+    """The rows right-composed with the global similarity of germ s, as
+    plain tuples sorted by source.  One walk of s^-1 through a source v
+    pulls it back and leaves the restriction r of s^-1 at v; as s s^-1 = 1,
+    the germ picks up r^-1.  Twisting keeps a reduced table reduced and its
+    row count unchanged: s permutes sibling families, so a mergeable family
+    in the twist would pull back to a mergeable family in the original.
     """
-    group = table.group
-    si = group.inv[s]
-    rows = []
-    for v, w, g in table.rows:
-        v2, _ = group.act_word(si, v)
-        rows.append(Row(v2, w, group.mul[g][group.restrict_word(s, v2)]))
-    return _trusted_table(group, tuple(sorted(rows)))
+    si, inv, mul = group.inv[s], group.inv, group.mul
+    out = []
+    for v, w, g in rows:
+        v2, rest = group.act_word(si, v)
+        out.append((v2, w, mul[g][inv[rest]]))
+    out.sort()
+    return tuple(out)
 
 
 def _eclass(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> EmbeddingClass:
     """The class of the embedding with these reduced rows, sorted by source:
-    the least of its right twists."""
-    table = _trusted_table(group, rows)
+    the least of its right twists, compared as row tuples.  The identity
+    twist is the rows themselves; only the least is made a table."""
     if group.size > 1:
-        table = min((_twist(table, s) for s in range(group.size)), key=lambda t: t.rows)
-    return EmbeddingClass(table)
+        least = min(rows, *(_twisted_rows(group, rows, s) for s in range(1, group.size)))
+        rows = tuple(map(_as_row, least))
+    return EmbeddingClass(_trusted_table(group, rows))
 
 
 def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     """The class of an embedding defined on the ball at `ball`.
 
-    The sources of f must partition that ball; its targets are not checked.
-    The class is represented on the whole space by precomposing with the
-    canonical similarity onto the ball (strip the ball address off every
-    source), then reduced and twist minimized.
+    The sources of f must partition that ball and its targets must be
+    pairwise disjoint.  The class is represented on the whole space by
+    precomposing with the canonical similarity onto the ball (strip the
+    ball address off every source), then reduced and twist minimized.
     """
     group = f.group
     ball = group.alphabet.check_word(ball)
@@ -124,6 +126,9 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in f.rows]
     if not is_complete_code([r.source for r in stripped], group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {ball}")
+    clash = _overlap(tuple(sorted(f.targets())))
+    if clash is not None:
+        raise InvalidClassError(f"targets {clash[0]} and {clash[1]} overlap")
     return _eclass(group, _reduce_rows(group, stripped))
 
 
@@ -154,8 +159,12 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
-    """Whether the class belongs to the g-translate of the inclusion family."""
-    return z_member(act_on_eclass(g._inverse, e))
+    """Whether the class belongs to the g-translate of the inclusion family:
+    whether the inverse composed with it reduces to one row.  That count
+    needs no twist minimization, as a twist keeps the reduced row count."""
+    if g.group != e.group:
+        raise IncompatibleElementsError("element and class over different structures")
+    return len(_reduce_rows(g.group, _compose_rows(g.group, g._inverse.rows, e.rows))) == 1
 
 
 class SignedSupport:
@@ -205,15 +214,16 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
 
     +1 entries: for each ball B properly containing a maximal ball of g,
     the class of g restricted to B (these lie in gZ but not Z), read off
-    the rows of g under B.  -1 entries: for each ball B properly
-    containing a maximal ball of the inverse, the inclusion class of B (in
-    Z but not gZ).  Every entry is cross-checked against the membership
-    tests before it is emitted.
+    the rows of g under B and twist minimized.  -1 entries: for each ball
+    B properly containing a maximal ball of the inverse, the inclusion
+    class of B (in Z but not gZ); B comes from a checked code, so the
+    class is built without checking it again.  Every entry is
+    cross-checked against the membership tests before it is emitted.
     """
     group = g.group
     out: dict[EmbeddingClass, int] = {}
     for b in max_partition(g._inverse).proper_prefixes():
-        e = incl_class(group, b)
+        e = EmbeddingClass(_trusted_table(group, (Row((), b, 0),)))
         if not z_member(e) or gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1

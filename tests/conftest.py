@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from localsim import parse_element, symmetric_group, trivial_group
+from localsim import SelfSimilarGroup, parse_element, symmetric_group, trivial_group
 from localsim.cli import _resolve_input, parse_gens_file
 
 
@@ -46,6 +46,30 @@ def s2():
 @pytest.fixture(scope="session")
 def s3():
     return symmetric_group(3)
+
+
+@pytest.fixture(scope="session")
+def klein(t2):
+    """The Klein four-group 1, a, b, ab over two letters: a swaps the first
+    letter, b fixes it, and b and ab restrict to a, so restrictions vary."""
+    return SelfSimilarGroup(
+        t2.alphabet,
+        [[i ^ j for j in range(4)] for i in range(4)],
+        (0, 1, 2, 3),
+        ((0, 1), (1, 0), (0, 1), (1, 0)),
+        ((0, 0), (0, 0), (1, 1), (1, 1)),
+        name="klein",
+    )
+
+
+@pytest.fixture(scope="session")
+def s3_conjugated(s3):
+    """symmetric(3) with each restriction conjugated by the transposition
+    of the first two letters: restrictions vary and do not commute, and
+    the 3-cycles are not their own inverses."""
+    c = s3.act.index((1, 0, 2))
+    res = [(s3.mul[s3.mul[c][i]][c],) * 3 for i in range(s3.size)]
+    return SelfSimilarGroup(s3.alphabet, s3.mul, s3.inv, s3.act, res, name="symmetric(3) conjugated")
 
 
 # the four structures every randomized suite cycles through

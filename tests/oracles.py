@@ -27,6 +27,7 @@ from localsim import (
     z_member,
     zipper_length,
 )
+from localsim.elements import _compose_rows, _reduce_rows
 from localsim.structure import SelfSimilarGroup
 from localsim.words import Alphabet, Point, Word
 
@@ -208,6 +209,13 @@ def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
         if p:
             pending.add(p[:-1])
     return tuple(sorted(Row(s, t, g) for s, (t, g) in table.items()))
+
+
+def slow_eclass(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
+    """The least right twist of a class's reduced rows, each twist found by
+    composing the rows with the global similarity of its germ and reducing
+    the result."""
+    return min(_reduce_rows(group, _compose_rows(group, rows, (Row((), (), s),))) for s in range(group.size))
 
 
 def slow_associativity_witnesses(mul) -> tuple[tuple[int, int, int], ...]:

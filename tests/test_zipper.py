@@ -32,11 +32,20 @@ from localsim import (
     z_member,
     zipper_length,
 )
-from oracles import brute_force_symdiff, complement_cover, slow_audit_counts
+from localsim.elements import _compose_rows, _reduce_rows
+from oracles import brute_force_symdiff, complement_cover, slow_audit_counts, slow_eclass
 
 
 def embed(group, rows):
     return SimTable(group, tuple(Row(s, t, g) for s, t, g in rows))
+
+
+def random_class_rows(group, rng):
+    """A random element h and the reduced rows of a class in hZ: h composed
+    with a twisted inclusion of a ball of depth <= 2."""
+    h = random_element(group, rng, max_depth=3)
+    ball = tuple(rng.randrange(group.alphabet.size) for _ in range(rng.randrange(3)))
+    return h, _reduce_rows(group, _compose_rows(group, h.rows, (Row((), ball, rng.randrange(group.size)),)))
 
 
 def element_containing(e):
@@ -97,6 +106,22 @@ class TestCanonicalClasses:
         with pytest.raises(InvalidClassError):
             canonical_eclass(embed(t2, [((0, 0), (0,), 0)]), (0,))
 
+    def test_targets_must_not_repeat(self, t2):
+        with pytest.raises(InvalidClassError, match=r"targets \(0,\) and \(0,\) overlap"):
+            canonical_eclass(embed(t2, [((0,), (0,), 0), ((1,), (0,), 0)]), ())
+
+    def test_targets_must_not_nest(self, t2):
+        with pytest.raises(InvalidClassError, match=r"targets \(0,\) and \(0, 1\) overlap"):
+            canonical_eclass(embed(t2, [((0,), (0,), 0), ((1,), (0, 1), 0)]), ())
+
+    def test_twist_minimization_matches_composition(self, t2, s2, s3, klein, s3_conjugated):
+        # each twist derived by really composing with the global similarity
+        rng = random.Random(131)
+        for group in (t2, s2, s3, klein, s3_conjugated):
+            for _ in range(40):
+                _, rows = random_class_rows(group, rng)
+                assert zipper._eclass(group, rows).rows == slow_eclass(group, rows)
+
 
 class TestMembership:
     def test_x0_restriction_not_in_z(self, x0):
@@ -123,6 +148,16 @@ class TestMembership:
                 e = incl_class(group, b)
                 assert act_on_eclass(g1, act_on_eclass(g2, e)) == act_on_eclass(compose(g1, g2), e)
                 assert act_on_eclass(invert(g1), act_on_eclass(g1, e)) == e
+
+    def test_row_count_matches_translate(self, t2, s2, s3, klein, s3_conjugated):
+        rng = random.Random(137)
+        for group in (t2, s2, s3, klein, s3_conjugated):
+            for _ in range(40):
+                h, rows = random_class_rows(group, rng)
+                e = zipper._eclass(group, rows)
+                assert gz_member(h, e)
+                for g in (h, random_element(group, rng, max_depth=3)):
+                    assert gz_member(g, e) == z_member(act_on_eclass(invert(g), e))
 
     def test_act_on_inclusion_is_restriction(self, x0):
         e = act_on_eclass(x0, incl_class(x0.group, (0,)))
@@ -159,6 +194,13 @@ class TestSymdiff:
             words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
             g = parse_element(";".join(f"{s}->{t}" for s, t in zip(words, words[1:] + words[:1])), t2)
             assert symdiff(g).as_dict() == brute_force_symdiff(g)
+
+    def test_varying_restrictions_match_membership_oracle(self, klein, s3_conjugated):
+        rng = random.Random(139)
+        for group in (klein, s3_conjugated):
+            for _ in range(15):
+                g = random_element(group, rng, max_depth=3)
+                assert symdiff(g).as_dict() == brute_force_symdiff(g)
 
     def test_random_elements_match_membership_oracle(self, t2, s2, t3):
         hypothesis = pytest.importorskip("hypothesis")
