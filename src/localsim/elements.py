@@ -7,6 +7,8 @@ bijection, describes a homeomorphism of the boundary: a group element.
 `reduce` and `parse_element` accept no other table.  Embeddings of the
 whole space into itself appear only as the points the group acts on, the
 embedding classes of `zipper`, which reduce their rows with the same pass.
+An element or a class is its group and its reduced rows; `SimTable` is
+only the checked input form that `reduce` and `canonical_eclass` take.
 
 Two moves generate everything here.  Expansion replaces a row by its d
 children (one letter deeper, targets pushed through the germ's action,
@@ -30,11 +32,12 @@ source, as plain tuples, and only the reduced rows become `Row`s.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CompositionDomainError,
@@ -55,13 +58,18 @@ class Row(NamedTuple):
     germ: int
 
 
+_source = itemgetter(0)
+
+
 @dataclass(frozen=True)
 class SimTable:
-    """An immutable table of rows, sorted by source word.
+    """The checked input form of a table: rows sorted by source word.
 
     Construction checks letters and germs only, so that an unreduced or
-    broken table can be built and diagnosed by `validate_table`; `reduce`
-    turns it into an element once both columns are complete codes.
+    broken table can be built and diagnosed by `validate_table`, expanded
+    by `expand_at`, turned into an element by `reduce` once both columns
+    are complete codes, or into an embedding class by `canonical_eclass`.
+    Elements and classes keep only the group and the reduced rows.
     """
 
     group: SelfSimilarGroup
@@ -76,22 +84,27 @@ class SimTable:
             if not _is_int(r.germ) or not 0 <= r.germ < self.group.size:
                 raise MalformedStructureError(f"no germ {r.germ!r} in {self.group!r}")
             rows.append(Row(src, tgt, r.germ))
-        rows.sort(key=lambda r: r.source)
+        rows.sort(key=_source)
         object.__setattr__(self, "rows", tuple(rows))
 
-    def sources(self) -> tuple[Word, ...]:
-        return tuple(r.source for r in self.rows)
 
-    def targets(self) -> tuple[Word, ...]:
-        return tuple(r.target for r in self.rows)
-
-
-def _trusted_table(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> SimTable:
-    # internal fast path: rows already validated and sorted
-    t = object.__new__(SimTable)
-    object.__setattr__(t, "group", group)
-    object.__setattr__(t, "rows", rows)
-    return t
+def _column_violations(d: int, rows: Sequence[Row]) -> list[str]:
+    """The violations of rows sorted by source, whose letters and germs
+    are already checked; `validate_table` and `parse_element` share it."""
+    if not rows:
+        return ["empty-table"]
+    out: list[str] = []
+    srcs = tuple(map(_source, rows))
+    if _overlap(srcs) is not None:
+        out.append("domain-not-antichain")
+    elif not is_complete_code(srcs, d):
+        out.append("incomplete-domain")
+    tgts = tuple(sorted(r.target for r in rows))
+    if _overlap(tgts) is not None:
+        out.append("target-not-antichain")
+    elif not is_complete_code(tgts, d):
+        out.append("target-incomplete")
+    return out
 
 
 def validate_table(t: SimTable) -> list[str]:
@@ -100,27 +113,12 @@ def validate_table(t: SimTable) -> list[str]:
     A table is an element when both columns are complete antichains; the
     rows then pair the two codes one to one.
     """
-    out: list[str] = []
-    if not t.rows:
-        return ["empty-table"]
-    d = t.group.alphabet.size
-    srcs = t.sources()
-    if _overlap(srcs) is not None:
-        out.append("domain-not-antichain")
-    elif not is_complete_code(srcs, d):
-        out.append("incomplete-domain")
-    tgts = tuple(sorted(t.targets()))
-    if _overlap(tgts) is not None:
-        out.append("target-not-antichain")
-    elif not is_complete_code(tgts, d):
-        out.append("target-incomplete")
-    return out
+    return _column_violations(t.group.alphabet.size, t.rows)
 
 
 # -- the rewrite engine ------------------------------------------------------
 
 
-_source = itemgetter(0)
 # a Row from any 3-tuple, without the keyword handling of Row(...)
 _as_row = partial(tuple.__new__, Row)
 
@@ -217,22 +215,15 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
 
 @dataclass(frozen=True)
 class CanonicalElement:
-    """A group element: a table in reduced sorted form whose columns are
-    complete codes; equality here is equality of maps.
+    """A group element: its reduced rows, sorted by source, whose two
+    columns are complete codes; equality here is equality of maps.
 
     Build instances through reduce / compose / invert / identity /
-    parse_element rather than directly.
+    parse_element rather than directly: nothing here checks the rows.
     """
 
-    table: SimTable
-
-    @property
-    def group(self) -> SelfSimilarGroup:
-        return self.table.group
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        return self.table.rows
+    group: SelfSimilarGroup
+    rows: tuple[Row, ...]
 
     @cached_property
     def _inverse(self) -> "CanonicalElement":
@@ -244,7 +235,7 @@ class CanonicalElement:
     def _sources_depth(self) -> tuple[tuple[Word, ...], int]:
         # apply locates a point's row by one prefix as deep as the deepest
         # source, bisected among the sources
-        sources = self.table.sources()
+        sources = tuple(map(_source, self.rows))
         return sources, max(map(len, sources), default=0)
 
     def packed(self) -> bytes | tuple:
@@ -276,15 +267,15 @@ def reduce(t: SimTable) -> CanonicalElement:
     """
     violations = validate_table(t)
     if "domain-not-antichain" in violations:
-        u, v = map(t.group.alphabet.format_word, _overlap(t.sources()))
+        u, v = map(t.group.alphabet.format_word, _overlap(tuple(map(_source, t.rows))))
         raise InvalidCodeError(f"sources {u} and {v} overlap; not a prefix code")
     if violations:
         raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
-    return CanonicalElement(_trusted_table(t.group, _reduce_rows(t.group, t.rows)))
+    return CanonicalElement(t.group, _reduce_rows(t.group, t.rows))
 
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:
-    return CanonicalElement(_trusted_table(group, (Row((), (), 0),)))
+    return CanonicalElement(group, (Row((), (), 0),))
 
 
 def expand_at(t: SimTable, source: Word) -> SimTable:
@@ -304,13 +295,14 @@ def expand_at(t: SimTable, source: Word) -> SimTable:
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     """g after h.
 
-    The left operand's domain must contain every target of the right
-    operand; CompositionDomainError names a target that lies outside it.
+    The sources of g are a complete code, so they cover every target of h
+    and no CompositionDomainError can arise here; only `_compose_rows`,
+    given rows whose sources are not complete, raises it.
     """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
     rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, h.rows))
-    return CanonicalElement(_trusted_table(g.group, rows))
+    return CanonicalElement(g.group, rows)
 
 
 def invert(g: CanonicalElement) -> CanonicalElement:
@@ -321,7 +313,7 @@ def invert(g: CanonicalElement) -> CanonicalElement:
     """
     inv = g.group.inv
     rows = tuple(sorted(Row(t, s, inv[germ]) for s, t, germ in g.rows))
-    return CanonicalElement(_trusted_table(g.group, rows))
+    return CanonicalElement(g.group, rows)
 
 
 def apply(g: CanonicalElement, x: Point) -> Point:
@@ -353,11 +345,11 @@ def max_partition(g: CanonicalElement) -> PrefixCode:
 
     This is just the source code of the reduced table.
     """
-    return PrefixCode(g.group.alphabet, g.table.sources())
+    return PrefixCode(g.group.alphabet, tuple(map(_source, g.rows)))
 
 
 def _leaf_permutation(g: CanonicalElement) -> list[int]:
-    targets = g.table.targets()
+    targets = [r.target for r in g.rows]
     order = sorted(range(len(targets)), key=lambda i: targets[i])
     ranks = [0] * len(targets)
     for rank, i in enumerate(order):
@@ -386,6 +378,9 @@ def is_in_T(g: CanonicalElement) -> bool:
     return all(ranks[i] == (shift + i) % n for i in range(n))
 
 
+_MAX_CANDIDATES = 100_000
+
+
 def enumerate_gamma(
     group: SelfSimilarGroup, p_plus: PrefixCode, p_minus: PrefixCode
 ) -> tuple[CanonicalElement, ...]:
@@ -395,21 +390,25 @@ def enumerate_gamma(
     Works by trying every bijection between the codes and every germ
     labelling, keeping the tables in which reduction merges nothing.  Such
     a table is its own reduced form, so its inverse is the swapped table
-    with sources p_minus.  Finite because there are only n! * m^n
-    candidates.
+    with sources p_minus.  There are n! * m^n candidates for codes of n
+    balls and m germs; above _MAX_CANDIDATES (100,000) the call raises
+    UnsupportedStructureError, naming the count, before enumerating.
     """
     if not p_plus.is_complete() or not p_minus.is_complete():
         raise InvalidCodeError("both codes must be complete")
     if len(p_plus) != len(p_minus):
         return ()
     srcs = p_plus.words
+    candidates = math.factorial(len(srcs)) * group.size ** len(srcs)
+    if candidates > _MAX_CANDIDATES:
+        raise UnsupportedStructureError(f"enumeration is limited to {_MAX_CANDIDATES} candidates, got {candidates}")
     out = []
     for perm in itertools.permutations(p_minus.words):
         for germs in itertools.product(range(group.size), repeat=len(srcs)):
             # the codes are complete and sorted, so the rows need no checks
             rows = _reduce_rows(group, zip(srcs, perm, germs))
             if len(rows) == len(srcs):
-                out.append(CanonicalElement(_trusted_table(group, rows)))
+                out.append(CanonicalElement(group, rows))
     return tuple(sorted(out, key=lambda e: e.rows))
 
 
@@ -423,9 +422,10 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     structure in ASCII decimal digits; a missing germ means the identity
     germ.  Each distinct word text is parsed, and its letters validated,
     once by `Alphabet.parse_word`; sources and targets spelled alike share
-    one tuple.  The rows are not checked again: the table is built sorted
-    and handed to `validate_table`, which must find both columns complete
-    codes (InvalidCodeError lists what it found otherwise), then reduced.
+    one tuple.  The rows are not checked again: they are sorted and given
+    to the column check `validate_table` runs, which must find both columns
+    complete codes (InvalidCodeError lists what it found otherwise), then
+    reduced.
     """
     if text.strip() == "id":
         return identity(group)
@@ -463,12 +463,10 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
         rows.append(Row(src, tgt, germ))
     rows.sort(key=_source)
-    table = _trusted_table(group, tuple(rows))
-    violations = validate_table(table)
+    violations = _column_violations(alphabet.size, rows)
     if violations:
         raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
-    # validate_table has checked that the sources form a prefix code
-    return CanonicalElement(_trusted_table(group, _reduce_rows(group, table.rows)))
+    return CanonicalElement(group, _reduce_rows(group, rows))
 
 
 def format_element(g) -> str:
@@ -520,7 +518,7 @@ def random_element(
     # complete codes spelled with the alphabet's letters, so nothing needs
     # checking before the reduction
     rows = [(s, t, rng.randrange(group.size)) for s, t in zip(srcs, tgts)]
-    return CanonicalElement(_trusted_table(group, _reduce_rows(group, rows)))
+    return CanonicalElement(group, _reduce_rows(group, rows))
 
 
 def random_point(alphabet, rng, max_len: int = 4) -> Point:

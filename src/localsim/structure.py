@@ -127,13 +127,6 @@ class SelfSimilarGroup:
             state = res[state][a]
         return tuple(out), state
 
-    def restrict_word(self, elem: int, word: Word) -> int:
-        state = elem
-        res = self.res
-        for a in word:
-            state = res[state][a]
-        return state
-
     # -- axioms ------------------------------------------------------------
 
     def _passes_light_test(self) -> bool:
@@ -254,8 +247,19 @@ class SelfSimilarGroup:
         return out
 
 
+_MAX_LETTERS = 65_536
+
+
 def trivial_group(d: int) -> SelfSimilarGroup:
-    """The one-element structure over a d-letter alphabet."""
+    """The one-element structure over a d-letter alphabet.
+
+    Its tables grow with d, about 61 bytes a letter, so d is limited to
+    _MAX_LETTERS (65,536).
+    """
+    if d > _MAX_LETTERS:
+        raise UnsupportedStructureError(
+            f"trivial germs are limited to alphabets of at most {_MAX_LETTERS} letters, got {d}"
+        )
     return SelfSimilarGroup(Alphabet(d), ((0,),), (0,), (tuple(range(d)),), ((0,) * d,), name=f"trivial({d})")
 
 
@@ -354,8 +358,8 @@ def germ_apply(group: SelfSimilarGroup, elem: int, x: Point) -> Point:
     """
     if x.alphabet != group.alphabet:
         raise CompositionDomainError("point and germ live over different alphabets")
-    if not 0 <= elem < group.size:
-        raise MalformedStructureError(f"no element {elem} in {group!r}")
+    if not _is_int(elem) or not 0 <= elem < group.size:
+        raise MalformedStructureError(f"no element {elem!r} in {group!r}")
     out_pre, state = group.act_word(elem, x.preperiod)
     seen: dict[int, int] = {}
     chunks: list[Word] = []

@@ -44,7 +44,7 @@ from .elements import (
     _as_row,
     _compose_rows,
     _reduce_rows,
-    _trusted_table,
+    _source,
     compose,
     format_element,
     identity,
@@ -58,24 +58,18 @@ from .words import Word, _overlap, is_complete_code, is_prefix
 
 @dataclass(frozen=True)
 class EmbeddingClass:
-    """Canonical representative of an embedding class.
+    """Canonical representative of an embedding class: its reduced rows,
+    sorted by source.
 
-    The table's sources are a complete code and its targets pairwise
-    disjoint balls; it is reduced, and it is the lexicographically least
-    among its right twists by the global ball similarities.  Two
-    embeddings define the same class iff their canonical representatives
-    are equal.  This is the library's one representation of an embedding.
+    The sources are a complete code and the targets pairwise disjoint
+    balls; the rows are the lexicographically least among their right
+    twists by the global ball similarities.  Two embeddings define the
+    same class iff their canonical representatives are equal.  This is the
+    library's one representation of an embedding.
     """
 
-    table: SimTable
-
-    @property
-    def group(self) -> SelfSimilarGroup:
-        return self.table.group
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        return self.table.rows
+    group: SelfSimilarGroup
+    rows: tuple[Row, ...]
 
     def __repr__(self) -> str:
         return f"<class {format_element(self)}>"
@@ -101,11 +95,11 @@ def _twisted_rows(group: SelfSimilarGroup, rows: tuple[Row, ...], s: int) -> tup
 def _eclass(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> EmbeddingClass:
     """The class of the embedding with these reduced rows, sorted by source:
     the least of its right twists, compared as row tuples.  The identity
-    twist is the rows themselves; only the least is made a table."""
+    twist is the rows themselves; only the least is made into `Row`s."""
     if group.size > 1:
         least = min(rows, *(_twisted_rows(group, rows, s) for s in range(1, group.size)))
         rows = tuple(map(_as_row, least))
-    return EmbeddingClass(_trusted_table(group, rows))
+    return EmbeddingClass(group, rows)
 
 
 def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
@@ -126,7 +120,7 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in f.rows]
     if not is_complete_code([r.source for r in stripped], group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {ball}")
-    clash = _overlap(tuple(sorted(f.targets())))
+    clash = _overlap(tuple(sorted(r.target for r in f.rows)))
     if clash is not None:
         raise InvalidClassError(f"targets {clash[0]} and {clash[1]} overlap")
     return _eclass(group, _reduce_rows(group, stripped))
@@ -139,7 +133,7 @@ def incl_class(group: SelfSimilarGroup, ball: Word) -> EmbeddingClass:
     germ (any germ twists away, and the identity germ is least).
     """
     ball = group.alphabet.check_word(ball)
-    return EmbeddingClass(_trusted_table(group, (Row((), ball, 0),)))
+    return EmbeddingClass(group, (Row((), ball, 0),))
 
 
 def z_member(e: EmbeddingClass) -> bool:
@@ -148,14 +142,14 @@ def z_member(e: EmbeddingClass) -> bool:
     A class is an inclusion class iff its reduced representative is a
     single row, i.e. the embedding is one similarity onto a ball.
     """
-    return len(e.table.rows) == 1
+    return len(e.rows) == 1
 
 
 def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
     """Translate a class by post-composition with a group element."""
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.table.rows)))
+    return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.rows)))
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
@@ -179,7 +173,7 @@ class SignedSupport:
         self._map = dict(mapping)
 
     def items(self) -> list[tuple[EmbeddingClass, int]]:
-        return sorted(self._map.items(), key=lambda kv: kv[0].table.rows)
+        return sorted(self._map.items(), key=lambda kv: kv[0].rows)
 
     def as_dict(self) -> dict[EmbeddingClass, int]:
         return dict(self._map)
@@ -223,12 +217,12 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
     group = g.group
     out: dict[EmbeddingClass, int] = {}
     for b in max_partition(g._inverse).proper_prefixes():
-        e = EmbeddingClass(_trusted_table(group, (Row((), b, 0),)))
+        e = EmbeddingClass(group, (Row((), b, 0),))
         if not z_member(e) or gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
     rows = g.rows
-    sources = g.table.sources()
+    sources = tuple(map(_source, rows))
     past = (group.alphabet.size,)
     for b in max_partition(g).proper_prefixes():
         # the rows under b are contiguous: from b up to b followed by a letter past the alphabet
@@ -448,7 +442,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         rows = [Row((0,), (0,), 0)]
         n = len(leaves)
         rows.extend(Row(leaves[i], leaves[(i + 1) % n], 0) for i in range(n))
-        g = CanonicalElement(_trusted_table(group, _reduce_rows(group, rows)))
+        g = CanonicalElement(group, _reduce_rows(group, rows))
         witnesses.append(g)
         depth += 1
     if len({w.packed() for w in witnesses}) != len(witnesses):
@@ -461,6 +455,6 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     # embedding extended to a bijection by sending ball 0 onto the balls its
     # image leaves uncovered, 0 and 110 (the table is already reduced)
     rows = (Row((0, 0), (0,), 0), Row((0, 1), (1, 1, 0), 0)) + f2.rows
-    covering = CanonicalElement(_trusted_table(group, rows))
+    covering = CanonicalElement(group, rows)
     ok = all(first_in) and not any(second_in) and gz_member(covering, second)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)

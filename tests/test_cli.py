@@ -104,6 +104,13 @@ class TestStructureSelection:
         assert code == 1
         assert "at most 6 letters" in err
 
+    def test_trivial_size_limit(self, capsys):
+        code, out, _ = run(capsys, "--alphabet", "65536", "canon", "id")
+        assert (code, out) == (0, "e->e\n")
+        code, _, err = run(capsys, "--alphabet", "65537", "canon", "id")
+        assert code == 1
+        assert err == "error: trivial germs are limited to alphabets of at most 65536 letters, got 65537\n"
+
     def test_invalid_structure_blocks_computation(self, capsys, tmp_path):
         bad = _resolve_input("sigma2.aut").replace("res 1 0 1", "res 1 0 0")
         path = tmp_path / "bad.aut"

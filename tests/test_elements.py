@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -73,7 +74,7 @@ class TestValidateTable:
 
 class TestExpandReduce:
     def test_expand_identity(self, t2):
-        t = expand_at(identity(t2).table, ())
+        t = expand_at(SimTable(t2, identity(t2).rows), ())
         assert t.rows == (Row((0,), (0,), 0), Row((1,), (1,), 0))
 
     def test_expand_pushes_germ(self, s2):
@@ -83,7 +84,7 @@ class TestExpandReduce:
 
     def test_expand_missing_row(self, t2):
         with pytest.raises(NoSuchRowError):
-            expand_at(identity(t2).table, (0, 1))
+            expand_at(SimTable(t2, identity(t2).rows), (0, 1))
 
     def test_reduce_recognizes_identity(self, t2):
         t = SimTable(t2, (Row((0,), (0,), 0), Row((1,), (1,), 0)))
@@ -123,7 +124,7 @@ class TestExpandReduce:
         for group in configurations:
             for _ in range(60):
                 g = random_element(group, rng, max_depth=4)
-                t = g.table
+                t = SimTable(group, g.rows)
                 for _ in range(rng.randrange(1, 6)):
                     source = rng.choice([r.source for r in t.rows])
                     t = expand_at(t, source)
@@ -140,13 +141,13 @@ def random_table(group, rng, shape: str, splits: int) -> SimTable:
     g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
     a = (rng.randrange(group.alphabet.size),)
     if shape == "element":
-        t = g.table
+        t = SimTable(group, g.rows)
     elif shape == "embedding":
         t = SimTable(group, tuple(Row(s, a + w, z) for s, w, z in g.rows))
     else:
         t = SimTable(group, tuple(Row(a + s, w, z) for s, w, z in g.rows))
     for _ in range(splits):
-        t = expand_at(t, rng.choice(t.sources()))
+        t = expand_at(t, rng.choice([r.source for r in t.rows]))
     return t
 
 
@@ -228,7 +229,7 @@ class TestComposeInvert:
 
     def test_cached_inverse_leaves_equality_alone(self, t2):
         g = random_element(t2, random.Random(5), max_depth=4)
-        same = CanonicalElement(g.table)
+        same = CanonicalElement(g.group, g.rows)
         assert g._inverse == invert(g) and compose(g, g._inverse) == identity(t2)
         assert g == same and hash(g) == hash(same)
 
@@ -254,7 +255,7 @@ class TestApply:
     def test_point_outside_embedding_domain(self, t2):
         # the domain is the ball at 01, so the points on either side of it miss;
         # no literal or operation yields such a map, so it is built directly
-        g = CanonicalElement(SimTable(t2, (Row((0, 1), (), 0),)))
+        g = CanonicalElement(t2, (Row((0, 1), (), 0),))
         a = t2.alphabet
         assert apply(g, a.parse_point("011(0)")) == a.parse_point("10(0)")
         for text in ("00(1)", "(0)", "1(0)", "(1)"):
@@ -358,6 +359,15 @@ class TestEnumerateGamma:
                 assert max_partition(g).words == plus.words
                 assert max_partition(invert(g)).words == minus.words
 
+    def test_candidate_limit(self, klein):
+        # 5! * 4^5 = 122,880 candidates, just over the limit of 100,000;
+        # enumerating them would take seconds
+        code = PrefixCode(klein.alphabet, ((0, 0), (0, 1), (1, 0), (1, 1, 0), (1, 1, 1)))
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedStructureError, match="100000 candidates, got 122880$"):
+            enumerate_gamma(klein, code, code)
+        assert time.perf_counter() - start < 1
+
     def test_matches_brute_force_small(self, t2, s2):
         for group in (t2, s2):
             alphabet = group.alphabet
@@ -446,8 +456,18 @@ class TestLiterals:
         assert format_element(g) == "e->e:1"
 
     def test_incomplete_rejected(self, t2):
-        with pytest.raises(InvalidCodeError, match="incomplete-domain"):
-            parse_element("0->0", t2)
+        # one literal per violation kind, and two that break both columns
+        for text, issues in (
+            ("0->0", "incomplete-domain, target-incomplete"),
+            ("0->0;01->10;1->11", "domain-not-antichain"),
+            ("0->0;10->1", "incomplete-domain"),
+            ("0->0;1->0", "target-not-antichain"),
+            ("0->00;1->1", "target-incomplete"),
+            ("0->0;0->1;1->1", "domain-not-antichain, target-not-antichain"),
+        ):
+            with pytest.raises(InvalidCodeError) as err:
+                parse_element(text, t2)
+            assert str(err.value) == f"invalid table: {issues}", text
 
     def test_missing_arrow_located(self, t2):
         with pytest.raises(LiteralParseError) as err:

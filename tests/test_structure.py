@@ -157,16 +157,18 @@ class TestGermAction:
         x = s2.alphabet.parse_point("01(10)")
         with pytest.raises(CompositionDomainError):
             germ_apply(t3, 0, x)
-        with pytest.raises(MalformedStructureError):
-            germ_apply(s2, 2, x)
+        # a germ is a non-bool int, as in tables and structures
+        for elem in (2, 1.0, "1", True):
+            with pytest.raises(MalformedStructureError, match="no element"):
+                germ_apply(s2, elem, x)
 
     def test_restrict_identity_and_empty(self, s3):
         for sigma in range(s3.size):
-            assert s3.restrict_word(0, (0, 1)) == 0
-            assert s3.restrict_word(sigma, ()) == sigma
+            assert s3.act_word(0, (0, 1))[1] == 0
+            assert s3.act_word(sigma, ()) == ((), sigma)
 
     def test_letterwise_structure_restricts_to_itself(self, s2):
-        assert s2.restrict_word(1, (0,)) == 1
+        assert s2.act_word(1, (0,))[1] == 1
 
     def test_apply_respects_composition(self, s3):
         rng = random.Random(23)
@@ -184,9 +186,9 @@ class TestGermAction:
         for _ in range(400):
             i, j = rng.randrange(s3.size), rng.randrange(s3.size)
             v = tuple(rng.randrange(3) for _ in range(rng.randrange(7)))
-            lhs = s3.restrict_word(s3.mul[i][j], v)
-            path, _ = s3.act_word(j, v)
-            rhs = s3.mul[s3.restrict_word(i, path)][s3.restrict_word(j, v)]
+            _, lhs = s3.act_word(s3.mul[i][j], v)
+            path, rest_j = s3.act_word(j, v)
+            rhs = s3.mul[s3.act_word(i, path)[1]][rest_j]
             assert lhs == rhs
 
     def test_inverse_restriction_identity(self, s3):
