@@ -194,7 +194,7 @@ def _cmd_zipper_length(args, group, emit) -> int:
 
 def _cmd_symdiff(args, group, emit) -> int:
     diff = symdiff(parse_element(args.element, group))
-    for e, sign in diff.items():
+    for e, sign in sorted(diff.items(), key=lambda es: es[0].rows):
         lit = format_element(e)
         emit.record({"cmd": "symdiff", "sign": sign, "class": lit}, f"{sign:+d} {lit}")
     emit.record({"cmd": "symdiff-total", "length": len(diff)}, f"length {len(diff)}")

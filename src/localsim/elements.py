@@ -394,6 +394,8 @@ def enumerate_gamma(
     balls and m germs; above _MAX_CANDIDATES (100,000) the call raises
     UnsupportedStructureError, naming the count, before enumerating.
     """
+    if p_plus.alphabet != group.alphabet or p_minus.alphabet != group.alphabet:
+        raise IncompatibleElementsError("codes and structure live over different alphabets")
     if not p_plus.is_complete() or not p_minus.is_complete():
         raise InvalidCodeError("both codes must be complete")
     if len(p_plus) != len(p_minus):

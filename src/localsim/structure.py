@@ -166,17 +166,18 @@ class SelfSimilarGroup:
                     return False
         return True
 
-    def validate(self, faithfulness_depth: int = 8) -> list[Violation]:
+    def validate(self) -> list[Violation]:
         """Check every axiom exhaustively; one Violation per broken axiom.
 
         Checked: the group table axioms (identity row/column, two-sided
         inverses, associativity), the identity element acting trivially,
         the transducer laws for action and restriction of products, and
-        depth-bounded faithfulness (distinct elements must act differently
-        on some word of length <= faithfulness_depth).  Associativity is
-        proved by Light's test on a few generators where it can be; only
-        otherwise are all m^3 triples scanned, so a violation still lists
-        every failing triple.
+        faithfulness (distinct elements must act differently on some word).
+        Faithfulness refines a partition of the elements until it is
+        stable, at most m rounds of O(m*d) work, so no word length is
+        assumed.  Associativity is proved by Light's test on a few
+        generators where it can be; only otherwise are all m^3 triples
+        scanned, so a violation still lists every failing triple.
         """
         m, d = self.size, self.alphabet.size
         mul, inv, act, res = self.mul, self.inv, self.act, self.res
@@ -229,9 +230,10 @@ class SelfSimilarGroup:
         )
 
         # faithfulness by partition refinement: after t rounds two elements
-        # share a class iff they act identically on all words of length <= t
+        # share a class iff they act identically on all words of length <= t;
+        # a round that splits no class leaves every later round unchanged
         cls = [0] * m
-        for _ in range(max(0, faithfulness_depth)):
+        while True:
             keys: dict[tuple, int] = {}
             new = []
             for i in range(m):

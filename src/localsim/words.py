@@ -213,8 +213,10 @@ def _trusted_point(alphabet: Alphabet, preperiod: Word, period: Word) -> Point:
 def is_complete_code(words: Collection[Word], d: int) -> bool:
     """True iff the balls of an antichain partition the whole space.
 
-    An antichain is complete exactly when the ball measures sum to 1;
-    with integers: sum of d^(D-|w|) over the code equals d^D.
+    The words must be an antichain, and the caller checks that first:
+    nested words can sum to 1 as well, as 0, 00, 01 do over two letters.
+    An antichain is complete exactly when the ball measures sum to 1; with
+    integers: sum of d^(D-|w|) over the code equals d^D.
     """
     if not words:
         return False

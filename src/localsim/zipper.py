@@ -25,9 +25,9 @@ and counts the reduced rows: one row means an inclusion class.
 The entries are the internal nodes of the two maximal-partition trees, and
 a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
 so `zipper_length` is the closed form 2(n-1)/(d-1); the test suite checks
-it against the size of `symdiff`.  `SignedSupport.translate` is the one
-translation of a support, used by the cocycle identity and by the
-separating walls.
+it against the size of `symdiff`.  A signed support is a plain dict from
+classes to +-1; `_translate` is the one translation of a support, used by
+the cocycle identity and by the separating walls.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .elements import (
     CanonicalElement,
@@ -118,7 +118,11 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
         if not is_prefix(ball, r.source):
             raise InvalidClassError(f"source {r.source} is outside the ball {ball}")
     stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in f.rows]
-    if not is_complete_code([r.source for r in stripped], group.alphabet.size):
+    sources = tuple(sorted(r.source for r in stripped))
+    clash = _overlap(sources)
+    if clash is not None:
+        raise InvalidClassError(f"sources {ball + clash[0]} and {ball + clash[1]} overlap")
+    if not is_complete_code(sources, group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {ball}")
     clash = _overlap(tuple(sorted(r.target for r in f.rows)))
     if clash is not None:
@@ -161,50 +165,21 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     return len(_reduce_rows(g.group, _compose_rows(g.group, g._inverse.rows, e.rows))) == 1
 
 
-class SignedSupport:
-    """A finitely supported function on embedding classes with values +-1."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping: dict[EmbeddingClass, int]):
-        for v in mapping.values():
-            if v not in (-1, 1):
-                raise ValueError(f"entries must be +1 or -1, got {v}")
-        self._map = dict(mapping)
-
-    def items(self) -> list[tuple[EmbeddingClass, int]]:
-        return sorted(self._map.items(), key=lambda kv: kv[0].rows)
-
-    def as_dict(self) -> dict[EmbeddingClass, int]:
-        return dict(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __iter__(self) -> Iterator[tuple[EmbeddingClass, int]]:
-        return iter(self.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedSupport):
-            return NotImplemented
-        return self._map == other._map
-
-    def __repr__(self) -> str:
-        pos = sum(1 for v in self._map.values() if v > 0)
-        return f"<SignedSupport +{pos}/-{len(self._map) - pos}>"
-
-    def translate(self, g: CanonicalElement) -> "SignedSupport":
-        out: dict[EmbeddingClass, int] = {}
-        for e, v in self._map.items():
-            te = act_on_eclass(g, e)
-            if te in out:
-                raise InvalidClassError("translation must stay injective on the support")
-            out[te] = v
-        return SignedSupport(out)
+def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:
+    """The g-translate of a signed support: each class moved by g, its
+    value kept.  Translation must stay injective on the support."""
+    out: dict[EmbeddingClass, int] = {}
+    for e, v in support.items():
+        te = act_on_eclass(g, e)
+        if te in out:
+            raise InvalidClassError("translation must stay injective on the support")
+        out[te] = v
+    return out
 
 
-def symdiff(g: CanonicalElement) -> SignedSupport:
-    """The difference of the translated and plain inclusion families.
+def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
+    """The difference of the translated and plain inclusion families, as a
+    map from each class in it to its sign.
 
     +1 entries: for each ball B properly containing a maximal ball of g,
     the class of g restricted to B (these lie in gZ but not Z), read off
@@ -212,7 +187,9 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
     B properly containing a maximal ball of the inverse, the inclusion
     class of B (in Z but not gZ); B comes from a checked code, so the
     class is built without checking it again.  Every entry is
-    cross-checked against the membership tests before it is emitted.
+    cross-checked against the membership tests before it is emitted.  The
+    map's iteration order is not part of the contract; sort by the classes'
+    rows where order matters.
     """
     group = g.group
     out: dict[EmbeddingClass, int] = {}
@@ -235,7 +212,7 @@ def symdiff(g: CanonicalElement) -> SignedSupport:
         if e in out:
             raise InvalidClassError("the two sides of the difference must be disjoint")
         out[e] = 1
-    return SignedSupport(out)
+    return out
 
 
 def zipper_length(g: CanonicalElement) -> int:
@@ -253,15 +230,14 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
 
     The identity predicts the value at g1*g2 as the g1-translate of the
     value at g2 plus the value at g1.  All three sides are finitely
-    supported, so comparing them over the union of supports is exact.
+    supported, so comparing them over the union of supports is exact; a
+    prediction of 0 and a missing entry compare equal.
     """
-    lhs = symdiff(compose(g1, g2)).as_dict()
-    pred = symdiff(g1).as_dict()
-    for e, v in symdiff(g2).translate(g1).as_dict().items():
+    lhs = symdiff(compose(g1, g2))
+    pred = symdiff(g1)
+    for e, v in _translate(symdiff(g2), g1).items():
         pred[e] = pred.get(e, 0) + v
-    pred = {e: v for e, v in pred.items() if v}
-    keys = set(lhs) | set(pred)
-    return sum(1 for e in keys if lhs.get(e, 0) != pred.get(e, 0))
+    return sum(1 for e in lhs.keys() | pred.keys() if lhs.get(e, 0) != pred.get(e, 0))
 
 
 # -- walls --------------------------------------------------------------------
@@ -284,8 +260,8 @@ def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[E
     g2Z only, and a -1 entry lies in Z only, so its translate lies in g1Z
     only.
     """
-    walls = symdiff(compose(invert(g1), g2)).translate(g1)
-    return [(e, -v) for e, v in walls.items()]
+    walls = _translate(symdiff(compose(invert(g1), g2)), g1)
+    return sorted(((e, -v) for e, v in walls.items()), key=lambda ev: ev[0].rows)
 
 
 # -- the Cayley-ball audit ------------------------------------------------------
@@ -330,29 +306,19 @@ def properness_audit(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     start = identity(group)
-    gens: list[CanonicalElement] = []
-    # the position in gens of each generator's inverse; the symmetrized set
-    # holds every inverse, because generators enter it with theirs
-    inverse_at: list[int] = []
-    # the identity is seen from the start, so it never becomes a generator
-    seen_gen = {start.packed()}
+    # the symmetrized generators in first-seen order, each mapped to its
+    # inverse; the identity is left out, as the start is visited already
+    inverses: dict[CanonicalElement, CanonicalElement] = {}
     for g in generators:
         if g.group != group:
             raise IncompatibleElementsError("generator over a different structure")
-        h = invert(g)
-        k = g.packed()
-        if k in seen_gen:
-            continue
-        k_inv = h.packed()
-        i = len(gens)
-        seen_gen.add(k)
-        gens.append(g)
-        if k_inv == k:
-            inverse_at.append(i)
-        else:
-            seen_gen.add(k_inv)
-            gens.append(h)
-            inverse_at += (i + 1, i)
+        if g != start and g not in inverses:
+            h = invert(g)
+            inverses[g] = h
+            inverses[h] = g
+    gens = list(inverses)
+    position = {g: i for i, g in enumerate(gens)}
+    inverse_at = [position[inverses[g]] for g in gens]
 
     visited = {start.packed()}
     # the generator that reached each frontier element, in a parallel list of
@@ -445,7 +411,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         g = CanonicalElement(group, _reduce_rows(group, rows))
         witnesses.append(g)
         depth += 1
-    if len({w.packed() for w in witnesses}) != len(witnesses):
+    if len(set(witnesses)) != len(witnesses):
         raise InvalidClassError("the witnesses must be distinct elements")
 
     first_in = tuple(gz_member(g, first) for g in witnesses)

@@ -350,6 +350,14 @@ class TestEnumerateGamma:
         with pytest.raises(InvalidCodeError):
             enumerate_gamma(t2, PrefixCode(t2.alphabet, ((0,),)), PrefixCode(t2.alphabet, ((0,),)))
 
+    def test_foreign_alphabet_rejected(self, t2, t3):
+        # binary codes over a ternary structure would give tables that miss letter 2
+        c2 = PrefixCode(t2.alphabet, ((0,), (1,)))
+        c3 = PrefixCode(t3.alphabet, ((0,), (1,), (2,)))
+        for group, plus, minus in ((t3, c2, c2), (t2, c3, c3), (t3, c3, PrefixCode(t2.alphabet, ((),)))):
+            with pytest.raises(IncompatibleElementsError):
+                enumerate_gamma(group, plus, minus)
+
     def test_members_have_prescribed_partitions(self, t2, s2):
         for group in (t2, s2):
             alphabet = group.alphabet

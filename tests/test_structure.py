@@ -89,6 +89,19 @@ class TestValidate:
         )
         assert "faithfulness" in {v.axiom for v in group.validate()}
 
+    def test_faithful_beyond_depth_eight(self):
+        # (Z/2)^9: bit k of v swaps the letter at depth k, so element 256
+        # first moves a word at its ninth letter
+        m = 512
+        group = SelfSimilarGroup(
+            trivial_group(2).alphabet,
+            [[i ^ j for j in range(m)] for i in range(m)],
+            list(range(m)),
+            [(1, 0) if v & 1 else (0, 1) for v in range(m)],
+            [(v >> 1, v >> 1) for v in range(m)],
+        )
+        assert group.validate() == []
+
     def test_shape_errors(self, s2):
         with pytest.raises(MalformedStructureError):
             SelfSimilarGroup(s2.alphabet, s2.mul, s2.inv[:1], s2.act, s2.res)
