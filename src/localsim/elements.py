@@ -49,7 +49,17 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .structure import SelfSimilarGroup, germ_apply
-from .words import Point, PrefixCode, Word, _canonical, _is_int, _overlap, _trusted_point, is_complete_code
+from .words import (
+    Point,
+    PrefixCode,
+    Word,
+    _canonical,
+    _is_int,
+    _overlap,
+    _trusted_code,
+    _trusted_point,
+    is_complete_code,
+)
 
 
 class Row(NamedTuple):
@@ -233,8 +243,9 @@ class CanonicalElement:
 
     @cached_property
     def _sources_depth(self) -> tuple[tuple[Word, ...], int]:
-        # apply locates a point's row by one prefix as deep as the deepest
-        # source, bisected among the sources
+        # the sorted sources, which max_partition hands out and symdiff and
+        # gz_member bisect; apply locates a point's row by one prefix as deep
+        # as the deepest source, bisected among them
         sources = tuple(map(_source, self.rows))
         return sources, max(map(len, sources), default=0)
 
@@ -343,9 +354,12 @@ def apply(g: CanonicalElement, x: Point) -> Point:
 def max_partition(g: CanonicalElement) -> PrefixCode:
     """The coarsest ball partition on which g acts by single similarities.
 
-    This is just the source code of the reduced table.
+    This is just the source code of the reduced table.  Its sources are
+    checked, sorted and an antichain already, so the code is the element's
+    cached source tuple, with no letter checked, sorted or compared again:
+    the first call costs one pass over the rows, later calls nothing.
     """
-    return PrefixCode(g.group.alphabet, tuple(map(_source, g.rows)))
+    return _trusted_code(g.group.alphabet, g._sources_depth[0])
 
 
 def _leaf_permutation(g: CanonicalElement) -> list[int]:

@@ -256,6 +256,34 @@ class PrefixCode:
         return is_complete_code(self.words, self.alphabet.size)
 
     def proper_prefixes(self) -> tuple[Word, ...]:
-        """All balls properly containing some ball of the code, sorted."""
-        seen = {w[:k] for w in self.words for k in range(len(w))}
-        return tuple(sorted(seen))
+        """All balls properly containing some ball of the code, sorted.
+
+        One walk over the sorted words.  A word's proper prefixes that are
+        also prefixes of its predecessor are out already, and they are its
+        shortest ones; the others, taken from the longest down to the first
+        shared one, sort after everything before them.  So the output comes
+        sorted and without repeats, in time proportional to the letters of
+        the code and of the output.
+        """
+        words = self.words
+        if not words:
+            return ()
+        out = [words[0][:k] for k in range(len(words[0]))]
+        for prev, w in itertools.pairwise(words):
+            new = []
+            for k in reversed(range(len(w))):
+                u = w[:k]
+                if u == prev[:k]:
+                    break
+                new.append(u)
+            new.reverse()
+            out += new
+        return tuple(out)
+
+
+def _trusted_code(alphabet: Alphabet, words: tuple[Word, ...]) -> PrefixCode:
+    # internal fast path: letters already checked, words sorted and an antichain
+    x = object.__new__(PrefixCode)
+    object.__setattr__(x, "alphabet", alphabet)
+    object.__setattr__(x, "words", words)
+    return x

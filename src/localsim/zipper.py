@@ -22,6 +22,16 @@ is still checked against the membership tests before it is emitted;
 membership in gZ composes with the inverse, computed once per element,
 and counts the reduced rows: one row means an inclusion class.
 
+A target of the class that straddles several maximal balls of the inverse
+decides non-membership with no composing at all.  Composition splits such
+a target into the inverse's rows under it, carried over by one
+similarity, and these pieces can never merge again, because a mergeable
+family among them would be a mergeable family of the reduced inverse; so
+at least two rows remain.  Every vacated inclusion class is a ball
+properly containing a maximal ball of the inverse, so each -1 check costs
+one bisection, and `max_partition` hands out the element's cached
+sources, so the partitions are walked once and never re-checked.
+
 The entries are the internal nodes of the two maximal-partition trees, and
 a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
 so `zipper_length` is the closed form 2(n-1)/(d-1); the test suite checks
@@ -33,7 +43,7 @@ the cocycle identity and by the separating walls.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,7 +54,6 @@ from .elements import (
     _as_row,
     _compose_rows,
     _reduce_rows,
-    _source,
     compose,
     format_element,
     identity,
@@ -158,11 +167,31 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     """Whether the class belongs to the g-translate of the inclusion family:
-    whether the inverse composed with it reduces to one row.  That count
-    needs no twist minimization, as a twist keeps the reduced row count."""
+    whether the inverse h composed with it reduces to one row.  That count
+    needs no twist minimization, as a twist keeps the reduced row count.
+
+    A target of e that is not inside one maximal ball of h decides the
+    answer before anything is composed: the class is not in gZ.  Such a
+    target t of an e-row r is split by the composition into pieces, and
+    the pieces are the d or more rows of h under t, right-composed with
+    the one similarity of r.  A sibling family that contains a piece has
+    its parent at or below the source of r, so all its members are pieces
+    of r, and pulled back through that similarity a mergeable family among
+    them would be a mergeable family of h, which is reduced.  So no piece
+    ever merges, at least d >= 2 rows remain, and the count is not one.
+    Each target is located by bisection among h's cached sources; only a
+    class whose targets all lie inside maximal balls is composed.
+    """
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    return len(_reduce_rows(g.group, _compose_rows(g.group, g._inverse.rows, e.rows))) == 1
+    h = g._inverse
+    sources = h._sources_depth[0]
+    for _, t, _ in e.rows:
+        # the source that is a prefix of t, if any, is the last one not after t
+        i = bisect_right(sources, t)
+        if not i or t[: len(sources[i - 1])] != sources[i - 1]:
+            return False
+    return len(_reduce_rows(g.group, _compose_rows(g.group, h.rows, e.rows))) == 1
 
 
 def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:
@@ -199,7 +228,7 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
     rows = g.rows
-    sources = tuple(map(_source, rows))
+    sources = g._sources_depth[0]
     past = (group.alphabet.size,)
     for b in max_partition(g).proper_prefixes():
         # the rows under b are contiguous: from b up to b followed by a letter past the alphabet

@@ -54,6 +54,12 @@ def slow_proper_prefix_count(code: PrefixCode) -> int:
     )
 
 
+def slow_proper_prefixes(code: PrefixCode) -> tuple[Word, ...]:
+    """The balls properly containing a code word: every prefix of every
+    word collected in a set, then sorted."""
+    return tuple(sorted({w[:k] for w in code.words for k in range(len(w))}))
+
+
 def point_letter(x: Point, i: int) -> int:
     """The i-th letter of an eventually periodic point, straight from the data."""
     if i < len(x.preperiod):
@@ -124,6 +130,13 @@ def brute_force_symdiff(g: CanonicalElement) -> dict:
             elif ingz and not inz:
                 out[e] = 1
     return out
+
+
+def slow_gz_member(g: CanonicalElement, e) -> bool:
+    """Membership in gZ the long way: compose the inverse, computed afresh,
+    with the whole class, reduce, and count the rows."""
+    group = g.group
+    return len(_reduce_rows(group, _compose_rows(group, invert(g).rows, e.rows))) == 1
 
 
 def brute_force_gamma(

@@ -221,6 +221,25 @@ class TestComposeInvert:
                 g = random_element(group, rng, max_depth=4)
                 assert tuple(sorted(r.target for r in g.rows)) == max_partition(invert(g)).words
 
+    def test_max_partition_is_the_checked_code(self, t2, t3, s2, s3, klein, s3_conjugated, x0, x1):
+        # max_partition hands out the cached sources without checking them
+        # again; the checked constructor must build the same code
+        rng = random.Random(149)
+        for group in (t2, t3, s2, s3, klein, s3_conjugated):
+            d = group.alphabet.size
+            rotation = ";".join(f"{a}->{(a + 1) % d}:{group.size - 1}" for a in range(d))
+            parsed = [parse_element(rotation, group), identity(group)]
+            for _ in range(10):
+                g = random_element(group, rng, max_depth=3)
+                h = random_element(group, rng, max_depth=3)
+                parsed += [g, invert(g), compose(g, h), compose(h, parsed[0])]
+            if group is t2:
+                parsed += [x0, x1, compose(x0, x1), invert(x1)]
+            for g in parsed:
+                code = max_partition(g)
+                want = PrefixCode(group.alphabet, tuple(r.source for r in g.rows))
+                assert type(code.words) is tuple and code.words == want.words and code == want
+
     def test_left_operand_must_cover_targets(self, t2):
         # the left operand's sources cover only the ball at 0
         rows = SimTable(t2, (Row((0, 0), (0, 0), 0), Row((0, 1), (0, 1), 0))).rows

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,8 @@ from localsim import (
     PrefixCode,
     is_prefix,
 )
-from oracles import all_balls, enumerate_complete_codes, point_letter, slow_proper_prefix_count
+from localsim.elements import random_code_words
+from oracles import all_balls, enumerate_complete_codes, point_letter, slow_proper_prefix_count, slow_proper_prefixes
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -108,6 +110,60 @@ class TestProperPrefixCount:
                 n = len(code.proper_prefixes())
                 assert n == slow_proper_prefix_count(code)
                 assert n * (d - 1) == len(words) - 1
+
+    def test_walk_matches_set_oracle_on_edge_codes(self):
+        a12 = Alphabet(12)
+        codes = [
+            PrefixCode(A2, ()),
+            PrefixCode(A2, ((),)),
+            PrefixCode(A2, ((0, 1, 1),)),
+            PrefixCode(A3, ((2, 2, 0, 1),)),
+            PrefixCode(a12, ((11, 0, 5),)),
+            # the first word is the deepest, complete and incomplete
+            PrefixCode(A2, ((0,) * 9, (1,))),
+            PrefixCode(A2, ((0, 0, 0, 0, 0, 1), (0, 1), (1, 0, 1, 1))),
+            PrefixCode(A3, ((0, 2, 2, 2, 2), (0, 2, 2, 2, 0), (1,), (2, 1))),
+            PrefixCode(a12, ((0, 11, 3, 3), (0, 11, 4), (11,))),
+        ]
+        for code in codes:
+            got = code.proper_prefixes()
+            assert got == slow_proper_prefixes(code)
+        assert PrefixCode(A2, ((0, 1, 1),)).proper_prefixes() == ((), (0,), (0, 1))
+
+    def test_walk_matches_set_oracle_on_random_antichains(self):
+        hypothesis, st, settings = _hypothesis()
+        depth_cap = {2: 8, 3: 5, 12: 3}
+
+        @settings
+        @hypothesis.given(
+            st.sampled_from([2, 3, 12]),
+            st.randoms(use_true_random=True),
+            st.integers(1, 8),
+            st.sampled_from([0.3, 0.55, 0.8]),
+            st.sampled_from([1.0, 0.7, 0.3]),
+        )
+        def check(d, rng, depth, split_prob, keep):
+            alphabet = Alphabet(d)
+            split_prob = split_prob if d < 12 else split_prob / 4
+            words = random_code_words(alphabet, rng, min(depth, depth_cap[d]), split_prob)
+            # keep < 1 drops words at random, leaving an incomplete antichain
+            code = PrefixCode(alphabet, [w for w in words if keep == 1.0 or rng.random() < keep])
+            got = code.proper_prefixes()
+            assert got == slow_proper_prefixes(code)
+            assert list(got) == sorted(set(got))
+
+        check()
+
+    def test_comb_walk_is_output_linear(self):
+        # collecting every prefix of every word builds about n^3/6 letters,
+        # some 19 s at this size; the output has n^2/2
+        n = 2000
+        code = PrefixCode(A2, [(1,) * i + (0,) for i in range(n - 1)] + [(1,) * (n - 1)])
+        start = time.perf_counter()
+        got = code.proper_prefixes()
+        elapsed = time.perf_counter() - start
+        assert got == tuple((1,) * i for i in range(n - 1))
+        assert elapsed < 2.0
 
 
 class TestLiterals:

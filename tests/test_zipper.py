@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -32,7 +33,14 @@ from localsim import (
     zipper_length,
 )
 from localsim.elements import _compose_rows, _reduce_rows
-from oracles import brute_force_symdiff, complement_cover, slow_audit_counts, slow_eclass
+from oracles import (
+    all_balls,
+    brute_force_symdiff,
+    complement_cover,
+    slow_audit_counts,
+    slow_eclass,
+    slow_gz_member,
+)
 
 
 def embed(group, rows):
@@ -78,6 +86,48 @@ def element_missing(e):
     rows = [Row(ball + (0,), ball + (1,), 0), Row(ball + (1,), ball + (0,), 0)]
     rows.extend(Row(w, w, 0) for w in complement_cover(group.alphabet, [ball]))
     return reduce(SimTable(group, tuple(rows)))
+
+
+def restriction_class(g, ball, germ=0):
+    """The class of g restricted to a ball above its maximal partition,
+    right-twisted by the global similarity of `germ` before it is made
+    canonical."""
+    group = g.group
+    rows = [r for r in g.rows if r.source[: len(ball)] == ball]
+    twisted = zipper._twisted_rows(group, tuple(Row(r.source[len(ball):], r.target, r.germ) for r in rows), germ)
+    return canonical_eclass(SimTable(group, tuple(Row(ball + s, t, z) for s, t, z in twisted)), ball)
+
+
+def partly_straddling_class(g, rng):
+    """A class whose targets are the maximal balls of g's inverse with the
+    ones under one internal node b merged into b, which straddles, and one
+    other ball split into its children, which lie inside; None when the
+    inverse has a single ball."""
+    group = g.group
+    d = group.alphabet.size
+    internal = max_partition(invert(g)).proper_prefixes()
+    if not internal:
+        return None
+    b = rng.choice(internal)
+    targets = [t for t in sorted(r.target for r in g.rows) if t[: len(b)] != b]
+    if targets:
+        w = targets.pop(rng.randrange(len(targets)))
+        targets.extend(w + (a,) for a in range(d))
+    targets.append(b)
+    rng.shuffle(targets)
+    # a complete source code of as many balls: split the first shortest ball
+    sources = [()]
+    while len(sources) < len(targets):
+        w = min(sources, key=len)
+        sources.remove(w)
+        sources.extend(w + (a,) for a in range(d))
+    rows = tuple(Row(s, t, rng.randrange(group.size)) for s, t in zip(sorted(sources), targets))
+    return canonical_eclass(SimTable(group, rows), ())
+
+
+def straddles(g, t):
+    """Whether the ball t properly contains a maximal ball of g's inverse."""
+    return any(len(t) < len(r.target) and r.target[: len(t)] == t for r in g.rows)
 
 
 class TestCanonicalClasses:
@@ -164,6 +214,39 @@ class TestMembership:
                 assert gz_member(h, e)
                 for g in (h, random_element(group, rng, max_depth=3)):
                     assert gz_member(g, e) == z_member(act_on_eclass(invert(g), e))
+
+    def test_matches_slow_membership(self, t2, s2, t3, s3, klein, s3_conjugated):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # targets of the classes checked so far: all inside maximal balls of
+        # the inverse, all straddling, or some of each
+        kinds = collections.Counter()
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.sampled_from([t2, s2, t3, s3, klein, s3_conjugated]),
+            st.randoms(use_true_random=True),
+            st.integers(1, 3),
+        )
+        def check(group, rng, max_depth):
+            g = random_element(group, rng, max_depth=max_depth)
+            h = random_element(group, rng, max_depth=max_depth)
+            depth = 1 + max(len(w) for r in g.rows for w in r[:2])
+            classes = []
+            for b in all_balls(group.alphabet, depth):
+                e = incl_class(group, b)
+                classes += [e, act_on_eclass(h, e), act_on_eclass(g, e)]
+            for k in (g, h):
+                for b in max_partition(k).proper_prefixes():
+                    classes.append(restriction_class(k, b, rng.randrange(group.size)))
+            classes.append(partly_straddling_class(g, rng))
+            for e in filter(None, classes):
+                assert gz_member(g, e) == slow_gz_member(g, e)
+                split = [straddles(g, r.target) for r in e.rows]
+                kinds["mixed" if 0 < sum(split) < len(split) else "straddle" if all(split) else "inside"] += 1
+
+        check()
+        assert kinds["mixed"] and kinds["straddle"] and kinds["inside"]
 
     def test_act_on_inclusion_is_restriction(self, x0):
         e = act_on_eclass(x0, incl_class(x0.group, (0,)))
