@@ -148,40 +148,48 @@ def _compose_rows(
     among the rows under its parent.  A target that meets no source ball
     lies outside g's domain, and no amount of splitting brings it back.
 
-    The h-rows and the children of a split are pushed in reverse, so the
-    stack pops them depth first in letter order and the rows come out in
-    increasing source order, ready for `_reduce_rows`.  Nothing is built
-    from g, so translating many small classes by one large element costs
-    only their lookups.
+    The h-rows are walked in order, and a target inside one g-row is
+    emitted on the spot.  Only a straddling target goes on the split
+    stack: its children are pushed in reverse, so the stack pops them
+    depth first in letter order, and it is drained before the next h-row.
+    The rows therefore come out in increasing source order, ready for
+    `_reduce_rows`.  Nothing is built from g, so translating many small
+    classes by one large element costs only their lookups.
     """
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
+    n = len(g_rows)
     out: list[tuple[Word, Word, int]] = []
     emit = out.append
-    stack = [(src, tgt, germ, 0, len(g_rows)) for src, tgt, germ in reversed(h_rows)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        src, tgt, germ, lo, hi = pop()
-        i = bisect_right(g_rows, tgt, lo, hi, key=_source)
-        if i > lo:
-            g_source, g_target, g_germ = g_rows[i - 1]
-            k = len(g_source)
-            if tgt[:k] == g_source:
-                if g_germ:
-                    path, rest = group.act_word(g_germ, tgt[k:])
-                    emit((src, g_target + path, mul[rest][germ]))
-                else:
-                    emit((src, g_target + tgt[k:], germ))
-                continue
-        if i == hi or g_rows[i].source[: len(tgt)] != tgt:
-            raise CompositionDomainError(
-                f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
-            )
-        # the rows under tgt run from i up to tgt followed by a letter past the alphabet
-        end = bisect_left(g_rows, tgt + (d,), i, hi, key=_source)
-        row_act, row_res = act[germ], res[germ]
-        for a in reversed(range(d)):
-            push((src + (a,), tgt + (row_act[a],), row_res[a], i, end))
+    split: list[tuple[Word, Word, int, int, int]] = []
+    pop, push = split.pop, split.append
+    for src, tgt, germ in h_rows:
+        lo, hi = 0, n
+        while True:
+            i = bisect_right(g_rows, tgt, lo, hi, key=_source)
+            if i > lo:
+                g_source, g_target, g_germ = g_rows[i - 1]
+                k = len(g_source)
+                if tgt[:k] == g_source:
+                    if g_germ:
+                        path, rest = group.act_word(g_germ, tgt[k:])
+                        emit((src, g_target + path, mul[rest][germ]))
+                    else:
+                        emit((src, g_target + tgt[k:], germ))
+                    if not split:
+                        break
+                    src, tgt, germ, lo, hi = pop()
+                    continue
+            if i == hi or g_rows[i].source[: len(tgt)] != tgt:
+                raise CompositionDomainError(
+                    f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
+                )
+            # the rows under tgt run from i up to tgt followed by a letter past the alphabet
+            end = bisect_left(g_rows, tgt + (d,), i, hi, key=_source)
+            row_act, row_res = act[germ], res[germ]
+            for a in reversed(range(d)):
+                push((src + (a,), tgt + (row_act[a],), row_res[a], i, end))
+            src, tgt, germ, lo, hi = pop()
     return out
 
 

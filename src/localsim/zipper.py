@@ -80,6 +80,15 @@ class EmbeddingClass:
     group: SelfSimilarGroup
     rows: tuple[Row, ...]
 
+    def __hash__(self) -> int:
+        # a support looks its classes up in dicts, and the rows can hold long
+        # words, so the fields are hashed once, on first use, and the hash is
+        # kept in the instance dict, as cached_property keeps its values
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.group, self.rows))
+        return h
+
     def __repr__(self) -> str:
         return f"<class {format_element(self)}>"
 
@@ -331,6 +340,10 @@ def properness_audit(
     Each frontier element remembers the generator that reached it.  Its
     product with that generator's inverse is its parent, which is already
     visited, so that product is skipped; the counts do not change.
+
+    The outermost sphere is counted, not kept: no later radius expands it,
+    so its elements leave only their dedup keys in the visited set, and
+    memory holds the sphere before it plus one key per element reached.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -359,6 +372,7 @@ def properness_audit(
     for r in range(1, radius + 1):
         new_frontier: list[CanonicalElement] = []
         new_reached_by: list[int] = []
+        keep = r < radius
         for x, j in zip(frontier, reached_by):
             back = inverse_at[j] if j >= 0 else -1
             for i, s in enumerate(gens):
@@ -368,8 +382,9 @@ def properness_audit(
                 k = y.packed()
                 if k not in visited:
                     visited.add(k)
-                    new_frontier.append(y)
-                    new_reached_by.append(i)
+                    if keep:
+                        new_frontier.append(y)
+                        new_reached_by.append(i)
                     if zipper_length(y) <= threshold:
                         count += 1
         frontier = new_frontier

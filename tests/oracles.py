@@ -10,9 +10,11 @@ the code under test.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 from localsim import (
     CanonicalElement,
+    CompositionDomainError,
     PrefixCode,
     Row,
     SimTable,
@@ -222,6 +224,39 @@ def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
         if p:
             pending.add(p[:-1])
     return tuple(sorted(Row(s, t, g) for s, (t, g) in table.items()))
+
+
+def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Word, Word, int]]:
+    """Rows of g after h by one stack walk: every h-row goes on the stack
+    as (source, target, germ, lo, hi), the g-rows its target is searched
+    among, and a target above several g-sources is replaced by its d
+    children, pushed in reverse so the rows come out sorted by source.
+    Raises CompositionDomainError at the first piece no g-row covers."""
+    act, res, mul = group.act, group.res, group.mul
+    d = group.alphabet.size
+    out = []
+    stack = [(src, tgt, germ, 0, len(g_rows)) for src, tgt, germ in reversed(h_rows)]
+    while stack:
+        src, tgt, germ, lo, hi = stack.pop()
+        i = bisect_right(g_rows, tgt, lo, hi, key=lambda row: row[0])
+        if i > lo:
+            g_source, g_target, g_germ = g_rows[i - 1]
+            k = len(g_source)
+            if tgt[:k] == g_source:
+                if g_germ:
+                    path, rest = group.act_word(g_germ, tgt[k:])
+                    out.append((src, g_target + path, mul[rest][germ]))
+                else:
+                    out.append((src, g_target + tgt[k:], germ))
+                continue
+        if i == hi or g_rows[i].source[: len(tgt)] != tgt:
+            raise CompositionDomainError(
+                f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
+            )
+        end = bisect_left(g_rows, tgt + (d,), i, hi, key=lambda row: row[0])
+        for a in reversed(range(d)):
+            stack.append((src + (a,), tgt + (act[germ][a],), res[germ][a], i, end))
+    return out
 
 
 def slow_eclass(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:

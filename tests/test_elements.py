@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -40,6 +41,7 @@ from oracles import (
     coarsenings,
     enumerate_complete_codes,
     point_letter,
+    slow_compose_rows,
     slow_reduce_rows,
     stepwise_apply_letters,
 )
@@ -190,6 +192,53 @@ class TestRewriteKernel:
                 _compose_rows(group, on_ball.rows, h.rows)
 
         check()
+
+    def test_compose_rows_match_the_stack_walk(self, t2, s2, t3, s3, klein, s3_conjugated):
+        # shallow right operands against deep left ones, so many targets
+        # straddle several g-rows; over s2, s3, klein and s3_conjugated most
+        # left germs are not the identity, so the pieces go through act and res
+        rng = random.Random(151)
+        straddled = 0
+        for group in (t2, s2, t3, s3, klein, s3_conjugated):
+            depth = KERNEL_DEPTH[group.alphabet.size]
+            for _ in range(40):
+                g = random_element(group, rng, max_depth=depth)
+                h = random_element(group, rng, max_depth=rng.randint(1, depth))
+                got = _compose_rows(group, g.rows, h.rows)
+                assert got == slow_compose_rows(group, g.rows, h.rows)
+                straddled += len(got) > len(h.rows) and any(r.germ for r in g.rows)
+        assert straddled >= 50
+
+    def test_partial_left_operand_fails_like_the_stack_walk(self, t2, s2, t3, s3, klein, s3_conjugated):
+        # g with one row dropped leaves a hole that some target of h meets;
+        # both walks must stop at the same piece with the same message
+        rng = random.Random(157)
+        failing_rows = collections.Counter()
+        for group in (t2, s2, t3, s3, klein, s3_conjugated):
+            depth = KERNEL_DEPTH[group.alphabet.size]
+            for _ in range(40):
+                g = random_element(group, rng, max_depth=depth)
+                h = random_element(group, rng, max_depth=rng.randint(1, depth))
+                partial = list(g.rows)
+                del partial[rng.randrange(len(partial))]
+                with pytest.raises(CompositionDomainError) as slow:
+                    slow_compose_rows(group, partial, h.rows)
+                with pytest.raises(CompositionDomainError) as fast:
+                    _compose_rows(group, partial, h.rows)
+                assert str(fast.value) == str(slow.value)
+                failing_rows[_first_failing_row(group, partial, h.rows) > 0] += 1
+        # the first h-row fails in some pairs and a later one in others
+        assert failing_rows[False] >= 10 and failing_rows[True] >= 10
+
+
+def _first_failing_row(group, g_rows, h_rows) -> int:
+    """The index of the h-row whose target first leaves g's domain."""
+    for k in range(len(h_rows)):
+        try:
+            slow_compose_rows(group, g_rows, h_rows[: k + 1])
+        except CompositionDomainError:
+            return k
+    raise AssertionError("every target lies in the domain")
 
 
 class TestComposeInvert:

@@ -1,10 +1,14 @@
-"""The Python example under `## Library` in the README runs, and each value
-its comments state is the value the library computes."""
+"""The README's examples run as shown: each `$ localsim ...` command prints
+exactly the lines below it, and each value the comments of the Python
+example under `## Library` state is the value the library computes."""
 
 import re
+import shlex
 from pathlib import Path
 
-from localsim import format_element
+import pytest
+
+from localsim import cli, format_element
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +43,34 @@ def test_library_example_states_true_values():
         assert expr in comments, f"the README example no longer shows {expr}"
         assert value in _squeeze(comments[expr]), expr
         assert _squeeze(show(eval(expr, namespace))) == value, expr
+
+
+def _cli_examples() -> list[tuple[str, str]]:
+    """(command line, expected stdout) for every `$ localsim ...` line in the
+    README; the output is the lines after it up to a blank line or fence."""
+    out = []
+    lines = README.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("$ localsim "):
+            body = []
+            for later in lines[i + 1:]:
+                if not later.strip() or later.startswith("```"):
+                    break
+                body.append(later + "\n")
+            out.append((line[len("$ localsim "):], "".join(body)))
+    return out
+
+
+CLI_EXAMPLES = _cli_examples()
+
+
+def test_every_cli_example_is_collected():
+    assert len(CLI_EXAMPLES) == README.read_text().count("$ localsim ") >= 14
+    assert all(want for _, want in CLI_EXAMPLES)
+
+
+@pytest.mark.parametrize("line, want", CLI_EXAMPLES, ids=[line for line, _ in CLI_EXAMPLES])
+def test_cli_example_prints_what_the_readme_shows(capsys, line, want):
+    code = cli.main(shlex.split(line))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, want, "")

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -169,6 +170,20 @@ class TestCanonicalClasses:
     def test_targets_must_not_nest(self, t2):
         with pytest.raises(InvalidClassError, match=r"targets \(0,\) and \(0, 1\) overlap"):
             canonical_eclass(embed(t2, [((0,), (0,), 0), ((1,), (0, 1), 0)]), ())
+
+    def test_hash_agrees_with_equality_and_is_stable(self, s2):
+        # the hash is cached on first use; equal classes built apart must
+        # still hash alike, and using one as a dict key must not change it
+        rows = [((0,), (1, 0), 1), ((1,), (0,), 0)]
+        a = canonical_eclass(embed(s2, rows), ())
+        b = canonical_eclass(embed(s2, rows), ())
+        assert a is not b and a == b
+        first = hash(a)
+        support = {a: 1}
+        assert support[b] == 1 and b in support
+        assert hash(a) == hash(b) == first == hash((a.group, a.rows))
+        assert canonical_eclass(embed(s2, rows[::-1]), ()) == a
+        assert incl_class(s2, (0,)) not in support
 
     def test_twist_minimization_matches_composition(self, t2, s2, s3, klein, s3_conjugated):
         # each twist derived by really composing with the global similarity
@@ -495,6 +510,19 @@ class TestPropernessAudit:
         longer = properness_audit(t2, v_gens, radius=6, threshold=4)
         assert longer.counts()[-3:] == [22, 22, 22]
         assert longer.stabilized
+
+    def test_outermost_sphere_is_not_kept(self, t2, v_gens):
+        # the radius-5 sphere holds 3,276 of the 4,209 elements; counted
+        # without being kept, it leaves only its dedup keys, and the traced
+        # peak is about 1.6 MB against 4.5 MB when it is kept
+        tracemalloc.start()
+        try:
+            report = properness_audit(t2, v_gens, radius=5, threshold=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts() == [1, 6, 13, 20, 22, 22]
+        assert peak < 3 * 2**20
 
     def test_skipped_inverse_keeps_counts(self, t2, s2, v_gens):
         # the audit skips the product that leads back to an element's parent;
