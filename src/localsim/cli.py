@@ -7,6 +7,11 @@ with the same configuration are byte-identical.  Exit status 0 means
 success, 1 a usage or domain error, 2 a failed property check; scripts can
 therefore use the tool directly as an oracle.
 
+Each command is one body, attached to its subparser as the `body` default.
+A body is a generator of (record, text) pairs; `run` prints each pair as
+it is yielded, as the JSON record or as the text line(s), and exits 2
+exactly when some record has `"ok": false`.
+
 The argument parser is built on the first `main` call and reused by every
 later one, so `main` may be called repeatedly in one process at little
 cost beyond the command itself.
@@ -20,7 +25,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .elements import (
     CanonicalElement,
@@ -54,17 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-class _Emitter:
-    def __init__(self, mode: str):
-        self.mode = mode
-
-    def record(self, rec: dict, text: str):
-        if self.mode == "records":
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        else:
-            print(text)
 
 
 def _resolve_input(name: str) -> str:
@@ -120,10 +114,10 @@ def parse_gens_file(text: str, group: SelfSimilarGroup) -> list[tuple[str, Canon
     return out
 
 
-# -- command bodies; each returns the exit status ------------------------------
+# -- command bodies: each yields (record, text) pairs ---------------------------
 
 
-def _cmd_hstruct(args, _, emit: _Emitter) -> int:
+def _cmd_hstruct(args):
     target = args.file or args.hstruct
     group = _load_group(target, args.alphabet)
     violations = group.validate()
@@ -136,108 +130,98 @@ def _cmd_hstruct(args, _, emit: _Emitter) -> int:
         "ok": not violations,
     }
     if violations:
-        body = "\n".join(str(v) for v in violations)
-        emit.record(rec, body)
-        return 2
-    emit.record(rec, f"ok: {group.size} elements over {group.alphabet.size} letters, all axioms hold")
-    return 0
+        yield rec, "\n".join(str(v) for v in violations)
+    else:
+        yield rec, f"ok: {group.size} elements over {group.alphabet.size} letters, all axioms hold"
 
 
-def _element_out(cmd: str, g: CanonicalElement, emit: _Emitter) -> int:
+def _element_out(cmd: str, g: CanonicalElement):
     lit = format_element(g)
-    emit.record({"cmd": cmd, "element": lit, "leaves": len(g.rows)}, lit)
-    return 0
+    return {"cmd": cmd, "element": lit, "leaves": len(g.rows)}, lit
 
 
-def _cmd_canon(args, group, emit) -> int:
-    return _element_out("canon", parse_element(args.element, group), emit)
+def _operands(args, *names: str) -> list[CanonicalElement]:
+    """The named element arguments, parsed over the --hstruct structure."""
+    group = _build_group(args)
+    return [parse_element(getattr(args, name), group) for name in names]
 
 
-def _cmd_compose(args, group, emit) -> int:
-    g = parse_element(args.left, group)
-    h = parse_element(args.right, group)
-    return _element_out("compose", compose(g, h), emit)
+def _cmd_canon(args):
+    yield _element_out("canon", *_operands(args, "element"))
 
 
-def _cmd_inverse(args, group, emit) -> int:
-    return _element_out("inverse", invert(parse_element(args.element, group)), emit)
+def _cmd_compose(args):
+    yield _element_out("compose", compose(*_operands(args, "left", "right")))
 
 
-def _cmd_apply(args, group, emit) -> int:
-    g = parse_element(args.element, group)
-    x = group.alphabet.parse_point(args.point)
-    out = group.alphabet.format_point(apply(g, x))
-    emit.record({"cmd": "apply", "point": out}, out)
-    return 0
+def _cmd_inverse(args):
+    yield _element_out("inverse", invert(*_operands(args, "element")))
 
 
-def _cmd_maxpart(args, group, emit) -> int:
-    code = max_partition(parse_element(args.element, group))
-    balls = [group.alphabet.format_word(w) for w in code.words]
-    emit.record({"cmd": "maxpart", "balls": balls, "size": len(balls)}, " ".join(balls))
-    return 0
+def _cmd_apply(args):
+    (g,) = _operands(args, "element")
+    alphabet = g.group.alphabet
+    out = alphabet.format_point(apply(g, alphabet.parse_point(args.point)))
+    yield {"cmd": "apply", "point": out}, out
 
 
-def _cmd_member(args, group, emit) -> int:
-    g = parse_element(args.element, group)
-    which = args.group
-    ans = is_in_F(g) if which == "F" else is_in_T(g)
-    emit.record({"cmd": "member", "group": which, "member": ans}, "true" if ans else "false")
-    return 0
+def _cmd_maxpart(args):
+    (g,) = _operands(args, "element")
+    balls = [g.group.alphabet.format_word(w) for w in max_partition(g).words]
+    yield {"cmd": "maxpart", "balls": balls, "size": len(balls)}, " ".join(balls)
 
 
-def _cmd_zipper_length(args, group, emit) -> int:
-    n = zipper_length(parse_element(args.element, group))
-    emit.record({"cmd": "zipper-length", "length": n}, str(n))
-    return 0
+def _cmd_member(args):
+    (g,) = _operands(args, "element")
+    ans = is_in_F(g) if args.group == "F" else is_in_T(g)
+    yield {"cmd": "member", "group": args.group, "member": ans}, "true" if ans else "false"
 
 
-def _cmd_symdiff(args, group, emit) -> int:
-    diff = symdiff(parse_element(args.element, group))
+def _cmd_zipper_length(args):
+    n = zipper_length(*_operands(args, "element"))
+    yield {"cmd": "zipper-length", "length": n}, str(n)
+
+
+def _cmd_symdiff(args):
+    diff = symdiff(*_operands(args, "element"))
     for e, sign in sorted(diff.items(), key=lambda es: es[0].rows):
         lit = format_element(e)
-        emit.record({"cmd": "symdiff", "sign": sign, "class": lit}, f"{sign:+d} {lit}")
-    emit.record({"cmd": "symdiff-total", "length": len(diff)}, f"length {len(diff)}")
-    return 0
+        yield {"cmd": "symdiff", "sign": sign, "class": lit}, f"{sign:+d} {lit}"
+    yield {"cmd": "symdiff-total", "length": len(diff)}, f"length {len(diff)}"
 
 
-def _cmd_cocycle_check(args, group, emit) -> int:
-    g1 = parse_element(args.left, group)
-    g2 = parse_element(args.right, group)
-    defect = cocycle_identity_defect(g1, g2)
-    emit.record({"cmd": "cocycle-check", "defect": defect, "ok": defect == 0}, f"defect {defect}")
-    return 0 if defect == 0 else 2
+def _cmd_cocycle_check(args):
+    defect = cocycle_identity_defect(*_operands(args, "left", "right"))
+    yield {"cmd": "cocycle-check", "defect": defect, "ok": defect == 0}, f"defect {defect}"
 
 
-def _cmd_walls(args, group, emit) -> int:
-    g1 = parse_element(args.left, group)
-    g2 = parse_element(args.right, group)
+def _cmd_walls(args):
+    g1, g2 = _operands(args, "left", "right")
     sep = wall_separation(g1, g2)
-    emit.record({"cmd": "walls", "separation": sep}, f"separation {sep}")
+    yield {"cmd": "walls", "separation": sep}, f"separation {sep}"
     if args.list:
         for e, side in separating_walls(g1, g2):
             lit = format_element(e)
-            emit.record({"cmd": "wall", "side": side, "class": lit}, f"{side:+d} {lit}")
-    return 0
+            yield {"cmd": "wall", "side": side, "class": lit}, f"{side:+d} {lit}"
 
 
-def _cmd_audit(args, group, emit) -> int:
+def _cmd_audit(args):
+    group = _build_group(args)
     gens = parse_gens_file(_resolve_input(args.gens), group)
     report = properness_audit(group, [g for _, g in gens], radius=args.radius, threshold=args.threshold)
     for row in report.rows:
-        emit.record(
+        yield (
             {"cmd": "audit", "radius": row.radius, "ball": row.ball_size, "within": row.within_threshold},
             f"radius {row.radius} ball {row.ball_size} within {row.within_threshold}",
         )
-    emit.record(
+    yield (
         {"cmd": "audit-summary", "threshold": report.threshold, "stabilized": report.stabilized},
         f"stabilized {'true' if report.stabilized else 'false'}",
     )
-    return 0
 
 
-def _cmd_nowalls(args, group, emit) -> int:
-    rep = nowalls_demo(group, args.count)
+def _cmd_nowalls(args):
+    rep = nowalls_demo(_build_group(args), args.count)
     rec = {
         "cmd": "nowalls",
         "witnesses": len(rep.witnesses),
@@ -246,18 +230,16 @@ def _cmd_nowalls(args, group, emit) -> int:
         "covering": format_element(rep.covering_element),
         "ok": rep.ok,
     }
-    text = (
+    yield rec, (
         f"witnesses {len(rep.witnesses)}\n"
         f"first-in-all {'true' if rec['first_in_all'] else 'false'}\n"
         f"second-in-none {'true' if rec['second_in_none'] else 'false'}\n"
         f"covering {rec['covering']}\n"
         f"ok {'true' if rep.ok else 'false'}"
     )
-    emit.record(rec, text)
-    return 0 if rep.ok else 2
 
 
-def _cmd_walls2zipper(args, group, emit) -> int:
+def _cmd_walls2zipper(args):
     if args.zline is not None:
         instance = integer_line_instance(args.zline)
     elif args.file is None:
@@ -267,7 +249,7 @@ def _cmd_walls2zipper(args, group, emit) -> int:
     result = walls_to_zipper(instance)
     for r in result.reports:
         preserves = "-" if r.preserves_walls is None else ("true" if r.preserves_walls else "false")
-        emit.record(
+        yield (
             {
                 "cmd": "walls2zipper",
                 "move": r.name,
@@ -281,29 +263,7 @@ def _cmd_walls2zipper(args, group, emit) -> int:
             f"symdiff {r.symdiff_size} match {'true' if r.sizes_match else 'false'} preserves {preserves}",
         )
     ok = result.ok()
-    emit.record({"cmd": "walls2zipper-summary", "ok": ok}, f"ok {'true' if ok else 'false'}")
-    return 0 if ok else 2
-
-
-# every other command runs over the structure chosen by --hstruct
-_NO_GROUP = {"hstruct", "walls2zipper"}
-
-_BODIES: dict[str, Callable] = {
-    "hstruct": _cmd_hstruct,
-    "canon": _cmd_canon,
-    "compose": _cmd_compose,
-    "inverse": _cmd_inverse,
-    "apply": _cmd_apply,
-    "maxpart": _cmd_maxpart,
-    "member": _cmd_member,
-    "zipper-length": _cmd_zipper_length,
-    "symdiff": _cmd_symdiff,
-    "cocycle-check": _cmd_cocycle_check,
-    "walls": _cmd_walls,
-    "audit": _cmd_audit,
-    "nowalls": _cmd_nowalls,
-    "walls2zipper": _cmd_walls2zipper,
-}
+    yield {"cmd": "walls2zipper-summary", "ok": ok}, f"ok {'true' if ok else 'false'}"
 
 
 @functools.cache
@@ -322,44 +282,48 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("hstruct", help="inspect a germ structure")
+    p.set_defaults(body=_cmd_hstruct)
     p.add_argument("action", choices=["validate"])
     p.add_argument("file", nargs="?", default=None)
 
-    for name, n_args, names in (
-        ("canon", 1, ["element"]),
-        ("compose", 2, ["left", "right"]),
-        ("inverse", 1, ["element"]),
-        ("maxpart", 1, ["element"]),
-        ("zipper-length", 1, ["element"]),
-        ("symdiff", 1, ["element"]),
-        ("cocycle-check", 2, ["left", "right"]),
+    for name, body, positionals in (
+        ("canon", _cmd_canon, ["element"]),
+        ("compose", _cmd_compose, ["left", "right"]),
+        ("inverse", _cmd_inverse, ["element"]),
+        ("maxpart", _cmd_maxpart, ["element"]),
+        ("zipper-length", _cmd_zipper_length, ["element"]),
+        ("symdiff", _cmd_symdiff, ["element"]),
+        ("cocycle-check", _cmd_cocycle_check, ["left", "right"]),
+        ("apply", _cmd_apply, ["element", "point"]),
     ):
         p = sub.add_parser(name)
-        for arg in names:
+        p.set_defaults(body=body)
+        for arg in positionals:
             p.add_argument(arg)
 
-    p = sub.add_parser("apply")
-    p.add_argument("element")
-    p.add_argument("point")
-
     p = sub.add_parser("member")
+    p.set_defaults(body=_cmd_member)
     p.add_argument("element")
     p.add_argument("--group", choices=["F", "T"], required=True)
 
     p = sub.add_parser("walls")
+    p.set_defaults(body=_cmd_walls)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--list", action="store_true")
 
     p = sub.add_parser("audit")
+    p.set_defaults(body=_cmd_audit)
     p.add_argument("--gens", required=True, metavar="FILE")
     p.add_argument("--radius", type=int, required=True, metavar="K")
     p.add_argument("--threshold", type=int, required=True, metavar="R")
 
     p = sub.add_parser("nowalls")
+    p.set_defaults(body=_cmd_nowalls)
     p.add_argument("--count", type=int, default=3, metavar="K")
 
     p = sub.add_parser("walls2zipper")
+    p.set_defaults(body=_cmd_walls2zipper)
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--zline", type=int, default=None, metavar="K")
 
@@ -367,18 +331,22 @@ def _build_parser() -> _Parser:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command line; never raises on domain errors."""
+    """Execute one parsed command line, printing each record as its body
+    yields it; never raises on domain errors."""
     if args.alphabet is not None and args.alphabet < 2:
         print("error: --alphabet must be at least 2", file=sys.stderr)
         return 1
-    emit = _Emitter(args.format)
-    body = _BODIES[args.command]
+    ok = True
     try:
-        group = None if args.command in _NO_GROUP else _build_group(args)
-        return body(args, group, emit)
+        for rec, text in args.body(args):
+            print(json.dumps(rec, sort_keys=True, separators=(",", ":")) if args.format == "records" else text)
+            ok = ok and rec.get("ok", True)
     except (LocalSimError, ValueError) as exc:
+        # ValueError: outside input such as a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # the one exit-2 rule: some record reports a failed property check
+    return 0 if ok else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:

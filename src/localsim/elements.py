@@ -443,10 +443,10 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     """Parse 'v->w[:germ](;v->w[:germ])*' and return the reduced element.
 
     'id' is accepted for the identity.  Germs are element ids of the
-    structure in ASCII decimal digits; a missing germ means the identity
-    germ.  Each distinct word text is parsed, and its letters validated,
-    once by `Alphabet.parse_word`; sources and targets spelled alike share
-    one tuple.  The rows are not checked again: they are sorted and given
+    structure in ASCII decimal digits, no more than `int()` converts; a
+    missing germ means the identity germ.  Each distinct word text is
+    parsed, and its letters validated, once by `Alphabet.parse_word`;
+    sources and targets spelled alike share one tuple.  The rows are not checked again: they are sorted and given
     to the column check `validate_table` runs, which must find both columns
     complete codes (InvalidCodeError lists what it found otherwise), then
     reduced.
@@ -477,7 +477,11 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
             germ_txt = germ_txt.strip()
             if not (germ_txt.isascii() and germ_txt.isdigit()):
                 raise LiteralParseError(f"bad germ name {germ_txt!r}", row=rownum, column=col)
-            germ = int(germ_txt)
+            try:
+                germ = int(germ_txt)
+            except ValueError:  # more digits than int() converts
+                msg = f"germ name of {len(germ_txt)} digits is too long"
+                raise LiteralParseError(msg, row=rownum, column=col) from None
         try:
             src = word(left)
             tgt = word(right)

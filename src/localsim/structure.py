@@ -296,7 +296,7 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
     order); then one record per table cell: `mul i j k`, `inv i j`,
     `act i a b`, `res i a j`.  '#' starts a comment.  Every cell must be
     given exactly once.  Fields are ASCII decimal digits, as in word and
-    germ literals.
+    germ literals, no more than `int()` converts.
     """
     d = m = None
     cells: dict[tuple, int] = {}
@@ -309,7 +309,10 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
         kw, args = parts[0], parts[1:]
         if not all(p.isascii() and p.isdigit() for p in args):
             raise MalformedStructureError(f"line {lineno}: non-integer field in {raw!r}")
-        vals = [int(p) for p in args]
+        try:
+            vals = [int(p) for p in args]
+        except ValueError:  # more digits than int() converts
+            raise MalformedStructureError(f"line {lineno}: field of {max(map(len, args))} digits is too long") from None
         if kw == "alphabet":
             if len(vals) != 1 or d is not None:
                 raise MalformedStructureError(f"line {lineno}: bad or repeated alphabet header")

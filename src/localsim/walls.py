@@ -136,7 +136,7 @@ def integer_line_instance(k: int, max_shift: int | None = None) -> WallsInstance
     takes space quadratic in k, so k is limited to 500.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UnsupportedStructureError("k must be >= 1")
     if k > _MAX_LINE_K:
         raise UnsupportedStructureError(
             f"the integer line is limited to k <= {_MAX_LINE_K}, got {k}: it has 2k walls over 2k+1 points"
@@ -144,7 +144,7 @@ def integer_line_instance(k: int, max_shift: int | None = None) -> WallsInstance
     if max_shift is None:
         max_shift = max(1, k // 2)
     if not 1 <= max_shift <= k:
-        raise ValueError("max_shift must be between 1 and k")
+        raise UnsupportedStructureError("max_shift must be between 1 and k")
     pts = tuple(str(i) for i in range(-k, k + 1))
     walls = tuple(
         (frozenset(str(i) for i in range(-k, j + 1)), frozenset(str(i) for i in range(j + 1, k + 1)))

@@ -77,7 +77,8 @@ class Alphabet:
         letters are validated, once: a digit word is range-checked on the
         string and converted in one call, and a bracket word goes through
         `check_word`.  Out-of-range letters raise `check_word`'s
-        MalformedWordError either way.
+        MalformedWordError either way; a bracket letter with more digits
+        than `int()` converts raises LiteralParseError.
         """
         t = text.strip()
         if t == "e":
@@ -91,7 +92,11 @@ class Alphabet:
             parts = [p.strip() for p in body.split(",")]
             if not all(p.isascii() and p.isdigit() for p in parts):
                 raise LiteralParseError(f"bad bracket word {text!r}")
-            return self.check_word(int(p) for p in parts)
+            try:
+                letters = [int(p) for p in parts]
+            except ValueError:  # more digits than int() converts
+                raise LiteralParseError(f"bracket letter of {max(map(len, parts))} digits is too long") from None
+            return self.check_word(letters)
         if not (t.isascii() and t.isdigit()):
             raise LiteralParseError(f"bad word literal {text!r}")
         if self.size > 10:

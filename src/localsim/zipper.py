@@ -346,7 +346,7 @@ def properness_audit(
     memory holds the sphere before it plus one key per element reached.
     """
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise UnsupportedStructureError("radius must be >= 0")
     start = identity(group)
     # the symmetrized generators in first-seen order, each mapped to its
     # inverse; the identity is left out, as the start is visited already
@@ -435,7 +435,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     if group.alphabet.size != 2 or group.size != 1:
         raise UnsupportedStructureError("the demonstration needs the binary alphabet with trivial germs")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise UnsupportedStructureError("count must be >= 1")
     if count > _MAX_WITNESSES:
         raise UnsupportedStructureError(
             f"the demonstration is limited to {_MAX_WITNESSES} witnesses, got {count}: "

@@ -133,6 +133,10 @@ class TestHstructValidate:
         code, out, _ = run(capsys, "hstruct", "validate", str(path))
         assert code == 2
         assert "restriction-cocycle" in out
+        code, out, _ = run(capsys, "--format", "records", "hstruct", "validate", str(path))
+        assert code == 2
+        rec = json.loads(out)
+        assert rec["ok"] is False and rec["violations"] == ["restriction-cocycle"]
 
     def test_alphabet_mismatch(self, capsys):
         code, out, err = run(capsys, "--alphabet", "3", "hstruct", "validate", "sigma2.aut")
@@ -239,6 +243,11 @@ class TestDemoCommands:
         code, out, _ = run(capsys, "walls2zipper", str(path))
         assert code == 2
         assert "preserves false" in out
+        code, out, _ = run(capsys, "--format", "records", "walls2zipper", str(path))
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0]["preserves_walls"] is False
+        assert records[-1] == {"cmd": "walls2zipper-summary", "ok": False}
 
 
 class TestDeterminism:
@@ -311,6 +320,55 @@ class TestArbitraryText:
         @hypothesis.given(_point_text(st))
         def check(text):
             assert self._exit(["apply", X0, text]) in (0, 1, 2)
+
+        check()
+
+
+VALID_FILES = (
+    _resolve_input("sigma2.aut"),
+    "points a b c\nwall a | b c\nwall a b | c\nbase a\nmove m a->b b->a c->c\npair p a c\n",
+    _resolve_input("v.gens"),
+)
+
+
+def _splice(text: str, i: int, line: str) -> str:
+    """`text` with its line i (mod the line count) replaced by `line`."""
+    lines = text.splitlines()
+    lines[i % len(lines)] = line
+    return "\n".join(lines)
+
+
+def _file_text(st):
+    """Arbitrary bytes, lines built from the words of the automaton, walls
+    and generators formats, and valid files, whole or with one line replaced."""
+    token = st.one_of(
+        st.sampled_from(["alphabet", "elements", "mul", "inv", "act", "res", "points", "wall", "base", "move",
+                         "pair", "|", "=", "#", "a", "b", "a->b", "b->a", "x", X0, "id", "e->e:1"]),
+        st.integers(0, 3).map(str),
+    )
+    line = st.lists(token, max_size=5).map(" ".join)
+    return st.one_of(
+        st.binary(max_size=48),
+        st.lists(line, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+        st.builds(_splice, st.sampled_from(VALID_FILES), st.integers(0, 40), line).map(str.encode),
+        st.sampled_from(VALID_FILES).map(str.encode),
+    )
+
+
+class TestArbitraryFiles:
+    """`main` never raises on any file content: it exits 0, 1 or 2."""
+
+    def test_file_commands(self, tmp_path):
+        hypothesis, st, settings = _hypothesis()
+        path = tmp_path / "input"
+
+        @settings
+        @hypothesis.given(_file_text(st))
+        def check(data):
+            path.write_bytes(data)
+            assert TestArbitraryText._exit(["hstruct", "validate", str(path)]) in (0, 1, 2)
+            assert TestArbitraryText._exit(["walls2zipper", str(path)]) in (0, 1, 2)
+            assert TestArbitraryText._exit(["audit", "--gens", str(path), "--radius", "1", "--threshold", "4"]) in (0, 1, 2)
 
         check()
 

@@ -32,6 +32,7 @@ from localsim import (
     random_element,
     random_point,
     reduce,
+    symmetric_group,
     trivial_group,
     validate_table,
 )
@@ -45,6 +46,42 @@ from oracles import (
     slow_reduce_rows,
     stepwise_apply_letters,
 )
+
+
+def comb_swap(n: int) -> str:
+    """The element of V whose sources are the comb 1, 01, ..., 0^(n-1)1, 0^n
+    and which swaps its two deepest leaves; its deepest rows have n letters."""
+    rows = [f"{'0' * k}1->{'0' * k}1" for k in range(n - 1)]
+    deep, last = "0" * (n - 1) + "1", "0" * n
+    return ";".join(rows + [f"{deep}->{last}", f"{last}->{deep}"])
+
+
+def letter_swap(d: int, a: int, b: int) -> str:
+    """The element over d letters that swaps the balls at letters a and b."""
+    image = {a: b, b: a}
+    return ";".join(f"[{x}]->[{image.get(x, x)}]" for x in range(d))
+
+
+class TestPacked:
+    """`packed()` is a bytes key while every letter, germ and word length
+    fits in a byte, and the row tuple otherwise."""
+
+    def test_bytes_key_up_to_255_letters(self, t2):
+        g = parse_element(comb_swap(255), t2)
+        assert isinstance(g.packed(), bytes)
+
+    def test_row_fallbacks(self, t2):
+        cases = (
+            (t2, comb_swap(256), comb_swap(257)),  # a row deeper than 255 letters
+            (trivial_group(257), letter_swap(257, 0, 1), letter_swap(257, 0, 2)),  # 257 letters
+            (symmetric_group(6), "e->e:300", "e->e:301"),  # 720 germs
+        )
+        for group, text, other in cases:
+            g, same, h = parse_element(text, group), parse_element(text, group), parse_element(other, group)
+            assert g.packed() == g.rows and h.packed() == h.rows
+            assert g.packed() == same.packed() and hash(g.packed()) == hash(same.packed())
+            assert g.packed() != h.packed()
+            assert len({g.packed(), same.packed(), h.packed()}) == 2
 
 
 class TestValidateTable:
@@ -561,6 +598,12 @@ class TestLiterals:
             with pytest.raises(LiteralParseError):
                 parse_element(text, s2)
         assert parse_element("e->e: 1 ", s2) == parse_element("e->e:1", s2)
+
+    def test_overlong_germ_rejected(self, s2):
+        # more digits than int() converts, even when the value is small
+        for germ in ("9" * 5000, "0" * 4999 + "1"):
+            with pytest.raises(LiteralParseError, match=r"^germ name of 5000 digits is too long \(row 1, column 6\)$"):
+                parse_element("0->1;1->0:" + germ, s2)
 
 
 class TestGroupLaws:

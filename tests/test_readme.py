@@ -2,6 +2,7 @@
 exactly the lines below it, and each value the comments of the Python
 example under `## Library` state is the value the library computes."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -74,3 +75,12 @@ def test_cli_example_prints_what_the_readme_shows(capsys, line, want):
     code = cli.main(shlex.split(line))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, want, "")
+
+
+@pytest.mark.parametrize("line", [line for line, _ in CLI_EXAMPLES])
+def test_cli_example_succeeds_in_records_mode(capsys, line):
+    code = cli.main(["--format", "records", *shlex.split(line)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    records = [json.loads(rec) for rec in captured.out.splitlines()]
+    assert records and all("cmd" in rec and rec.get("ok", True) for rec in records)

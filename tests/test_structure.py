@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -38,6 +39,29 @@ def mutated(group, table_name, i, a, value):
     }
     tables[table_name][i][a] = value
     return SelfSimilarGroup(group.alphabet, tables["mul"], tables["inv"], tables["act"], tables["res"])
+
+
+# every shape and range check in SelfSimilarGroup.__init__, over two
+# letters: (mul, inv, act, res, message fragment)
+BAD_TABLES = (
+    ((), (), (), (), "at least the identity element"),
+    (((0,),), (0, 0), ((0, 1),), ((0, 0),), "disagree about the element count"),
+    (((0,),), (0,), ((0, 1),), ((0, 0), (0, 0)), "disagree about the element count"),
+    (((0, 0),), (0,), ((0, 1),), ((0, 0),), "mul row has length 2, expected 1"),
+    (((0,),), (0,), ((0,),), ((0, 0),), "act row has length 1, expected 2"),
+    (((0,),), (0,), ((0, 1),), ((0, 0, 0),), "res row has length 3, expected 2"),
+    (((1,),), (0,), ((0, 1),), ((0, 0),), "mul entry 1 out of range"),
+    (((0,),), (0,), ((0, -1),), ((0, 0),), "act entry -1 out of range"),
+    (((0,),), (0,), ((0, 1),), ((0, True),), "res entry True out of range"),
+    (((0,),), (1,), ((0, 1),), ((0, 0),), "inv entry 1 out of range"),
+    (((0,),), (0.0,), ((0, 1),), ((0, 0),), "inv entry 0.0 out of range"),
+)
+
+
+@pytest.mark.parametrize("mul, inv, act, res, fragment", BAD_TABLES, ids=[c[-1] for c in BAD_TABLES])
+def test_constructor_rejects_bad_tables(t2, mul, inv, act, res, fragment):
+    with pytest.raises(MalformedStructureError, match=re.escape(fragment)):
+        SelfSimilarGroup(t2.alphabet, mul, inv, act, res)
 
 
 class TestValidate:
@@ -121,13 +145,42 @@ class TestValidate:
                 SelfSimilarGroup(s2.alphabet, mul, inv, act, res)
 
 
+COMPLETE_AUT = "alphabet 2\nelements 1\nmul 0 0 0\ninv 0 0\nact 0 0 0\nact 0 1 1\nres 0 0 0\nres 0 1 0\n"
+TRIVIAL_CELLS = COMPLETE_AUT.split("\n", 2)[2]
+
+# every rejection in parse_automaton: (text, message fragment)
+BAD_AUTOMATA = (
+    (COMPLETE_AUT + "inv 0 x\n", "line 9: non-integer field in 'inv 0 x'"),
+    ("alphabet " + "9" * 5000 + "\n", "line 1: field of 5000 digits is too long"),
+    ("alphabet 2\nalphabet 2\n", "line 2: bad or repeated alphabet header"),
+    ("alphabet 2 3\n", "line 1: bad or repeated alphabet header"),
+    ("elements 1\nelements 1\n", "line 2: bad or repeated elements header"),
+    ("elements\n", "line 1: bad or repeated elements header"),
+    ("alphabet 2\nelements 1\nmul 0 0\n", "line 3: mul takes 3 integers"),
+    ("alphabet 2\nelements 1\ninv 0 0\ninv 0 0\n", "line 4: duplicate record for ('inv', 0)"),
+    ("alphabet 2\nelements 1\nsquare 0 0\n", "line 3: unknown record 'square'"),
+    ("alphabet 2\n" + TRIVIAL_CELLS, "missing 'alphabet' or 'elements' header"),
+    ("elements 1\n" + TRIVIAL_CELLS, "missing 'alphabet' or 'elements' header"),
+    ("alphabet 2\nelements 0\n", "elements count must be >= 1"),
+    (COMPLETE_AUT.replace("res 0 1 0\n", ""), "missing record for ('res', 0, 1)"),
+    (COMPLETE_AUT + "act 0 2 0\n", "records out of range: [('act', 0, 2)]"),
+    (COMPLETE_AUT.replace("act 0 1 1", "act 0 1 2"), "act entry 2 out of range"),
+)
+
+
 class TestAutomatonFile:
+    @pytest.mark.parametrize("text, fragment", BAD_AUTOMATA, ids=[c[1][:40] for c in BAD_AUTOMATA])
+    def test_rejected(self, text, fragment):
+        with pytest.raises(MalformedStructureError) as err:
+            parse_automaton(text)
+        assert fragment in str(err.value)
+
     def test_packaged_file_matches_builtin(self, s2):
         parsed = parse_automaton(_resolve_input("sigma2.aut"), name="sigma2")
         assert parsed == s2
         assert parsed.validate() == []
 
-    COMPLETE = "alphabet 2\nelements 1\nmul 0 0 0\ninv 0 0\nact 0 0 0\nact 0 1 1\nres 0 0 0\nres 0 1 0\n"
+    COMPLETE = COMPLETE_AUT
 
     def test_minimal_file_parses(self, t2):
         assert parse_automaton(self.COMPLETE) == t2

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 
 from localsim import (
     InvalidWallError,
     LiteralParseError,
     Move,
+    UnsupportedStructureError,
     WallsInstance,
     integer_line_instance,
     parse_walls_file,
@@ -24,9 +27,38 @@ def square_instance():
     return WallsInstance(pts, walls, "a", moves)
 
 
+AB_WALL = ((frozenset("a"), frozenset("b")),)
+
+# every check WallsInstance makes: (points, walls, basepoint, moves, message fragment)
+BAD_INSTANCES = (
+    ((), (), "a", (), "no points"),
+    (("a", "a"), (), "a", (), "duplicate point names"),
+    (("a", "b"), ((frozenset(), frozenset("ab")),), "a", (), "wall 0 has an empty side"),
+    (("a", "b"), ((frozenset("ab"), frozenset("b")),), "a", (), "wall 0 has overlapping sides"),
+    (("a", "b", "c"), AB_WALL, "a", (), "wall 0 does not cover the points"),
+    (("a", "b"), AB_WALL, "z", (), "basepoint 'z' is not a point"),
+    (("a", "b"), AB_WALL, "a", (Move("m", "z"),), "move 'm' lands outside the points"),
+    (("a", "b"), AB_WALL, "a", (Move("m", "b", (("a", "b"), ("b", "b"))),), "not a bijection"),
+    (("a", "b"), AB_WALL, "a", (Move("m", "b", (("a", "b"), ("a", "a"))),), "not a bijection"),
+    (("a", "b"), AB_WALL, "a", (Move("m", "a", (("a", "b"), ("b", "a"))),), "disagrees with its image"),
+)
+
+
 class TestValidation:
     def test_good_instance(self):
         square_instance()
+
+    @pytest.mark.parametrize("points, walls, base, moves, fragment", BAD_INSTANCES, ids=[c[-1] for c in BAD_INSTANCES])
+    def test_rejected(self, points, walls, base, moves, fragment):
+        with pytest.raises(InvalidWallError, match=fragment):
+            WallsInstance(points, walls, base, moves)
+
+    def test_non_points_rejected(self):
+        inst = square_instance()
+        with pytest.raises(InvalidWallError, match="'z' is not a point"):
+            inst.half_space_set("z")
+        with pytest.raises(InvalidWallError, match="separation asked for a non-point"):
+            inst.separation("a", "z")
 
     def test_empty_side(self):
         with pytest.raises(InvalidWallError):
@@ -135,13 +167,44 @@ class TestIntegerLine:
         assert names == ["stay", "shift+1", "shift+2", "shift+3", "shift+4"]
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedStructureError, match="k must be >= 1"):
             integer_line_instance(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedStructureError, match="max_shift must be between 1 and k"):
             integer_line_instance(4, max_shift=9)
 
 
+GOOD_WALLS = "points a b\nwall a | b\nbase a\n"
+
+# every rejection in parse_walls_file: (text, message fragment, row or None)
+BAD_WALLS_FILES = (
+    ("points a b\npoints a b\nwall a | b\nbase a\n", "duplicate points line", 2),
+    ("points\nbase a\n", "points line is empty", 1),
+    ("points a b\nwall a b\nbase a\n", "wall line needs exactly one |", 2),
+    ("points a b\nwall a | b | a\nbase a\n", "wall line needs exactly one |", 2),
+    ("points a b\nwall | a b\nbase a\n", "wall side is empty", 2),
+    (GOOD_WALLS + "base b\n", "duplicate base line", 4),
+    ("points a b\nbase a b\n", "base line needs one point", 2),
+    (GOOD_WALLS + "move\n", "move line needs a name", 4),
+    (GOOD_WALLS + "pair\n", "pair line needs a name", 4),
+    ("points a b\nblah\n", "unknown directive 'blah'", 2),
+    ("wall a | b\nbase a\n", "missing points line", None),
+    ("points a b\nwall a | b\n", "missing base line", None),
+    (GOOD_WALLS + "pair hop a\n", "pair line needs: name, start, image", 4),
+    (GOOD_WALLS + "pair hop b a\n", "pair 'hop' does not start at the basepoint", 4),
+    (GOOD_WALLS + "move m a-b b->a\n", "bad mapping token 'a-b'", 4),
+    (GOOD_WALLS + "move m a->b a->a\n", "point 'a' mapped twice", 4),
+    (GOOD_WALLS + "move m b->a\n", "move 'm' does not map the basepoint", 4),
+    ("points a b\nwall a | z\nbase a\n", "wall 0 does not cover the points", None),
+)
+
+
 class TestParser:
+    @pytest.mark.parametrize("text, fragment, row", BAD_WALLS_FILES, ids=[c[1] for c in BAD_WALLS_FILES])
+    def test_rejected(self, text, fragment, row):
+        with pytest.raises(LiteralParseError, match=re.escape(fragment)) as err:
+            parse_walls_file(text)
+        assert err.value.row == row
+
     TEXT = """
 # a tiny instance
 points a b c d

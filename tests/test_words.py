@@ -166,6 +166,35 @@ class TestProperPrefixCount:
         assert elapsed < 2.0
 
 
+# every rejection in Alphabet.parse_word and parse_point: (alphabet size,
+# parser, text, error type, message fragment)
+BAD_LITERALS = (
+    (12, "word", "[0,1", LiteralParseError, "unterminated bracket word '[0,1'"),
+    (12, "word", "[ ]", LiteralParseError, "empty word is spelled 'e', not '[]'"),
+    (12, "word", "[0,x]", LiteralParseError, "bad bracket word '[0,x]'"),
+    (12, "word", "[" + "9" * 5000 + "]", LiteralParseError, "bracket letter of 5000 digits is too long"),
+    (12, "word", "[0," + "0" * 5000 + "]", LiteralParseError, "bracket letter of 5000 digits is too long"),
+    (12, "word", "[12]", MalformedWordError, "letter 12 out of range for alphabet of size 12"),
+    (2, "word", "0x", LiteralParseError, "bad word literal '0x'"),
+    (12, "word", "01", LiteralParseError, "alphabets larger than 10 need the bracket syntax"),
+    (2, "word", "012", MalformedWordError, "letter 2 out of range for alphabet of size 2"),
+    (2, "point", "01", LiteralParseError, "point literal must look like 'prefix(period)', got '01'"),
+    (2, "point", "(01", LiteralParseError, "point literal must look like 'prefix(period)'"),
+    (2, "point", "01()", LiteralParseError, "bad word literal ''"),
+    (2, "point", "01(e)", LiteralParseError, "point literal needs a nonempty period"),
+    (12, "point", "([0,1)", LiteralParseError, "unterminated bracket word '[0,1'"),
+)
+
+
+@pytest.mark.parametrize("size, kind, text, error, fragment", BAD_LITERALS, ids=[c[-1][:40] for c in BAD_LITERALS])
+def test_literal_rejected(size, kind, text, error, fragment):
+    alphabet = Alphabet(size)
+    parse = alphabet.parse_word if kind == "word" else alphabet.parse_point
+    with pytest.raises(error) as err:
+        parse(text)
+    assert fragment in str(err.value)
+
+
 class TestLiterals:
     def test_word_round_trip(self):
         for w in all_balls(A2, 4):

@@ -499,6 +499,10 @@ class TestPropernessAudit:
         assert report.counts() == [1, 1, 1, 1, 1]
         assert report.stabilized
 
+    def test_negative_radius(self, t2):
+        with pytest.raises(UnsupportedStructureError, match="radius must be >= 0"):
+            properness_audit(t2, [], radius=-1, threshold=4)
+
     def test_threshold_zero_only_identity(self, t2, v_gens):
         report = properness_audit(t2, v_gens, radius=3, threshold=0)
         assert report.counts() == [1, 1, 1, 1]
@@ -579,5 +583,5 @@ class TestNowalls:
                 nowalls_demo(group, 1)
 
     def test_bad_count(self, t2):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedStructureError, match="count must be >= 1"):
             nowalls_demo(t2, 0)
