@@ -62,13 +62,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_input(name: str) -> str:
-    """Read a data file from the filesystem, else the packaged fixtures."""
+    """Read a data file from the filesystem, else the packaged fixtures; a
+    file that cannot be read or is not UTF-8 text is a LocalSimError
+    naming it."""
     p = Path(name)
-    if p.is_file():
-        return p.read_text()
-    packaged = resources.files("localsim").joinpath("fixtures", p.name)
-    if packaged.is_file():
-        return packaged.read_text()
+    try:
+        if p.is_file():
+            return p.read_text()
+        packaged = resources.files("localsim").joinpath("fixtures", p.name)
+        if packaged.is_file():
+            return packaged.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LocalSimError(f"cannot read {name}: {exc}") from None
     raise LocalSimError(f"no such file: {name}")
 
 
@@ -341,8 +346,7 @@ def run(args: argparse.Namespace) -> int:
         for rec, text in args.body(args):
             print(json.dumps(rec, sort_keys=True, separators=(",", ":")) if args.format == "records" else text)
             ok = ok and rec.get("ok", True)
-    except (LocalSimError, ValueError) as exc:
-        # ValueError: outside input such as a file that is not UTF-8
+    except LocalSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # the one exit-2 rule: some record reports a failed property check

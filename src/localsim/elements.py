@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
@@ -54,10 +53,12 @@ from .words import (
     PrefixCode,
     Word,
     _canonical,
+    _covering,
     _is_int,
     _overlap,
     _trusted_code,
     _trusted_point,
+    _under,
     is_complete_code,
 )
 
@@ -133,32 +134,34 @@ def validate_table(t: SimTable) -> list[str]:
 _as_row = partial(tuple.__new__, Row)
 
 
-def _compose_rows(
-    group: SelfSimilarGroup, g_rows: tuple[Row, ...], h_rows: tuple[Row, ...]
-) -> list[tuple[Word, Word, int]]:
+def _compose_rows(g: CanonicalElement, h_rows: Sequence[Row]) -> list[tuple[Word, Word, int]]:
     """Rows of g after h (h applied first), as plain tuples sorted by source.
 
-    Both row tuples must be sorted by source.  Each h-row's target is
-    looked up among g's sources by bisection: in a prefix code, the source
-    that is a prefix of the target, if there is one, is the last source
-    not after it.  Then the two similarities chain: the composite germ is
-    g's leftover restriction times the h germ, and the h germ itself when
-    g's germ is the identity.  A target that lies above several source
-    balls is split into its d children, and each child is searched only
-    among the rows under its parent.  A target that meets no source ball
-    lies outside g's domain, and no amount of splitting brings it back.
+    The h-rows must be sorted by source.  Each h-row's target is looked up
+    among g's cached sources with the searches of `words`.  Then the two
+    similarities chain: the composite germ is g's leftover restriction
+    times the h germ, and the h germ itself when g's germ is the identity.
+    A target that lies above several source balls is split into its d
+    children, and each child is searched only among the rows under its
+    parent.  A target that meets no source ball, so that `_under` finds
+    none below it either, lies outside g's domain, and no amount of
+    splitting brings it back.
 
     The h-rows are walked in order, and a target inside one g-row is
     emitted on the spot.  Only a straddling target goes on the split
     stack: its children are pushed in reverse, so the stack pops them
     depth first in letter order, and it is drained before the next h-row.
     The rows therefore come out in increasing source order, ready for
-    `_reduce_rows`.  Nothing is built from g, so translating many small
-    classes by one large element costs only their lookups.
+    `_reduce_rows`.  Nothing is built from g beyond its cached sources, so
+    translating many small classes by one large element costs only their
+    lookups.
     """
+    group = g.group
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
-    n = len(g_rows)
+    g_rows = g.rows
+    sources = g._sources_depth[0]
+    n = len(sources)
     out: list[tuple[Word, Word, int]] = []
     emit = out.append
     split: list[tuple[Word, Word, int, int, int]] = []
@@ -166,29 +169,26 @@ def _compose_rows(
     for src, tgt, germ in h_rows:
         lo, hi = 0, n
         while True:
-            i = bisect_right(g_rows, tgt, lo, hi, key=_source)
-            if i > lo:
-                g_source, g_target, g_germ = g_rows[i - 1]
+            i = _covering(sources, tgt, lo, hi)
+            if i < 0:
+                lo, hi = _under(sources, tgt, d, lo, hi)
+                if lo == hi:
+                    raise CompositionDomainError(
+                        f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
+                    )
+                row_act, row_res = act[germ], res[germ]
+                for a in reversed(range(d)):
+                    push((src + (a,), tgt + (row_act[a],), row_res[a], lo, hi))
+            else:
+                g_source, g_target, g_germ = g_rows[i]
                 k = len(g_source)
-                if tgt[:k] == g_source:
-                    if g_germ:
-                        path, rest = group.act_word(g_germ, tgt[k:])
-                        emit((src, g_target + path, mul[rest][germ]))
-                    else:
-                        emit((src, g_target + tgt[k:], germ))
-                    if not split:
-                        break
-                    src, tgt, germ, lo, hi = pop()
-                    continue
-            if i == hi or g_rows[i].source[: len(tgt)] != tgt:
-                raise CompositionDomainError(
-                    f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
-                )
-            # the rows under tgt run from i up to tgt followed by a letter past the alphabet
-            end = bisect_left(g_rows, tgt + (d,), i, hi, key=_source)
-            row_act, row_res = act[germ], res[germ]
-            for a in reversed(range(d)):
-                push((src + (a,), tgt + (row_act[a],), row_res[a], i, end))
+                if g_germ:
+                    path, rest = group.act_word(g_germ, tgt[k:])
+                    emit((src, g_target + path, mul[rest][germ]))
+                else:
+                    emit((src, g_target + tgt[k:], germ))
+                if not split:
+                    break
             src, tgt, germ, lo, hi = pop()
     return out
 
@@ -251,9 +251,9 @@ class CanonicalElement:
 
     @cached_property
     def _sources_depth(self) -> tuple[tuple[Word, ...], int]:
-        # the sorted sources, which max_partition hands out and symdiff and
-        # gz_member bisect; apply locates a point's row by one prefix as deep
-        # as the deepest source, bisected among them
+        # the sorted sources, which max_partition hands out and every search
+        # for a row runs over; apply searches with one prefix of a point, as
+        # deep as the deepest source
         sources = tuple(map(_source, self.rows))
         return sources, max(map(len, sources), default=0)
 
@@ -320,7 +320,7 @@ def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
-    rows = _reduce_rows(g.group, _compose_rows(g.group, g.rows, h.rows))
+    rows = _reduce_rows(g.group, _compose_rows(g, h.rows))
     return CanonicalElement(g.group, rows)
 
 
@@ -338,20 +338,18 @@ def invert(g: CanonicalElement) -> CanonicalElement:
 def apply(g: CanonicalElement, x: Point) -> Point:
     """Image of an eventually periodic point.
 
-    One prefix of x, as deep as g's deepest source, is bisected among the
-    sources: the source that is a prefix of it is the last one not after
-    it.  No letter is validated here; the point's were checked when it was
-    built and the rows' when the table was, so the image is built directly
-    from the tail.
+    The row covering one prefix of x, as deep as g's deepest source, is
+    found by `_covering`.  No letter is validated here; the point's were
+    checked when it was built and the rows' when the table was, so the
+    image is built directly from the tail.
     """
     group = g.group
     if x.alphabet != group.alphabet:
         raise IncompatibleElementsError("point and element live over different alphabets")
     sources, depth = g._sources_depth
-    w = x.prefix(depth)
-    i = bisect_right(sources, w)
-    if i and w[: len(sources[i - 1])] == sources[i - 1]:
-        src, tgt, germ = g.rows[i - 1]
+    i = _covering(sources, x.prefix(depth))
+    if i >= 0:
+        src, tgt, germ = g.rows[i]
         tail = x.drop(len(src))
         if germ:
             tail = germ_apply(group, germ, tail)
@@ -370,34 +368,25 @@ def max_partition(g: CanonicalElement) -> PrefixCode:
     return _trusted_code(g.group.alphabet, g._sources_depth[0])
 
 
-def _leaf_permutation(g: CanonicalElement) -> list[int]:
-    targets = [r.target for r in g.rows]
-    order = sorted(range(len(targets)), key=lambda i: targets[i])
-    ranks = [0] * len(targets)
-    for rank, i in enumerate(order):
-        ranks[i] = rank
-    return ranks
-
-
 def _require_plain_binary(g: CanonicalElement, what: str) -> None:
     if g.group.alphabet.size != 2 or g.group.size != 1:
         raise UnsupportedStructureError(f"{what} is defined for the binary alphabet with trivial germs")
 
 
 def is_in_F(g: CanonicalElement) -> bool:
-    """Order preserving: sources in sorted order map to sorted targets."""
+    """Order preserving: the targets increase in source order."""
     _require_plain_binary(g, "order-preserving membership")
-    ranks = _leaf_permutation(g)
-    return ranks == list(range(len(ranks)))
+    targets = [t for _, t, _ in g.rows]
+    return targets == sorted(targets)
 
 
 def is_in_T(g: CanonicalElement) -> bool:
-    """Cyclic-order preserving: the leaf permutation is a rotation."""
+    """Cyclic-order preserving: the targets increase in source order once
+    rotated to start at their least target."""
     _require_plain_binary(g, "cyclic-order membership")
-    ranks = _leaf_permutation(g)
-    n = len(ranks)
-    shift = ranks[0]
-    return all(ranks[i] == (shift + i) % n for i in range(n))
+    targets = [t for _, t, _ in g.rows]
+    k = targets.index(min(targets))
+    return targets[k:] + targets[:k] == sorted(targets)
 
 
 _MAX_CANDIDATES = 100_000

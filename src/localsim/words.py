@@ -11,11 +11,21 @@ word enters the library: in `Alphabet.parse_word` for literals, and by
 (`Point`, `PrefixCode`, `SimTable`, ...).  Words derived from checked ones
 (suffixes, rotations, table rows, images under a germ) are not checked
 again.
+
+A sorted prefix code lists its tree in preorder, and two searches over
+it serve every lookup in the library.  The code word that is a prefix of
+a word w, if there is one, is the last code word not after w, since the
+words between that prefix and w would extend it too (`_covering`).  The
+code words inside the ball at b are contiguous: they run from b up to b
+followed by the letter d, one past the alphabet, which sorts after every
+extension of b and before every other word after b (`_under`).  Both
+bisect within a window lo:hi of the code.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
@@ -45,6 +55,21 @@ def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
         if v[: len(u)] == u:
             return u, v
     return None
+
+
+def _covering(code: tuple[Word, ...], w: Word, lo: int = 0, hi: int | None = None) -> int:
+    """The index in code[lo:hi] of the word that is a prefix of w, or -1."""
+    i = bisect_right(code, w, lo, hi) - 1
+    if i >= lo and w[: len(code[i])] == code[i]:
+        return i
+    return -1
+
+
+def _under(code: tuple[Word, ...], b: Word, d: int, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+    """The index range in code[lo:hi] of the words inside the ball at b, for
+    a code over d letters."""
+    i = bisect_left(code, b, lo, hi)
+    return i, bisect_left(code, b + (d,), i, hi)
 
 
 @dataclass(frozen=True)

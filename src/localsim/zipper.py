@@ -29,7 +29,7 @@ similarity, and these pieces can never merge again, because a mergeable
 family among them would be a mergeable family of the reduced inverse; so
 at least two rows remain.  Every vacated inclusion class is a ball
 properly containing a maximal ball of the inverse, so each -1 check costs
-one bisection, and `max_partition` hands out the element's cached
+one `_covering` search, and `max_partition` hands out the element's cached
 sources, so the partitions are walked once and never re-checked.
 
 The entries are the internal nodes of the two maximal-partition trees, and
@@ -43,7 +43,6 @@ the cocycle identity and by the separating walls.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,7 +61,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, _overlap, is_complete_code, is_prefix
+from .words import Word, _covering, _overlap, _under, is_complete_code, is_prefix
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
     """Translate a class by post-composition with a group element."""
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g.group, g.rows, e.rows)))
+    return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g, e.rows)))
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
@@ -188,19 +187,16 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     of r, and pulled back through that similarity a mergeable family among
     them would be a mergeable family of h, which is reduced.  So no piece
     ever merges, at least d >= 2 rows remain, and the count is not one.
-    Each target is located by bisection among h's cached sources; only a
-    class whose targets all lie inside maximal balls is composed.
+    Each target is looked up among h's cached sources by `_covering`; only
+    a class whose targets all lie inside maximal balls is composed.
     """
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
     h = g._inverse
     sources = h._sources_depth[0]
-    for _, t, _ in e.rows:
-        # the source that is a prefix of t, if any, is the last one not after t
-        i = bisect_right(sources, t)
-        if not i or t[: len(sources[i - 1])] != sources[i - 1]:
-            return False
-    return len(_reduce_rows(g.group, _compose_rows(g.group, h.rows, e.rows))) == 1
+    if any(_covering(sources, t) < 0 for _, t, _ in e.rows):
+        return False
+    return len(_reduce_rows(g.group, _compose_rows(h, e.rows))) == 1
 
 
 def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:
@@ -238,11 +234,9 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
         out[e] = -1
     rows = g.rows
     sources = g._sources_depth[0]
-    past = (group.alphabet.size,)
+    d = group.alphabet.size
     for b in max_partition(g).proper_prefixes():
-        # the rows under b are contiguous: from b up to b followed by a letter past the alphabet
-        lo = bisect_left(sources, b)
-        hi = bisect_left(sources, b + past, lo)
+        lo, hi = _under(sources, b, d)
         k = len(b)
         e = _eclass(group, tuple(Row(s[k:], t, germ) for s, t, germ in rows[lo:hi]))
         if z_member(e) or not gz_member(g, e):
@@ -284,9 +278,11 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
 def wall_separation(g1: CanonicalElement, g2: CanonicalElement) -> int:
     """Number of classes lying in exactly one of g1Z, g2Z.
 
-    By left invariance this is the zipper length of g1^-1 g2.
+    By left invariance this is the zipper length of g1^-1 g2.  The inverse
+    is the one cached on g1, so a base element measured against many
+    others is inverted, and its sources listed for the search, once.
     """
-    return zipper_length(compose(invert(g1), g2))
+    return zipper_length(compose(g1._inverse, g2))
 
 
 def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[EmbeddingClass, int]]:
@@ -298,7 +294,7 @@ def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[E
     g2Z only, and a -1 entry lies in Z only, so its translate lies in g1Z
     only.
     """
-    walls = _translate(symdiff(compose(invert(g1), g2)), g1)
+    walls = _translate(symdiff(compose(g1._inverse, g2)), g1)
     return sorted(((e, -v) for e, v in walls.items()), key=lambda ev: ev[0].rows)
 
 

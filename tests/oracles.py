@@ -138,7 +138,7 @@ def slow_gz_member(g: CanonicalElement, e) -> bool:
     """Membership in gZ the long way: compose the inverse, computed afresh,
     with the whole class, reduce, and count the rows."""
     group = g.group
-    return len(_reduce_rows(group, _compose_rows(group, invert(g).rows, e.rows))) == 1
+    return len(_reduce_rows(group, _compose_rows(invert(g), e.rows))) == 1
 
 
 def brute_force_gamma(
@@ -263,7 +263,19 @@ def slow_eclass(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
     """The least right twist of a class's reduced rows, each twist found by
     composing the rows with the global similarity of its germ and reducing
     the result."""
-    return min(_reduce_rows(group, _compose_rows(group, rows, (Row((), (), s),))) for s in range(group.size))
+    table = CanonicalElement(group, rows)
+    return min(_reduce_rows(group, _compose_rows(table, (Row((), (), s),))) for s in range(group.size))
+
+
+def leaf_ranks(g: CanonicalElement) -> list[int]:
+    """The rank of each row's target among all targets, rows in source
+    order: the leaf permutation of a tree-pair diagram."""
+    targets = [r.target for r in g.rows]
+    order = sorted(range(len(targets)), key=lambda i: targets[i])
+    ranks = [0] * len(targets)
+    for rank, i in enumerate(order):
+        ranks[i] = rank
+    return ranks
 
 
 def slow_associativity_witnesses(mul) -> tuple[tuple[int, int, int], ...]:

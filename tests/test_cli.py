@@ -170,6 +170,26 @@ class TestErrorPaths:
         assert code == 1
         assert "no such file" in err
 
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\x7fELF\xd0\xd0")
+        for argv in (["walls2zipper", str(path)], ["--hstruct", str(path), "canon", "id"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xd0")
+
+    def test_unreadable_file_is_named(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "locked.gens"
+        path.write_text("x = id\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = run(capsys, "audit", "--gens", str(path), "--radius", "1", "--threshold", "0")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {path}: [Errno 13] Permission denied: '{path}'\n"
+
     def test_walls2zipper_needs_input(self, capsys):
         assert run(capsys, "walls2zipper")[0] == 1
 

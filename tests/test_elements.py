@@ -41,6 +41,7 @@ from oracles import (
     brute_force_gamma,
     coarsenings,
     enumerate_complete_codes,
+    leaf_ranks,
     point_letter,
     slow_compose_rows,
     slow_reduce_rows,
@@ -197,9 +198,9 @@ class TestRewriteKernel:
     def test_compose_rows_come_out_sorted(self, x0, x1, rot):
         # x0's target 10 lies above x1's sources 100 and 101, so it is split
         for g, h in ((x1, x0), (x0, rot), (rot, x1), (x1, invert(x1))):
-            sources = [s for s, _, _ in _compose_rows(g.group, g.rows, h.rows)]
+            sources = [s for s, _, _ in _compose_rows(g, h.rows)]
             assert all(u < v for u, v in itertools.pairwise(sources))
-        assert len(_compose_rows(x1.group, x1.rows, x0.rows)) == 4
+        assert len(_compose_rows(x1, x0.rows)) == 4
 
     def test_random_tables(self, configurations):
         hypothesis = pytest.importorskip("hypothesis")
@@ -219,14 +220,14 @@ class TestRewriteKernel:
             g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
             h = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
             right = random_table(group, rng, "element", splits)
-            rows = _compose_rows(group, g.rows, right.rows)
+            rows = _compose_rows(g, right.rows)
             assert all(u[0] < v[0] for u, v in itertools.pairwise(rows))
             assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(right)).rows
 
             # a left operand on a proper ball misses some target of any element
             on_ball = random_table(group, rng, "sub-ball", 0)
             with pytest.raises(CompositionDomainError):
-                _compose_rows(group, on_ball.rows, h.rows)
+                _compose_rows(CanonicalElement(group, on_ball.rows), h.rows)
 
         check()
 
@@ -241,7 +242,7 @@ class TestRewriteKernel:
             for _ in range(40):
                 g = random_element(group, rng, max_depth=depth)
                 h = random_element(group, rng, max_depth=rng.randint(1, depth))
-                got = _compose_rows(group, g.rows, h.rows)
+                got = _compose_rows(g, h.rows)
                 assert got == slow_compose_rows(group, g.rows, h.rows)
                 straddled += len(got) > len(h.rows) and any(r.germ for r in g.rows)
         assert straddled >= 50
@@ -261,7 +262,7 @@ class TestRewriteKernel:
                 with pytest.raises(CompositionDomainError) as slow:
                     slow_compose_rows(group, partial, h.rows)
                 with pytest.raises(CompositionDomainError) as fast:
-                    _compose_rows(group, partial, h.rows)
+                    _compose_rows(CanonicalElement(group, tuple(partial)), h.rows)
                 assert str(fast.value) == str(slow.value)
                 failing_rows[_first_failing_row(group, partial, h.rows) > 0] += 1
         # the first h-row fails in some pairs and a later one in others
@@ -330,7 +331,7 @@ class TestComposeInvert:
         # the left operand's sources cover only the ball at 0
         rows = SimTable(t2, (Row((0, 0), (0, 0), 0), Row((0, 1), (0, 1), 0))).rows
         with pytest.raises(CompositionDomainError, match="target 1 "):
-            _compose_rows(t2, rows, identity(t2).rows)
+            _compose_rows(CanonicalElement(t2, rows), identity(t2).rows)
 
     def test_cached_inverse_leaves_equality_alone(self, t2):
         g = random_element(t2, random.Random(5), max_depth=4)
@@ -429,6 +430,23 @@ class TestMembership:
         for group in (s2, t3):
             with pytest.raises(UnsupportedStructureError):
                 is_in_F(identity(group))
+
+    def test_target_order_matches_the_leaf_ranks(self, t2):
+        # every element of V with at most 5 leaves: F when the ranks are the
+        # identity, T when they are a rotation of it
+        start = time.perf_counter()
+        codes = [PrefixCode(t2.alphabet, c) for c in enumerate_complete_codes(t2.alphabet, 4) if len(c) <= 5]
+        counts = collections.Counter()
+        for src, dst in itertools.product(codes, repeat=2):
+            for g in enumerate_gamma(t2, src, dst):
+                ranks = leaf_ranks(g)
+                n = len(ranks)
+                in_f = ranks == list(range(n))
+                in_t = all(ranks[i] == (ranks[0] + i) % n for i in range(n))
+                assert (is_in_F(g), is_in_T(g)) == (in_f, in_t), format_element(g)
+                counts[in_f, in_t] += 1
+        assert counts[True, True] and counts[False, True] and counts[False, False]
+        assert time.perf_counter() - start < 2
 
 
 class TestEnumerateGamma:

@@ -14,6 +14,7 @@ from localsim import (
     is_prefix,
 )
 from localsim.elements import random_code_words
+from localsim.words import _covering, _under
 from oracles import all_balls, enumerate_complete_codes, point_letter, slow_proper_prefix_count, slow_proper_prefixes
 
 A2 = Alphabet(2)
@@ -335,3 +336,52 @@ class TestLiteralProperties:
             assert x._prepend(word).drop(len(word)) == x
 
         check()
+
+
+def _scan_covering(code, w, lo, hi) -> int:
+    return next((i for i in range(lo, hi) if is_prefix(code[i], w)), -1)
+
+
+def _scan_under(code, b, lo, hi) -> list[int]:
+    return [i for i in range(lo, hi) if is_prefix(b, code[i])]
+
+
+class TestPrefixCodeSearch:
+    """`_covering` and `_under` against a linear scan of the code."""
+
+    def test_matches_a_linear_scan(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(st.sampled_from([2, 3, 12]), st.data())
+        def check(d, data):
+            letters = st.lists(st.integers(0, d - 1), max_size=4).map(tuple)
+            words = set(data.draw(st.lists(letters, max_size=12)))
+            # the antichain of the minimal words drawn
+            code = tuple(sorted(u for u in words if not any(v != u and is_prefix(v, u) for v in words)))
+            # a query near a code word: the word itself, a prefix or an extension
+            base = data.draw(st.sampled_from(code)) if code and data.draw(st.booleans()) else ()
+            w = base[: data.draw(st.integers(0, len(base)))] + data.draw(letters)
+            lo, hi = sorted(data.draw(st.lists(st.integers(0, len(code)), min_size=2, max_size=2)))
+            assert _covering(code, w, lo, hi) == _scan_covering(code, w, lo, hi)
+            start, end = _under(code, w, d, lo, hi)
+            assert lo <= start <= end <= hi
+            assert list(range(start, end)) == _scan_under(code, w, lo, hi)
+
+        check()
+
+    def test_edge_cases(self):
+        assert _covering((), (0, 1)) == -1 and _under((), (0,), 2) == (0, 0)
+        # the one-ball code covers every word and lies under the root only
+        assert _covering(((),), ()) == 0 and _covering(((),), (1, 0)) == 0
+        assert _under(((),), (), 2) == (0, 1) and _under(((),), (1,), 2) == (1, 1)
+        code = ((0, 1), (1, 0), (1, 1, 0))
+        # a word equal to a code word is covered by it and is the one word under it
+        for i, u in enumerate(code):
+            assert _covering(code, u) == i and _under(code, u, 2) == (i, i + 1)
+        # words sorting before and after every code word, and the root above them all
+        for w, at in (((0, 0, 1), 0), ((1, 1, 1, 1), 3)):
+            assert _covering(code, w) == -1 and _under(code, w, 2) == (at, at)
+        assert _covering(code, ()) == -1 and _under(code, (), 2) == (0, 3)
+        assert _under(code, (1,), 2) == (1, 3) and _under(code, (1,), 2, 2) == (2, 3)
+        assert _covering(code, (1, 1, 0, 1), 0, 2) == -1 and _covering(code, (1, 1, 0, 1), 2) == 2

@@ -53,7 +53,7 @@ def random_class_rows(group, rng):
     with a twisted inclusion of a ball of depth <= 2."""
     h = random_element(group, rng, max_depth=3)
     ball = tuple(rng.randrange(group.alphabet.size) for _ in range(rng.randrange(3)))
-    return h, _reduce_rows(group, _compose_rows(group, h.rows, (Row((), ball, rng.randrange(group.size)),)))
+    return h, _reduce_rows(group, _compose_rows(h, (Row((), ball, rng.randrange(group.size)),)))
 
 
 def element_containing(e):
