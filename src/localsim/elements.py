@@ -25,8 +25,11 @@ Reduction runs over rows sorted by source, in one pass.  A sorted prefix
 code lists its tree in preorder, so the rows are shifted onto a stack and
 a sibling family is tried as soon as its last child is on top; a merge
 puts the parent on top, which may complete the family above it.
-Composition feeds this pass directly: it emits its rows already sorted by
-source, as plain tuples, and only the reduced rows become `Row`s.
+Composition feeds this pass directly, with plain tuples sorted by source;
+only the reduced rows become `Row`s.  Each row of h either chains with
+the one row of g around its target, or precomposes the rows of g under
+the target with its similarity, pulling their source tails back through
+its germ.  The twists and restriction classes of `zipper` precompose too.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    CompositionDomainError,
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
@@ -134,62 +136,64 @@ def validate_table(t: SimTable) -> list[str]:
 _as_row = partial(tuple.__new__, Row)
 
 
+def _precompose(
+    group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]], k: int, src: Word, germ: int
+) -> list[tuple[Word, Word, int]]:
+    """Rows sorted by source, whose sources share a k-letter prefix b,
+    after the similarity src+u -> b+germ(u): plain tuples sorted by source.
+
+    A source tail v pulls back through germ^-1 to u, leaving r, the
+    restriction of germ^-1 at v; germ at u undoes r, so a row's germ z
+    becomes z r^-1.  Pulling back permutes sibling families, which keeps
+    the rows reduced but not sorted, so they are sorted again; under the
+    identity germ they only trade b for src.
+    """
+    if not germ:
+        return [(src + v[k:], w, z) for v, w, z in rows]
+    pull, inv, mul = group.inv[germ], group.inv, group.mul
+    out = []
+    for v, w, z in rows:
+        u, rest = group.act_word(pull, v[k:])
+        out.append((src + u, w, mul[z][inv[rest]]))
+    out.sort()
+    return out
+
+
 def _compose_rows(g: CanonicalElement, h_rows: Sequence[Row]) -> list[tuple[Word, Word, int]]:
     """Rows of g after h (h applied first), as plain tuples sorted by source.
 
-    The h-rows must be sorted by source.  Each h-row's target is looked up
-    among g's cached sources with the searches of `words`.  Then the two
-    similarities chain: the composite germ is g's leftover restriction
-    times the h germ, and the h germ itself when g's germ is the identity.
-    A target that lies above several source balls is split into its d
-    children, and each child is searched only among the rows under its
-    parent.  A target that meets no source ball, so that `_under` finds
-    none below it either, lies outside g's domain, and no amount of
-    splitting brings it back.
-
-    The h-rows are walked in order, and a target inside one g-row is
-    emitted on the spot.  Only a straddling target goes on the split
-    stack: its children are pushed in reverse, so the stack pops them
-    depth first in letter order, and it is drained before the next h-row.
-    The rows therefore come out in increasing source order, ready for
-    `_reduce_rows`.  Nothing is built from g beyond its cached sources, so
-    translating many small classes by one large element costs only their
-    lookups.
+    The h-rows must be sorted by source, and each target is looked up
+    among g's cached sources by one `_covering` search.  A target inside
+    one g-row emits one row: the similarities chain, and the composite germ
+    is g's leftover restriction times the h germ.  A target straddling
+    several g-rows emits the g-rows under it, found by `_under`, pulled
+    back through the h-row by `_precompose`; g's sources are a complete
+    code, so those rows cover the target's ball.  Each h-row's rows are
+    sorted and inside its source, so all come out sorted by source, ready
+    for `_reduce_rows`.  Nothing is built from g beyond its cached sources,
+    so translating many small classes by one large element costs only
+    their lookups.
     """
     group = g.group
-    act, res, mul = group.act, group.res, group.mul
+    mul = group.mul
     d = group.alphabet.size
     g_rows = g.rows
     sources = g._sources_depth[0]
-    n = len(sources)
     out: list[tuple[Word, Word, int]] = []
     emit = out.append
-    split: list[tuple[Word, Word, int, int, int]] = []
-    pop, push = split.pop, split.append
     for src, tgt, germ in h_rows:
-        lo, hi = 0, n
-        while True:
-            i = _covering(sources, tgt, lo, hi)
-            if i < 0:
-                lo, hi = _under(sources, tgt, d, lo, hi)
-                if lo == hi:
-                    raise CompositionDomainError(
-                        f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
-                    )
-                row_act, row_res = act[germ], res[germ]
-                for a in reversed(range(d)):
-                    push((src + (a,), tgt + (row_act[a],), row_res[a], lo, hi))
+        i = _covering(sources, tgt)
+        if i >= 0:
+            g_source, g_target, g_germ = g_rows[i]
+            k = len(g_source)
+            if g_germ:
+                path, rest = group.act_word(g_germ, tgt[k:])
+                emit((src, g_target + path, mul[rest][germ]))
             else:
-                g_source, g_target, g_germ = g_rows[i]
-                k = len(g_source)
-                if g_germ:
-                    path, rest = group.act_word(g_germ, tgt[k:])
-                    emit((src, g_target + path, mul[rest][germ]))
-                else:
-                    emit((src, g_target + tgt[k:], germ))
-                if not split:
-                    break
-            src, tgt, germ, lo, hi = pop()
+                emit((src, g_target + tgt[k:], germ))
+        else:
+            lo, hi = _under(sources, tgt, d)
+            out += _precompose(group, g_rows[lo:hi], len(tgt), src, germ)
     return out
 
 
@@ -314,9 +318,10 @@ def expand_at(t: SimTable, source: Word) -> SimTable:
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     """g after h.
 
-    The sources of g are a complete code, so they cover every target of h
-    and no CompositionDomainError can arise here; only `_compose_rows`,
-    given rows whose sources are not complete, raises it.
+    Each row of h either lands inside one row of g, or its target's ball
+    is cut by g's sources, which are a complete code, into the rows of g
+    under it; `_compose_rows` carries those back through the row of h.
+    The result is reduced once.
     """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
@@ -539,6 +544,9 @@ def random_element(
 
 
 def random_point(alphabet, rng, max_len: int = 4) -> Point:
+    """A random point: a preperiod under max_len letters, a period of 1 to max_len - 1."""
+    if not _is_int(max_len) or max_len < 2:
+        raise UnsupportedStructureError(f"max_len must be an integer >= 2, got {max_len!r}")
     pre_len = rng.randrange(0, max_len)
     per_len = rng.randrange(1, max_len)
     pre = tuple(rng.randrange(alphabet.size) for _ in range(pre_len))

@@ -317,6 +317,8 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
             if len(vals) != 1 or d is not None:
                 raise MalformedStructureError(f"line {lineno}: bad or repeated alphabet header")
             d = vals[0]
+            if d < 2:
+                raise MalformedStructureError(f"line {lineno}: alphabet size must be >= 2, got {d}")
         elif kw == "elements":
             if len(vals) != 1 or m is not None:
                 raise MalformedStructureError(f"line {lineno}: bad or repeated elements header")

@@ -18,8 +18,7 @@ a word w, if there is one, is the last code word not after w, since the
 words between that prefix and w would extend it too (`_covering`).  The
 code words inside the ball at b are contiguous: they run from b up to b
 followed by the letter d, one past the alphabet, which sorts after every
-extension of b and before every other word after b (`_under`).  Both
-bisect within a window lo:hi of the code.
+extension of b and before every other word after b (`_under`).
 """
 
 from __future__ import annotations
@@ -57,19 +56,19 @@ def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
     return None
 
 
-def _covering(code: tuple[Word, ...], w: Word, lo: int = 0, hi: int | None = None) -> int:
-    """The index in code[lo:hi] of the word that is a prefix of w, or -1."""
-    i = bisect_right(code, w, lo, hi) - 1
-    if i >= lo and w[: len(code[i])] == code[i]:
+def _covering(code: tuple[Word, ...], w: Word) -> int:
+    """The index of the code word that is a prefix of w, or -1."""
+    i = bisect_right(code, w) - 1
+    if i >= 0 and w[: len(code[i])] == code[i]:
         return i
     return -1
 
 
-def _under(code: tuple[Word, ...], b: Word, d: int, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
-    """The index range in code[lo:hi] of the words inside the ball at b, for
-    a code over d letters."""
-    i = bisect_left(code, b, lo, hi)
-    return i, bisect_left(code, b + (d,), i, hi)
+def _under(code: tuple[Word, ...], b: Word, d: int) -> tuple[int, int]:
+    """The index range of the code words inside the ball at b, for a code
+    over d letters."""
+    i = bisect_left(code, b)
+    return i, bisect_left(code, b + (d,), i)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ membership in gZ composes with the inverse, computed once per element,
 and counts the reduced rows: one row means an inclusion class.
 
 A target of the class that straddles several maximal balls of the inverse
-decides non-membership with no composing at all.  Composition splits such
-a target into the inverse's rows under it, carried over by one
+decides non-membership with no composing at all.  Composition replaces
+such a target by the inverse's rows under it, precomposed with one
 similarity, and these pieces can never merge again, because a mergeable
 family among them would be a mergeable family of the reduced inverse; so
 at least two rows remain.  Every vacated inclusion class is a ball
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .elements import (
     CanonicalElement,
@@ -52,7 +52,9 @@ from .elements import (
     SimTable,
     _as_row,
     _compose_rows,
+    _precompose,
     _reduce_rows,
+    _source,
     compose,
     format_element,
     identity,
@@ -92,31 +94,15 @@ class EmbeddingClass:
         return f"<class {format_element(self)}>"
 
 
-def _twisted_rows(group: SelfSimilarGroup, rows: tuple[Row, ...], s: int) -> tuple[tuple[Word, Word, int], ...]:
-    """The rows right-composed with the global similarity of germ s, as
-    plain tuples sorted by source.  One walk of s^-1 through a source v
-    pulls it back and leaves the restriction r of s^-1 at v; as s s^-1 = 1,
-    the germ picks up r^-1.  Twisting keeps a reduced table reduced and its
-    row count unchanged: s permutes sibling families, so a mergeable family
-    in the twist would pull back to a mergeable family in the original.
-    """
-    si, inv, mul = group.inv[s], group.inv, group.mul
-    out = []
-    for v, w, g in rows:
-        v2, rest = group.act_word(si, v)
-        out.append((v2, w, mul[g][inv[rest]]))
-    out.sort()
-    return tuple(out)
-
-
-def _eclass(group: SelfSimilarGroup, rows: tuple[Row, ...]) -> EmbeddingClass:
+def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> EmbeddingClass:
     """The class of the embedding with these reduced rows, sorted by source:
-    the least of its right twists, compared as row tuples.  The identity
-    twist is the rows themselves; only the least is made into `Row`s."""
+    the least of its right twists, compared as row lists.  The twist by the
+    global similarity of germ s is the rows precomposed with it, which
+    keeps them reduced and their count unchanged; the identity twist is the
+    rows themselves.  Only the least is made into `Row`s."""
     if group.size > 1:
-        least = min(rows, *(_twisted_rows(group, rows, s) for s in range(1, group.size)))
-        rows = tuple(map(_as_row, least))
-    return EmbeddingClass(group, rows)
+        rows = min(list(rows), *(_precompose(group, rows, 0, (), s) for s in range(1, group.size)))
+    return EmbeddingClass(group, tuple(map(_as_row, rows)))
 
 
 def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
@@ -134,8 +120,8 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     for r in f.rows:
         if not is_prefix(ball, r.source):
             raise InvalidClassError(f"source {r.source} is outside the ball {ball}")
-    stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in f.rows]
-    sources = tuple(sorted(r.source for r in stripped))
+    stripped = _precompose(group, f.rows, len(ball), (), 0)
+    sources = tuple(map(_source, stripped))
     clash = _overlap(sources)
     if clash is not None:
         raise InvalidClassError(f"sources {ball + clash[0]} and {ball + clash[1]} overlap")
@@ -179,14 +165,14 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     needs no twist minimization, as a twist keeps the reduced row count.
 
     A target of e that is not inside one maximal ball of h decides the
-    answer before anything is composed: the class is not in gZ.  Such a
-    target t of an e-row r is split by the composition into pieces, and
-    the pieces are the d or more rows of h under t, right-composed with
-    the one similarity of r.  A sibling family that contains a piece has
-    its parent at or below the source of r, so all its members are pieces
-    of r, and pulled back through that similarity a mergeable family among
-    them would be a mergeable family of h, which is reduced.  So no piece
-    ever merges, at least d >= 2 rows remain, and the count is not one.
+    answer before anything is composed: the class is not in gZ.  The
+    composition replaces such a target t of an e-row r by pieces: the d or
+    more rows of h under t, precomposed with the one similarity of r.  A
+    sibling family that contains a piece has its parent at or below the
+    source of r, so all its members are pieces of r, and pulled back
+    through that similarity a mergeable family among them would be a
+    mergeable family of h, which is reduced.  So no piece ever merges, at
+    least d >= 2 rows remain, and the count is not one.
     Each target is looked up among h's cached sources by `_covering`; only
     a class whose targets all lie inside maximal balls is composed.
     """
@@ -237,8 +223,7 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     d = group.alphabet.size
     for b in max_partition(g).proper_prefixes():
         lo, hi = _under(sources, b, d)
-        k = len(b)
-        e = _eclass(group, tuple(Row(s[k:], t, germ) for s, t, germ in rows[lo:hi]))
+        e = _eclass(group, _precompose(group, rows[lo:hi], len(b), (), 0))
         if z_member(e) or not gz_member(g, e):
             raise InvalidClassError("translated class failed its membership check")
         if e in out:

@@ -29,7 +29,7 @@ from localsim import (
     z_member,
     zipper_length,
 )
-from localsim.elements import _compose_rows, _reduce_rows
+from localsim.elements import _reduce_rows
 from localsim.structure import SelfSimilarGroup
 from localsim.words import Alphabet, Point, Word
 
@@ -136,9 +136,9 @@ def brute_force_symdiff(g: CanonicalElement) -> dict:
 
 def slow_gz_member(g: CanonicalElement, e) -> bool:
     """Membership in gZ the long way: compose the inverse, computed afresh,
-    with the whole class, reduce, and count the rows."""
+    with the whole class by the stack walk, reduce, and count the rows."""
     group = g.group
-    return len(_reduce_rows(group, _compose_rows(invert(g), e.rows))) == 1
+    return len(_reduce_rows(group, slow_compose_rows(group, invert(g).rows, e.rows))) == 1
 
 
 def brute_force_gamma(
@@ -261,10 +261,9 @@ def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Wor
 
 def slow_eclass(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
     """The least right twist of a class's reduced rows, each twist found by
-    composing the rows with the global similarity of its germ and reducing
-    the result."""
-    table = CanonicalElement(group, rows)
-    return min(_reduce_rows(group, _compose_rows(table, (Row((), (), s),))) for s in range(group.size))
+    composing the rows with the global similarity of its germ by the stack
+    walk and reducing the result."""
+    return min(_reduce_rows(group, slow_compose_rows(group, rows, [((), (), s)])) for s in range(group.size))
 
 
 def leaf_ranks(g: CanonicalElement) -> list[int]:

@@ -7,7 +7,6 @@ import pytest
 
 from localsim import (
     CanonicalElement,
-    CompositionDomainError,
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
@@ -218,25 +217,23 @@ class TestRewriteKernel:
             assert _reduce_rows(group, t.rows) == slow_reduce_rows(group, t.rows)
 
             g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
-            h = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
             right = random_table(group, rng, "element", splits)
             rows = _compose_rows(g, right.rows)
             assert all(u[0] < v[0] for u, v in itertools.pairwise(rows))
             assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(right)).rows
-
-            # a left operand on a proper ball misses some target of any element
-            on_ball = random_table(group, rng, "sub-ball", 0)
-            with pytest.raises(CompositionDomainError):
-                _compose_rows(CanonicalElement(group, on_ball.rows), h.rows)
 
         check()
 
     def test_compose_rows_match_the_stack_walk(self, t2, s2, t3, s3, klein, s3_conjugated):
         # shallow right operands against deep left ones, so many targets
         # straddle several g-rows; over s2, s3, klein and s3_conjugated most
-        # left germs are not the identity, so the pieces go through act and res
+        # left germs are not the identity, so the pieces go through act and
+        # res.  A straddling h-row whose germ is not the identity pulls the
+        # g-rows under its target back through a letter permutation, which
+        # is where the pulled-back block must be sorted again.
         rng = random.Random(151)
         straddled = 0
+        straddling_rows = collections.Counter()
         for group in (t2, s2, t3, s3, klein, s3_conjugated):
             depth = KERNEL_DEPTH[group.alphabet.size]
             for _ in range(40):
@@ -245,38 +242,12 @@ class TestRewriteKernel:
                 got = _compose_rows(g, h.rows)
                 assert got == slow_compose_rows(group, g.rows, h.rows)
                 straddled += len(got) > len(h.rows) and any(r.germ for r in g.rows)
-        assert straddled >= 50
-
-    def test_partial_left_operand_fails_like_the_stack_walk(self, t2, s2, t3, s3, klein, s3_conjugated):
-        # g with one row dropped leaves a hole that some target of h meets;
-        # both walks must stop at the same piece with the same message
-        rng = random.Random(157)
-        failing_rows = collections.Counter()
-        for group in (t2, s2, t3, s3, klein, s3_conjugated):
-            depth = KERNEL_DEPTH[group.alphabet.size]
-            for _ in range(40):
-                g = random_element(group, rng, max_depth=depth)
-                h = random_element(group, rng, max_depth=rng.randint(1, depth))
-                partial = list(g.rows)
-                del partial[rng.randrange(len(partial))]
-                with pytest.raises(CompositionDomainError) as slow:
-                    slow_compose_rows(group, partial, h.rows)
-                with pytest.raises(CompositionDomainError) as fast:
-                    _compose_rows(CanonicalElement(group, tuple(partial)), h.rows)
-                assert str(fast.value) == str(slow.value)
-                failing_rows[_first_failing_row(group, partial, h.rows) > 0] += 1
-        # the first h-row fails in some pairs and a later one in others
-        assert failing_rows[False] >= 10 and failing_rows[True] >= 10
-
-
-def _first_failing_row(group, g_rows, h_rows) -> int:
-    """The index of the h-row whose target first leaves g's domain."""
-    for k in range(len(h_rows)):
-        try:
-            slow_compose_rows(group, g_rows, h_rows[: k + 1])
-        except CompositionDomainError:
-            return k
-    raise AssertionError("every target lies in the domain")
+                for _, tgt, germ in h.rows:
+                    if not any(tgt[: len(v)] == v for v, _, _ in g.rows):
+                        straddling_rows[germ != 0] += 1
+        # with this seed: 68 of 140 straddling h-rows have a germ other
+        # than the identity
+        assert straddled >= 50 and straddling_rows[True] >= 50
 
 
 class TestComposeInvert:
@@ -326,12 +297,6 @@ class TestComposeInvert:
                 code = max_partition(g)
                 want = PrefixCode(group.alphabet, tuple(r.source for r in g.rows))
                 assert type(code.words) is tuple and code.words == want.words and code == want
-
-    def test_left_operand_must_cover_targets(self, t2):
-        # the left operand's sources cover only the ball at 0
-        rows = SimTable(t2, (Row((0, 0), (0, 0), 0), Row((0, 1), (0, 1), 0))).rows
-        with pytest.raises(CompositionDomainError, match="target 1 "):
-            _compose_rows(CanonicalElement(t2, rows), identity(t2).rows)
 
     def test_cached_inverse_leaves_equality_alone(self, t2):
         g = random_element(t2, random.Random(5), max_depth=4)
@@ -652,3 +617,18 @@ class TestRandomCodes:
         assert len(words) == 1501
         assert words[0] == (0,) * 1500 and words == sorted(words)
         assert PrefixCode(t2.alphabet, words).is_complete()
+
+    def test_random_point_needs_room_for_a_period(self, t3):
+        class NoDraws:
+            def randrange(self, *args):
+                raise AssertionError("drew before checking max_len")
+
+        for max_len in (1, 0, -3):
+            with pytest.raises(UnsupportedStructureError, match=f"max_len must be an integer >= 2, got {max_len}"):
+                random_point(t3.alphabet, NoDraws(), max_len)
+        # from 2 on, the points and the draw after them are those of the
+        # implementation without the check
+        rng = random.Random(163)
+        points = [t3.alphabet.format_point(random_point(t3.alphabet, rng, m)) for m in (2, 2, 3, 4, 4, 6)]
+        assert points == ["(1)", "(0)", "(0)", "(010)", "(201)", "2211(0)"]
+        assert rng.random() == 0.3645698690874747

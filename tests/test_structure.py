@@ -154,6 +154,8 @@ BAD_AUTOMATA = (
     ("alphabet " + "9" * 5000 + "\n", "line 1: field of 5000 digits is too long"),
     ("alphabet 2\nalphabet 2\n", "line 2: bad or repeated alphabet header"),
     ("alphabet 2 3\n", "line 1: bad or repeated alphabet header"),
+    ("# sizes\nalphabet 1\nelements 1\n", "line 2: alphabet size must be >= 2, got 1"),
+    ("elements 1\nalphabet 0\n" + TRIVIAL_CELLS, "line 2: alphabet size must be >= 2, got 0"),
     ("elements 1\nelements 1\n", "line 2: bad or repeated elements header"),
     ("elements\n", "line 1: bad or repeated elements header"),
     ("alphabet 2\nelements 1\nmul 0 0\n", "line 3: mul takes 3 integers"),

@@ -338,12 +338,12 @@ class TestLiteralProperties:
         check()
 
 
-def _scan_covering(code, w, lo, hi) -> int:
-    return next((i for i in range(lo, hi) if is_prefix(code[i], w)), -1)
+def _scan_covering(code, w) -> int:
+    return next((i for i, u in enumerate(code) if is_prefix(u, w)), -1)
 
 
-def _scan_under(code, b, lo, hi) -> list[int]:
-    return [i for i in range(lo, hi) if is_prefix(b, code[i])]
+def _scan_under(code, b) -> list[int]:
+    return [i for i, u in enumerate(code) if is_prefix(b, u)]
 
 
 class TestPrefixCodeSearch:
@@ -362,11 +362,10 @@ class TestPrefixCodeSearch:
             # a query near a code word: the word itself, a prefix or an extension
             base = data.draw(st.sampled_from(code)) if code and data.draw(st.booleans()) else ()
             w = base[: data.draw(st.integers(0, len(base)))] + data.draw(letters)
-            lo, hi = sorted(data.draw(st.lists(st.integers(0, len(code)), min_size=2, max_size=2)))
-            assert _covering(code, w, lo, hi) == _scan_covering(code, w, lo, hi)
-            start, end = _under(code, w, d, lo, hi)
-            assert lo <= start <= end <= hi
-            assert list(range(start, end)) == _scan_under(code, w, lo, hi)
+            assert _covering(code, w) == _scan_covering(code, w)
+            start, end = _under(code, w, d)
+            assert 0 <= start <= end <= len(code)
+            assert list(range(start, end)) == _scan_under(code, w)
 
         check()
 
@@ -383,5 +382,4 @@ class TestPrefixCodeSearch:
         for w, at in (((0, 0, 1), 0), ((1, 1, 1, 1), 3)):
             assert _covering(code, w) == -1 and _under(code, w, 2) == (at, at)
         assert _covering(code, ()) == -1 and _under(code, (), 2) == (0, 3)
-        assert _under(code, (1,), 2) == (1, 3) and _under(code, (1,), 2, 2) == (2, 3)
-        assert _covering(code, (1, 1, 0, 1), 0, 2) == -1 and _covering(code, (1, 1, 0, 1), 2) == 2
+        assert _under(code, (1,), 2) == (1, 3) and _covering(code, (1, 1, 0, 1)) == 2

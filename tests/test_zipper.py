@@ -39,6 +39,7 @@ from oracles import (
     brute_force_symdiff,
     complement_cover,
     slow_audit_counts,
+    slow_compose_rows,
     slow_eclass,
     slow_gz_member,
 )
@@ -95,7 +96,8 @@ def restriction_class(g, ball, germ=0):
     canonical."""
     group = g.group
     rows = [r for r in g.rows if r.source[: len(ball)] == ball]
-    twisted = zipper._twisted_rows(group, tuple(Row(r.source[len(ball):], r.target, r.germ) for r in rows), germ)
+    stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in rows]
+    twisted = slow_compose_rows(group, stripped, [((), (), germ)])
     return canonical_eclass(SimTable(group, tuple(Row(ball + s, t, z) for s, t, z in twisted)), ball)
 
 
