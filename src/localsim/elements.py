@@ -208,7 +208,7 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
     shift-reduce pass finds every merge; the rows it leaves are sorted.
     """
     d = group.alphabet.size
-    last = d - 1
+    last = chr(d - 1)
     by_action = group._by_action
     stack: list[tuple[Word, Word, int]] = []
     for row in rows:
@@ -222,7 +222,7 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
             for s, t, g in stack[-d:]:
                 if s[:-1] != parent or not t or t[:-1] != stem:
                     break
-                letters.append(t[-1])
+                letters.append(ord(t[-1]))
                 germs.append(g)
             # a family cut short gives a key shorter than any in by_action
             merged = by_action.get(tuple(letters + germs))
@@ -261,21 +261,21 @@ class CanonicalElement:
         sources = tuple(map(_source, self.rows))
         return sources, max(map(len, sources), default=0)
 
-    def packed(self) -> bytes | tuple:
-        """Compact serialization used for dedup sets; falls back to the
-        row tuple when a letter, a germ or a word length does not fit in a
-        byte."""
-        g = self.group
-        if g.alphabet.size > 256 or g.size > 256:
-            return self.rows
-        flat: list[int] = []
+    def packed(self) -> str:
+        """One str that tells apart the elements of a group, for dedup
+        sets: each row is its source and its target, each led by its
+        length as a code point, then its germ as a code point.
+
+        Read left to right, the lengths mark where each word ends, so no
+        two row lists give the same str.  A length always fits in a code
+        point: a complete code with a word of L letters holds words of
+        every length from 1 to L, so at 0x110000 letters its sources alone
+        would be some 6 * 10**11 letters long.
+        """
+        out: list[str] = []
         for s, t, germ in self.rows:
-            flat += (len(s), *s, len(t), *t, germ)
-        try:
-            return bytes(flat)
-        except ValueError:
-            # a word longer than 255 letters
-            return self.rows
+            out += (chr(len(s)), s, chr(len(t)), t, chr(germ))
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
@@ -298,19 +298,20 @@ def reduce(t: SimTable) -> CanonicalElement:
 
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:
-    return CanonicalElement(group, (Row((), (), 0),))
+    return CanonicalElement(group, (Row("", "", 0),))
 
 
 def expand_at(t: SimTable, source: Word) -> SimTable:
     """Replace the row at `source` by its d one-letter-deeper children."""
-    source = t.group.alphabet.check_word(source)
+    alphabet = t.group.alphabet
+    source = alphabet.check_word(source)
     for r in t.rows:
         if r.source == source:
             break
     else:
-        raise NoSuchRowError(f"no row with source {source}")
+        raise NoSuchRowError(f"no row with source {alphabet.format_word(source)}")
     act, res = t.group.act[r.germ], t.group.res[r.germ]
-    children = [Row(source + (a,), r.target + (act[a],), res[a]) for a in t.group.alphabet.letters]
+    children = [Row(source + chr(a), r.target + chr(act[a]), res[a]) for a in alphabet.letters]
     rows = tuple(x for x in t.rows if x.source != source) + tuple(children)
     return SimTable(t.group, rows)
 
@@ -440,7 +441,7 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     structure in ASCII decimal digits, no more than `int()` converts; a
     missing germ means the identity germ.  Each distinct word text is
     parsed, and its letters validated, once by `Alphabet.parse_word`;
-    sources and targets spelled alike share one tuple.  The rows are not checked again: they are sorted and given
+    sources and targets spelled alike share one str.  The rows are not checked again: they are sorted and given
     to the column check `validate_table` runs, which must find both columns
     complete codes (InvalidCodeError lists what it found otherwise), then
     reduced.
@@ -512,11 +513,11 @@ def random_code_words(alphabet, rng, max_depth: int = 5, split_prob: float = 0.5
     out: list[Word] = []
     # depth-first in letter order, as the splitting draws are made; children
     # are pushed in reverse so the first letter is visited first
-    stack: list[Word] = [()]
+    stack: list[Word] = [""]
     while stack:
         w = stack.pop()
         if len(w) < max_depth and rng.random() < split_prob:
-            stack.extend(w + (a,) for a in reversed(alphabet.letters))
+            stack.extend(w + chr(a) for a in reversed(alphabet.letters))
         else:
             out.append(w)
     return out
@@ -529,12 +530,12 @@ def random_element(
     random bijection, random germs; then reduced."""
     alphabet = group.alphabet
     srcs = random_code_words(alphabet, rng, max_depth, split_prob)
-    tgts: list[Word] = [()]
+    tgts: list[Word] = [""]
     while len(tgts) < len(srcs):
         splittable = [i for i, w in enumerate(tgts) if len(w) < max_depth]
         i = splittable[rng.randrange(len(splittable))]
         w = tgts.pop(i)
-        tgts.extend(w + (a,) for a in alphabet.letters)
+        tgts.extend(w + chr(a) for a in alphabet.letters)
     rng.shuffle(tgts)
     # the preorder walk lists the sources sorted, and both columns are
     # complete codes spelled with the alphabet's letters, so nothing needs
@@ -549,6 +550,6 @@ def random_point(alphabet, rng, max_len: int = 4) -> Point:
         raise UnsupportedStructureError(f"max_len must be an integer >= 2, got {max_len!r}")
     pre_len = rng.randrange(0, max_len)
     per_len = rng.randrange(1, max_len)
-    pre = tuple(rng.randrange(alphabet.size) for _ in range(pre_len))
-    per = tuple(rng.randrange(alphabet.size) for _ in range(per_len))
+    pre = "".join(chr(rng.randrange(alphabet.size)) for _ in range(pre_len))
+    per = "".join(chr(rng.randrange(alphabet.size)) for _ in range(per_len))
     return _trusted_point(alphabet, *_canonical(pre, per))

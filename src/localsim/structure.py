@@ -51,7 +51,7 @@ class SelfSimilarGroup:
     `validate`, so that broken structures can be loaded and diagnosed.
     """
 
-    __slots__ = ("alphabet", "size", "mul", "inv", "act", "res", "name", "_hash", "_by_action")
+    __slots__ = ("alphabet", "size", "mul", "inv", "act", "res", "name", "_hash", "_by_action", "_letterwise")
 
     def __init__(self, alphabet: Alphabet, mul, inv, act, res, name: str = ""):
         size = len(mul)
@@ -87,11 +87,17 @@ class SelfSimilarGroup:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash((alphabet.size, mul, inv, act, res)))
         # the first element with each letter action and restriction row: the
-        # germ a sibling family of similarities merges into
+        # germ a sibling family of similarities merges into; and, for each
+        # element whose restrictions are all itself, its act row, which is a
+        # `str.translate` table as it stands: the letter a goes to the code
+        # point act[i][a], so the element moves a whole word in one call
         by_action: dict[tuple[int, ...], int] = {}
+        letterwise: list[tuple[int, ...] | None] = []
         for i in range(size):
             by_action.setdefault(act[i] + res[i], i)
+            letterwise.append(act[i] if res[i].count(i) == d else None)
         object.__setattr__(self, "_by_action", by_action)
+        object.__setattr__(self, "_letterwise", tuple(letterwise))
 
     def __setattr__(self, *_):
         raise AttributeError("SelfSimilarGroup is immutable")
@@ -118,14 +124,22 @@ class SelfSimilarGroup:
         return f"SelfSimilarGroup({label}, d={self.alphabet.size})"
 
     def act_word(self, elem: int, word: Word) -> tuple[Word, int]:
-        """Image of a finite word and the restriction left after reading it."""
+        """Image of a finite word and the restriction left after reading it.
+
+        An element whose restrictions are all itself acts letter by letter,
+        so its image is one `str.translate`; any other steps through the
+        word one letter at a time.
+        """
+        table = self._letterwise[elem]
+        if table is not None:
+            return word.translate(table), elem
         out = []
         state = elem
         act, res = self.act, self.res
-        for a in word:
+        for a in map(ord, word):
             out.append(act[state][a])
             state = res[state][a]
-        return tuple(out), state
+        return "".join(map(chr, out)), state
 
     # -- axioms ------------------------------------------------------------
 
@@ -375,7 +389,7 @@ def germ_apply(group: SelfSimilarGroup, elem: int, x: Point) -> Point:
         chunk, state = group.act_word(state, x.period)
         chunks.append(chunk)
     start = seen[state]
-    pre = out_pre + tuple(itertools.chain.from_iterable(chunks[:start]))
-    per = tuple(itertools.chain.from_iterable(chunks[start:]))
+    pre = out_pre + "".join(chunks[:start])
+    per = "".join(chunks[start:])
     # the letters come from the action table; only the form needs finding
     return _trusted_point(group.alphabet, *_canonical(pre, per))

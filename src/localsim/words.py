@@ -4,13 +4,21 @@ Infinite words over a d-letter alphabet form a compact ultrametric space;
 a finite word addresses the closed ball of all its infinite extensions.
 Everything here is integer-exact.
 
-Words are plain tuples of small ints.  The alphabet is passed where an
-operation actually needs to know d.  Letters are validated once, where a
-word enters the library: in `Alphabet.parse_word` for literals, and by
-`check_word` wherever a public constructor or function takes a word
-(`Point`, `PrefixCode`, `SimTable`, ...).  Words derived from checked ones
-(suffixes, rotations, table rows, images under a germ) are not checked
-again.
+A word is a `str` whose code points are its letters: the letter a is
+`chr(a)`.  A word keeps its hash once computed, and slicing, comparing
+and searching run over packed code points, one or two bytes a letter up
+to 65,536 letters.  str order is code point order, which is the
+lexicographic order of the letters, so sorting and bisecting words mean
+what they mean for letter sequences.  No word is ever encoded: from
+55,296 letters on, some letters are surrogate code points.  The alphabet
+is passed where an operation actually needs to know d; it has at most
+0x10FFFF letters, so that every letter and the bound chr(d) are code
+points.  Letters are validated once, where a word enters the library: in
+`Alphabet.parse_word` for literals, and by `check_word` wherever a public
+constructor or function takes a word (`Point`, `PrefixCode`, `SimTable`,
+...); `check_word` also takes any iterable of int letters.  Words derived
+from checked ones (suffixes, rotations, table rows, images under a germ)
+are not checked again.
 
 A sorted prefix code lists its tree in preorder, and two searches over
 it serve every lookup in the library.  The code word that is a prefix of
@@ -30,10 +38,18 @@ from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidCodeError, LiteralParseError, MalformedWordError
 
-Word = tuple[int, ...]
+Word = str
 
-# ASCII digit -> letter, so that a digit word converts in one call
-_DIGIT_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
+# ASCII digit <-> letter, so that a word over at most ten letters converts
+# in one call either way
+_DIGITS = "0123456789"
+_LETTERS = "".join(map(chr, range(10)))
+_DIGIT_LETTERS = str.maketrans(_DIGITS, _LETTERS)
+_LETTER_DIGITS = str.maketrans(_LETTERS, _DIGITS)
+
+# the largest alphabet: its letters and the bound chr(d) that `_under`
+# appends are all code points
+_MAX_SIZE = 0x10FFFF
 
 
 def is_prefix(prefix: Word, word: Word) -> bool:
@@ -51,7 +67,7 @@ def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
     second, or None if the words are an antichain.  In sorted order the
     extensions of a word directly follow it, so neighbours are enough."""
     for u, v in itertools.pairwise(sorted_words):
-        if v[: len(u)] == u:
+        if v.startswith(u):
             return u, v
     return None
 
@@ -59,7 +75,7 @@ def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
 def _covering(code: tuple[Word, ...], w: Word) -> int:
     """The index of the code word that is a prefix of w, or -1."""
     i = bisect_right(code, w) - 1
-    if i >= 0 and w[: len(code[i])] == code[i]:
+    if i >= 0 and w.startswith(code[i]):
         return i
     return -1
 
@@ -68,7 +84,7 @@ def _under(code: tuple[Word, ...], b: Word, d: int) -> tuple[int, int]:
     """The index range of the code words inside the ball at b, for a code
     over d letters."""
     i = bisect_left(code, b)
-    return i, bisect_left(code, b + (d,), i)
+    return i, bisect_left(code, b + chr(d), i)
 
 
 @dataclass(frozen=True)
@@ -80,17 +96,26 @@ class Alphabet:
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 2:
             raise MalformedWordError(f"alphabet size must be an integer >= 2, got {self.size!r}")
+        if self.size > _MAX_SIZE:
+            raise MalformedWordError(f"alphabet size must be at most {_MAX_SIZE}, got {self.size}")
 
     @property
     def letters(self) -> range:
         return range(self.size)
 
-    def check_word(self, word: Iterable[int]) -> Word:
+    def check_word(self, word: str | Iterable[int]) -> Word:
+        """The word with these letters: a str, checked code point by code
+        point, or any iterable of int letters."""
+        if isinstance(word, str):
+            if not word or max(word) < chr(self.size):
+                return word
+            # some letter is out of range; the loop below names the first
+            word = map(ord, word)
         word = tuple(word)
         for a in word:
             if not _is_int(a) or not 0 <= a < self.size:
                 raise MalformedWordError(f"letter {a!r} out of range for alphabet of size {self.size}")
-        return word
+        return "".join(map(chr, word))
 
     # -- literals ----------------------------------------------------------
 
@@ -106,7 +131,7 @@ class Alphabet:
         """
         t = text.strip()
         if t == "e":
-            return ()
+            return ""
         if t.startswith("["):
             if not t.endswith("]"):
                 raise LiteralParseError(f"unterminated bracket word {text!r}")
@@ -126,16 +151,16 @@ class Alphabet:
         if self.size > 10:
             raise LiteralParseError("alphabets larger than 10 need the bracket syntax [a,b,...]")
         # stripping the alphabet's digits leaves exactly the out-of-range ones
-        if t.strip("0123456789"[: self.size]):
+        if t.strip(_DIGITS[: self.size]):
             self.check_word(int(c) for c in t)
-        return tuple(t.encode().translate(_DIGIT_LETTERS))
+        return t.translate(_DIGIT_LETTERS)
 
     def format_word(self, word: Word) -> str:
         if not word:
             return "e"
         if self.size <= 10:
-            return "".join(map(str, word))
-        return "[" + ",".join(map(str, word)) + "]"
+            return word.translate(_LETTER_DIGITS)
+        return "[" + ",".join(str(ord(c)) for c in word) + "]"
 
     def parse_point(self, text: str) -> "Point":
         """Parse 'prefix(period)', e.g. '01(10)'; the prefix may be absent."""
@@ -145,7 +170,7 @@ class Alphabet:
             raise LiteralParseError(f"point literal must look like 'prefix(period)', got {text!r}")
         pre_txt = t[:i].strip()
         per_txt = t[i + 1 : -1].strip()
-        pre = self.parse_word(pre_txt) if pre_txt else ()
+        pre = self.parse_word(pre_txt) if pre_txt else ""
         per = self.parse_word(per_txt)
         if not per:
             raise LiteralParseError("point literal needs a nonempty period")
@@ -197,7 +222,7 @@ class Point:
         if n <= len(pre):
             return _trusted_point(self.alphabet, pre[n:], per)
         shift = (n - len(pre)) % len(per)
-        return _trusted_point(self.alphabet, (), per[shift:] + per[:shift])
+        return _trusted_point(self.alphabet, "", per[shift:] + per[:shift])
 
     def _prepend(self, word: Word) -> "Point":
         # `word` is already checked.  The period stays primitive, so only
@@ -271,6 +296,7 @@ class PrefixCode:
             u, v = pair
             if u == v:
                 raise InvalidCodeError("repeated word in prefix code")
+            u, v = map(self.alphabet.format_word, pair)
             raise InvalidCodeError(f"{u} is a prefix of {v}; not an antichain")
         object.__setattr__(self, "words", ws)
 

@@ -101,7 +101,7 @@ def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> 
     keeps them reduced and their count unchanged; the identity twist is the
     rows themselves.  Only the least is made into `Row`s."""
     if group.size > 1:
-        rows = min(list(rows), *(_precompose(group, rows, 0, (), s) for s in range(1, group.size)))
+        rows = min(list(rows), *(_precompose(group, rows, 0, "", s) for s in range(1, group.size)))
     return EmbeddingClass(group, tuple(map(_as_row, rows)))
 
 
@@ -114,33 +114,34 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     ball address off every source), then reduced and twist minimized.
     """
     group = f.group
+    fmt = group.alphabet.format_word
     ball = group.alphabet.check_word(ball)
     if not f.rows:
         raise InvalidClassError("empty table")
     for r in f.rows:
         if not is_prefix(ball, r.source):
-            raise InvalidClassError(f"source {r.source} is outside the ball {ball}")
-    stripped = _precompose(group, f.rows, len(ball), (), 0)
+            raise InvalidClassError(f"source {fmt(r.source)} is outside the ball {fmt(ball)}")
+    stripped = _precompose(group, f.rows, len(ball), "", 0)
     sources = tuple(map(_source, stripped))
     clash = _overlap(sources)
     if clash is not None:
-        raise InvalidClassError(f"sources {ball + clash[0]} and {ball + clash[1]} overlap")
+        raise InvalidClassError(f"sources {fmt(ball + clash[0])} and {fmt(ball + clash[1])} overlap")
     if not is_complete_code(sources, group.alphabet.size):
-        raise InvalidClassError(f"sources do not partition the ball {ball}")
+        raise InvalidClassError(f"sources do not partition the ball {fmt(ball)}")
     clash = _overlap(tuple(sorted(r.target for r in f.rows)))
     if clash is not None:
-        raise InvalidClassError(f"targets {clash[0]} and {clash[1]} overlap")
+        raise InvalidClassError(f"targets {fmt(clash[0])} and {fmt(clash[1])} overlap")
     return _eclass(group, _reduce_rows(group, stripped))
 
 
 def incl_class(group: SelfSimilarGroup, ball: Word) -> EmbeddingClass:
     """The class of the plain inclusion of the ball at `ball`.
 
-    Its canonical representative is the single row () -> ball with identity
+    Its canonical representative is the single row e -> ball with identity
     germ (any germ twists away, and the identity germ is least).
     """
     ball = group.alphabet.check_word(ball)
-    return EmbeddingClass(group, (Row((), ball, 0),))
+    return EmbeddingClass(group, (Row("", ball, 0),))
 
 
 def z_member(e: EmbeddingClass) -> bool:
@@ -214,7 +215,7 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     group = g.group
     out: dict[EmbeddingClass, int] = {}
     for b in max_partition(g._inverse).proper_prefixes():
-        e = EmbeddingClass(group, (Row((), b, 0),))
+        e = EmbeddingClass(group, (Row("", b, 0),))
         if not z_member(e) or gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
@@ -223,7 +224,7 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     d = group.alphabet.size
     for b in max_partition(g).proper_prefixes():
         lo, hi = _under(sources, b, d)
-        e = _eclass(group, _precompose(group, rows[lo:hi], len(b), (), 0))
+        e = _eclass(group, _precompose(group, rows[lo:hi], len(b), "", 0))
         if z_member(e) or not gz_member(g, e):
             raise InvalidClassError("translated class failed its membership check")
         if e in out:
@@ -422,15 +423,16 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
             f"the demonstration is limited to {_MAX_WITNESSES} witnesses, got {count}: "
             "witness k has 2^(k-1) leaves"
         )
-    first = incl_class(group, (0,))
-    f2 = SimTable(group, (Row((1, 0), (1, 0), 0), Row((1, 1), (1, 1, 1), 0)))
-    second = canonical_eclass(f2, (1,))
+    w = group.alphabet.parse_word
+    first = incl_class(group, w("0"))
+    f2 = SimTable(group, (Row(w("10"), w("10"), 0), Row(w("11"), w("111"), 0)))
+    second = canonical_eclass(f2, w("1"))
 
     witnesses = [identity(group)]
     depth = 1
     while len(witnesses) < count:
-        leaves = [(1,) + w for w in itertools.product((0, 1), repeat=depth)]
-        rows = [Row((0,), (0,), 0)]
+        leaves = [w("1") + "".join(u) for u in itertools.product(w("01"), repeat=depth)]
+        rows = [Row(w("0"), w("0"), 0)]
         n = len(leaves)
         rows.extend(Row(leaves[i], leaves[(i + 1) % n], 0) for i in range(n))
         g = CanonicalElement(group, _reduce_rows(group, rows))
@@ -445,7 +447,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     # an element whose translate does contain the second class: the second
     # embedding extended to a bijection by sending ball 0 onto the balls its
     # image leaves uncovered, 0 and 110 (the table is already reduced)
-    rows = (Row((0, 0), (0,), 0), Row((0, 1), (1, 1, 0), 0)) + f2.rows
+    rows = (Row(w("00"), w("0"), 0), Row(w("01"), w("110"), 0)) + f2.rows
     covering = CanonicalElement(group, rows)
     ok = all(first_in) and not any(second_in) and gz_member(covering, second)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)

@@ -5,6 +5,12 @@ automaton stepping instead of cycle detection, exhaustive ball enumeration
 instead of prefix bookkeeping, full table enumeration instead of filtered
 search.  Keep these dumb; their value is that they share no shortcuts with
 the code under test.
+
+They also share no representation with it: inside this module a word is a
+tuple of int letters, as it is spelled on paper.  Words cross over at the
+boundary only, through `letters` (a library word, or a tuple, to a tuple)
+and `as_word` (a tuple to the library's str word); the tests write their
+word literals as tuples and convert them with `as_word` too.
 """
 
 from __future__ import annotations
@@ -33,51 +39,75 @@ from localsim.elements import _reduce_rows
 from localsim.structure import SelfSimilarGroup
 from localsim.words import Alphabet, Point, Word
 
+Letters = tuple[int, ...]
 
-def enumerate_complete_codes(alphabet: Alphabet, max_depth: int) -> list[tuple[Word, ...]]:
-    """All complete prefix codes of depth <= max_depth, as sorted tuples."""
+
+def letters(word) -> Letters:
+    """A word as a tuple of int letters: a library str word is read code
+    point by code point, anything else taken letter by letter."""
+    return tuple(map(ord, word)) if isinstance(word, str) else tuple(word)
+
+
+def as_word(letters: Letters) -> Word:
+    """A tuple of int letters as the library's word."""
+    return "".join(map(chr, letters))
+
+
+def _complete_codes(d: int, max_depth: int) -> list[tuple[Letters, ...]]:
     if max_depth == 0:
         return [((),)]
-    shallower = enumerate_complete_codes(alphabet, max_depth - 1)
+    shallower = _complete_codes(d, max_depth - 1)
     out = [((),)]
-    for parts in itertools.product(shallower, repeat=alphabet.size):
-        code = tuple(sorted((a,) + w for a, part in zip(alphabet.letters, parts) for w in part))
+    for parts in itertools.product(shallower, repeat=d):
+        code = tuple(sorted((a,) + w for a, part in enumerate(parts) for w in part))
         out.append(code)
     return sorted(set(out))
 
 
+def enumerate_complete_codes(alphabet: Alphabet, max_depth: int) -> list[tuple[Word, ...]]:
+    """All complete prefix codes of depth <= max_depth, as sorted tuples."""
+    return [tuple(map(as_word, code)) for code in _complete_codes(alphabet.size, max_depth)]
+
+
+def _balls(d: int, max_depth: int) -> list[Letters]:
+    return [w for n in range(max_depth + 1) for w in itertools.product(range(d), repeat=n)]
+
+
 def slow_proper_prefix_count(code: PrefixCode) -> int:
     """Count balls properly containing a code word, by scanning all words."""
-    depth = max(map(len, code.words))
+    words = [letters(w) for w in code.words]
+    depth = max(map(len, words))
     return sum(
         1
-        for w in all_balls(code.alphabet, depth)
-        if any(len(w) < len(v) and v[: len(w)] == w for v in code.words)
+        for w in _balls(code.alphabet.size, depth)
+        if any(len(w) < len(v) and v[: len(w)] == w for v in words)
     )
 
 
 def slow_proper_prefixes(code: PrefixCode) -> tuple[Word, ...]:
     """The balls properly containing a code word: every prefix of every
     word collected in a set, then sorted."""
-    return tuple(sorted({w[:k] for w in code.words for k in range(len(w))}))
+    words = [letters(w) for w in code.words]
+    return tuple(map(as_word, sorted({w[:k] for w in words for k in range(len(w))})))
 
 
 def point_letter(x: Point, i: int) -> int:
     """The i-th letter of an eventually periodic point, straight from the data."""
-    if i < len(x.preperiod):
-        return x.preperiod[i]
-    return x.period[(i - len(x.preperiod)) % len(x.period)]
+    pre, per = letters(x.preperiod), letters(x.period)
+    if i < len(pre):
+        return pre[i]
+    return per[(i - len(pre)) % len(per)]
 
 
 def stepwise_apply_letters(g: CanonicalElement, x: Point, n: int) -> list[int]:
     """First n letters of g(x), one automaton step at a time."""
     group = g.group
-    by_source = {r.source: r for r in g.rows}
+    by_source = {letters(r.source): r for r in g.rows}
     depth = 0
     while tuple(point_letter(x, i) for i in range(depth)) not in by_source:
         depth += 1
     row = by_source[tuple(point_letter(x, i) for i in range(depth))]
-    out = list(row.target)
+    out = list(letters(row.target))
     state = row.germ
     i = depth
     while len(out) < n:
@@ -89,7 +119,7 @@ def stepwise_apply_letters(g: CanonicalElement, x: Point, n: int) -> list[int]:
 
 
 def all_balls(alphabet: Alphabet, max_depth: int) -> list[Word]:
-    return [w for n in range(max_depth + 1) for w in itertools.product(alphabet.letters, repeat=n)]
+    return [as_word(w) for w in _balls(alphabet.size, max_depth)]
 
 
 def complement_cover(alphabet: Alphabet, balls) -> list[Word]:
@@ -97,8 +127,9 @@ def complement_cover(alphabet: Alphabet, balls) -> list[Word]:
     order.  Depth first from the root: a ball inside one of the given balls
     is skipped, a ball meeting none of them is kept, and any other ball is
     split into its children."""
-    out: list[Word] = []
-    stack: list[Word] = [()]
+    balls = [letters(b) for b in balls]
+    out: list[Letters] = []
+    stack: list[Letters] = [()]
     while stack:
         p = stack.pop()
         if any(p[: len(b)] == b for b in balls):
@@ -107,7 +138,7 @@ def complement_cover(alphabet: Alphabet, balls) -> list[Word]:
             out.append(p)
             continue
         stack.extend(p + (a,) for a in reversed(alphabet.letters))
-    return out
+    return list(map(as_word, out))
 
 
 def brute_force_symdiff(g: CanonicalElement) -> dict:
@@ -181,11 +212,12 @@ def tables_over(group: SelfSimilarGroup, src, dst) -> set[CanonicalElement]:
 def coarsenings(code: PrefixCode) -> list[tuple[Word, ...]]:
     """All complete codes the given one refines, including itself: those
     with a ball at or above every ball of the code."""
-    depth = max(map(len, code.words))
+    words = [letters(w) for w in code.words]
+    depth = max(map(len, words))
     return [
-        q
-        for q in enumerate_complete_codes(code.alphabet, depth)
-        if all(any(w[: len(u)] == u for u in q) for w in code.words)
+        tuple(map(as_word, q))
+        for q in _complete_codes(code.alphabet.size, depth)
+        if all(any(w[: len(u)] == u for u in q) for w in words)
     ]
 
 
@@ -195,7 +227,7 @@ def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
     Accepts the rows in any order."""
     d = group.alphabet.size
     act, res = group.act, group.res
-    table = {src: (tgt, germ) for src, tgt, germ in rows}
+    table = {letters(src): (letters(tgt), germ) for src, tgt, germ in rows}
     pending = {src[:-1] for src in table if src}
     while pending:
         p = pending.pop()
@@ -223,7 +255,17 @@ def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
         table[p] = (stem, merged)
         if p:
             pending.add(p[:-1])
-    return tuple(sorted(Row(s, t, g) for s, (t, g) in table.items()))
+    return tuple(Row(as_word(s), as_word(t), g) for s, (t, g) in sorted(table.items()))
+
+
+def stepwise_act_word(group: SelfSimilarGroup, elem: int, word: Letters) -> tuple[Letters, int]:
+    """The image of a word under one group element, a letter at a time,
+    and the restriction left after it."""
+    out = []
+    for a in word:
+        out.append(group.act[elem][a])
+        elem = group.res[elem][a]
+    return tuple(out), elem
 
 
 def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Word, Word, int]]:
@@ -234,8 +276,9 @@ def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Wor
     Raises CompositionDomainError at the first piece no g-row covers."""
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
+    g_rows = [(letters(s), letters(t), z) for s, t, z in g_rows]
     out = []
-    stack = [(src, tgt, germ, 0, len(g_rows)) for src, tgt, germ in reversed(h_rows)]
+    stack = [(letters(src), letters(tgt), germ, 0, len(g_rows)) for src, tgt, germ in reversed(h_rows)]
     while stack:
         src, tgt, germ, lo, hi = stack.pop()
         i = bisect_right(g_rows, tgt, lo, hi, key=lambda row: row[0])
@@ -243,15 +286,12 @@ def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Wor
             g_source, g_target, g_germ = g_rows[i - 1]
             k = len(g_source)
             if tgt[:k] == g_source:
-                if g_germ:
-                    path, rest = group.act_word(g_germ, tgt[k:])
-                    out.append((src, g_target + path, mul[rest][germ]))
-                else:
-                    out.append((src, g_target + tgt[k:], germ))
+                path, rest = stepwise_act_word(group, g_germ, tgt[k:])
+                out.append((as_word(src), as_word(g_target + path), mul[rest][germ]))
                 continue
-        if i == hi or g_rows[i].source[: len(tgt)] != tgt:
+        if i == hi or g_rows[i][0][: len(tgt)] != tgt:
             raise CompositionDomainError(
-                f"target {group.alphabet.format_word(tgt)} lies outside the domain of the left operand"
+                f"target {group.alphabet.format_word(as_word(tgt))} lies outside the domain of the left operand"
             )
         end = bisect_left(g_rows, tgt + (d,), i, hi, key=lambda row: row[0])
         for a in reversed(range(d)):

@@ -37,6 +37,7 @@ from localsim import (
 )
 from localsim.elements import _compose_rows, _reduce_rows, random_code_words
 from oracles import (
+    as_word,
     brute_force_gamma,
     coarsenings,
     enumerate_complete_codes,
@@ -63,30 +64,44 @@ def letter_swap(d: int, a: int, b: int) -> str:
 
 
 class TestPacked:
-    """`packed()` is a bytes key while every letter, germ and word length
-    fits in a byte, and the row tuple otherwise."""
+    """`packed()` is one str key for every element, also past the limits of
+    a byte: word lengths over 255, more than 256 letters, more than 256
+    germs.  Equal elements give equal keys and distinct ones distinct keys."""
 
-    def test_bytes_key_up_to_255_letters(self, t2):
-        g = parse_element(comb_swap(255), t2)
-        assert isinstance(g.packed(), bytes)
-
-    def test_row_fallbacks(self, t2):
-        cases = (
-            (t2, comb_swap(256), comb_swap(257)),  # a row deeper than 255 letters
-            (trivial_group(257), letter_swap(257, 0, 1), letter_swap(257, 0, 2)),  # 257 letters
-            (symmetric_group(6), "e->e:300", "e->e:301"),  # 720 germs
+    @staticmethod
+    def _cases(t2):
+        return (
+            ("255 letters", t2, comb_swap(255), comb_swap(254)),
+            ("a row deeper than 255 letters", t2, comb_swap(256), comb_swap(257)),
+            ("257 letters", trivial_group(257), letter_swap(257, 0, 1), letter_swap(257, 0, 2)),
+            ("720 germs", symmetric_group(6), "e->e:300", "e->e:301"),
         )
-        for group, text, other in cases:
+
+    def test_str_key_for_every_element(self, t2):
+        for label, group, text, _ in self._cases(t2):
+            assert isinstance(parse_element(text, group).packed(), str), label
+
+    def test_injective_past_the_byte_limits(self, t2):
+        for label, group, text, other in self._cases(t2):
             g, same, h = parse_element(text, group), parse_element(text, group), parse_element(other, group)
-            assert g.packed() == g.rows and h.packed() == h.rows
-            assert g.packed() == same.packed() and hash(g.packed()) == hash(same.packed())
-            assert g.packed() != h.packed()
-            assert len({g.packed(), same.packed(), h.packed()}) == 2
+            assert g.packed() == same.packed() and hash(g.packed()) == hash(same.packed()), label
+            assert g.packed() != h.packed(), label
+            assert len({g.packed(), same.packed(), h.packed()}) == 2, label
+
+    def test_injective_on_every_small_element(self, t2, s2):
+        # every element with at most 4 leaves; run together without their
+        # lengths, the rows of some of them would read alike
+        for group in (t2, s2):
+            codes = [PrefixCode(group.alphabet, c) for c in enumerate_complete_codes(group.alphabet, 3)]
+            elems = {g for p in codes for q in codes if len(p) == len(q) <= 4 for g in enumerate_gamma(group, p, q)}
+            assert len({g.packed() for g in elems}) == len(elems) > 500
+            assert len({"".join(s + t + chr(z) for s, t, z in g.rows) for g in elems}) < len(elems)
 
 
 class TestValidateTable:
     def test_identity_clean(self, t2):
         assert validate_table(SimTable(t2, (Row((), (), 0),))) == []
+        assert validate_table(SimTable(t2, (Row("", "", 0),))) == []
 
     def test_incomplete_domain(self, t2):
         issues = validate_table(SimTable(t2, (Row((0,), (0,), 0),)))
@@ -114,16 +129,18 @@ class TestValidateTable:
 class TestExpandReduce:
     def test_expand_identity(self, t2):
         t = expand_at(SimTable(t2, identity(t2).rows), ())
-        assert t.rows == (Row((0,), (0,), 0), Row((1,), (1,), 0))
+        assert t.rows == (Row(as_word((0,)), as_word((0,)), 0), Row(as_word((1,)), as_word((1,)), 0))
 
     def test_expand_pushes_germ(self, s2):
         root_swap = SimTable(s2, (Row((), (), 1),))
         t = expand_at(root_swap, ())
-        assert t.rows == (Row((0,), (1,), 1), Row((1,), (0,), 1))
+        assert t.rows == (Row(as_word((0,)), as_word((1,)), 1), Row(as_word((1,)), as_word((0,)), 1))
 
     def test_expand_missing_row(self, t2):
         with pytest.raises(NoSuchRowError):
             expand_at(SimTable(t2, identity(t2).rows), (0, 1))
+        with pytest.raises(NoSuchRowError):
+            expand_at(SimTable(t2, identity(t2).rows), as_word((0, 1)))
 
     def test_reduce_recognizes_identity(self, t2):
         t = SimTable(t2, (Row((0,), (0,), 0), Row((1,), (1,), 0)))
@@ -153,10 +170,11 @@ class TestExpandReduce:
 
     def test_reduce_reverses_germ_expansion(self, s2):
         t = SimTable(s2, (Row((0,), (1,), 1), Row((1,), (0,), 1)))
-        assert reduce(t).rows == (Row((), (), 1),)
+        assert reduce(t).rows == (Row(as_word(()), as_word(()), 1),)
 
     def test_x0_already_reduced(self, x0):
-        assert x0.rows == (Row((0, 0), (0,), 0), Row((0, 1), (1, 0), 0), Row((1,), (1, 1), 0))
+        assert x0.rows == tuple(
+            Row(as_word(s), as_word(t), z) for s, t, z in (((0, 0), (0,), 0), ((0, 1), (1, 0), 0), ((1,), (1, 1), 0)))
 
     def test_confluence_under_random_expansion(self, configurations):
         rng = random.Random(41)
@@ -178,7 +196,7 @@ def random_table(group, rng, shape: str, splits: int) -> SimTable:
     targets ("embedding") or its sources ("sub-ball") under a random letter,
     expanded at `splits` random rows."""
     g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
-    a = (rng.randrange(group.alphabet.size),)
+    a = as_word((rng.randrange(group.alphabet.size),))
     if shape == "element":
         t = SimTable(group, g.rows)
     elif shape == "embedding":
@@ -259,10 +277,11 @@ class TestComposeInvert:
         assert compose(x0, invert(x0)) == identity(x0.group)
 
     def test_x0_squared_partition(self, x0):
-        assert max_partition(compose(x0, x0)).words == ((0, 0, 0), (0, 0, 1), (0, 1), (1,))
+        assert max_partition(compose(x0, x0)).words == tuple(map(as_word, ((0, 0, 0), (0, 0, 1), (0, 1), (1,))))
 
     def test_invert_x0_frozen(self, x0):
-        assert invert(x0).rows == (Row((0,), (0, 0), 0), Row((1, 0), (0, 1), 0), Row((1, 1), (1,), 0))
+        assert invert(x0).rows == tuple(
+            Row(as_word(s), as_word(t), z) for s, t, z in (((0,), (0, 0), 0), ((1, 0), (0, 1), 0), ((1, 1), (1,), 0)))
 
     def test_invert_is_involution(self, configurations):
         rng = random.Random(43)
@@ -326,7 +345,7 @@ class TestApply:
     def test_point_outside_embedding_domain(self, t2):
         # the domain is the ball at 01, so the points on either side of it miss;
         # no literal or operation yields such a map, so it is built directly
-        g = CanonicalElement(t2, (Row((0, 1), (), 0),))
+        g = CanonicalElement(t2, (Row(as_word((0, 1)), as_word(()), 0),))
         a = t2.alphabet
         assert apply(g, a.parse_point("011(0)")) == a.parse_point("10(0)")
         for text in ("00(1)", "(0)", "1(0)", "(1)"):
@@ -548,7 +567,7 @@ class TestLiterals:
 
     def test_germ_suffix(self, s2):
         g = parse_element("e->e:1", s2)
-        assert g.rows == (Row((), (), 1),)
+        assert g.rows == (Row(as_word(()), as_word(()), 1),)
         assert format_element(g) == "e->e:1"
 
     def test_incomplete_rejected(self, t2):
@@ -615,7 +634,7 @@ class TestRandomCodes:
 
         words = random_code_words(t2.alphabet, SplitsThenStops(), max_depth=1500)
         assert len(words) == 1501
-        assert words[0] == (0,) * 1500 and words == sorted(words)
+        assert words[0] == as_word((0,) * 1500) and words == sorted(words)
         assert PrefixCode(t2.alphabet, words).is_complete()
 
     def test_random_point_needs_room_for_a_period(self, t3):
@@ -632,3 +651,47 @@ class TestRandomCodes:
         points = [t3.alphabet.format_point(random_point(t3.alphabet, rng, m)) for m in (2, 2, 3, 4, 4, 6)]
         assert points == ["(1)", "(0)", "(0)", "(010)", "(201)", "2211(0)"]
         assert rng.random() == 0.3645698690874747
+
+    # (element, point, next draw) from random_element(group, Random(seed),
+    # max_depth) then random_point(alphabet, rng, 5), for seeds 1, 2, 3, as
+    # the implementation with tuple words drew them
+    DRAWS = {
+        "t2": [("0->1;1->0", "001(0110)", 712), ("e->e", "(1)", 855), ("000->01;001->1;01->001;1->000", "(01)", 687)],
+        "s2": [("e->e:1", "001(0110)", 712), ("e->e", "(1)", 855), ("000->01;001->1:1;01->001:1;1->000:1", "(01)", 687)],
+        "t3": [
+            ("0->2;1->10;20->0;21->12;22->11", "202(010)", 22),
+            ("e->e", "(1)", 855),
+            ("00->00;01->01;02->1;1->2;2->02", "(20)", 308),
+        ],
+        "s3": [
+            ("0->2:3;1->10;20->0:3;21->12:3;22->11:4", "(1202)", 967),
+            ("e->e", "(1)", 855),
+            ("00->00:4;01->01:4;02->1:3;10->20:3;11->21:5;12->22:1;2->02:1", "2(0200)", 776),
+        ],
+        "t12": [
+            (
+                "[0]->[2];[1]->[6];[2]->[11];[3]->[0];[4]->[10];[5]->[3];[6]->[5];[7]->[8];[8]->[9];[9]->[7];"
+                "[10]->[1];[11]->[4]",
+                "[6,11,0]([8,3])",
+                782,
+            ),
+            ("e->e", "([5])", 855),
+            (
+                "[0]->[4];[1]->[11];[2]->[10];[3]->[8];[4]->[2];[5]->[3];[6]->[6];[7]->[0];[8]->[1];[9]->[7];"
+                "[10]->[9];[11]->[5]",
+                "[9,11]([6,11,6,6])",
+                745,
+            ),
+        ],
+    }
+
+    def test_same_draws_as_with_tuple_words(self, t2, s2, t3, s3):
+        groups = {"t2": (t2, 3), "s2": (s2, 3), "t3": (t3, 2), "s3": (s3, 2), "t12": (trivial_group(12), 1)}
+        for name, (group, depth) in groups.items():
+            got = []
+            for seed in (1, 2, 3):
+                rng = random.Random(seed)
+                g = random_element(group, rng, max_depth=depth)
+                x = random_point(group.alphabet, rng, 5)
+                got.append((format_element(g), group.alphabet.format_point(x), rng.randrange(1000)))
+            assert got == self.DRAWS[name], name

@@ -17,7 +17,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 STATED = (
     ("invert(g)", format_element, "0->00;10->01;11->1"),
     ('apply(g, V.alphabet.parse_point("01(10)"))', str, "(10)"),
-    ("max_partition(g).words", repr, "((0,0),(0,1),(1,))"),
+    ("max_partition(g).words", repr, r"('\x00\x00','\x00\x01','\x01')"),
+    ("[V.alphabet.format_word(w) for w in max_partition(g).words]", repr, "['00','01','1']"),
     ("zipper_length(g)", repr, "4"),
     ("cocycle_identity_defect(g, h)", repr, "0"),
 )

@@ -16,7 +16,7 @@ from localsim import (
     trivial_group,
 )
 from localsim.cli import _resolve_input
-from oracles import slow_associativity_witnesses
+from oracles import as_word, letters, slow_associativity_witnesses, stepwise_act_word
 
 AXIOMS = {
     "identity-element",
@@ -232,11 +232,11 @@ class TestGermAction:
 
     def test_restrict_identity_and_empty(self, s3):
         for sigma in range(s3.size):
-            assert s3.act_word(0, (0, 1))[1] == 0
-            assert s3.act_word(sigma, ()) == ((), sigma)
+            assert s3.act_word(0, as_word((0, 1)))[1] == 0
+            assert s3.act_word(sigma, as_word(())) == (as_word(()), sigma)
 
     def test_letterwise_structure_restricts_to_itself(self, s2):
-        assert s2.act_word(1, (0,))[1] == 1
+        assert s2.act_word(1, as_word((0,)))[1] == 1
 
     def test_apply_respects_composition(self, s3):
         rng = random.Random(23)
@@ -253,11 +253,27 @@ class TestGermAction:
         rng = random.Random(29)
         for _ in range(400):
             i, j = rng.randrange(s3.size), rng.randrange(s3.size)
-            v = tuple(rng.randrange(3) for _ in range(rng.randrange(7)))
+            v = as_word(tuple(rng.randrange(3) for _ in range(rng.randrange(7))))
             _, lhs = s3.act_word(s3.mul[i][j], v)
             path, rest_j = s3.act_word(j, v)
             rhs = s3.mul[s3.act_word(i, path)[1]][rest_j]
             assert lhs == rhs
+
+    def test_act_word_matches_stepping(self, t2, s2, s3, klein, s3_conjugated):
+        # one translate for letterwise elements (all of s2, s3 and
+        # sigma2.aut), a step per letter for the others (most of klein and
+        # s3_conjugated); and letters past a byte over 300 letters
+        rng = random.Random(31)
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        for group in (t2, s2, s3, klein, s3_conjugated, sigma2, trivial_group(300)):
+            d = group.alphabet.size
+            for _ in range(60):
+                i = rng.randrange(group.size)
+                v = tuple(rng.randrange(d) for _ in range(rng.randrange(12)))
+                image, rest = group.act_word(i, as_word(v))
+                assert (letters(image), rest) == stepwise_act_word(group, i, v)
+        assert all(t is not None for t in s3._letterwise + sigma2._letterwise)
+        assert [t is None for t in klein._letterwise] == [False, True, True, True]
 
     def test_inverse_restriction_identity(self, s3):
         for sigma in range(s3.size):

@@ -6,16 +6,30 @@ import pytest
 
 from localsim import (
     Alphabet,
+    InvalidClassError,
     InvalidCodeError,
     LiteralParseError,
     MalformedWordError,
+    NoSuchRowError,
     Point,
     PrefixCode,
+    Row,
+    SimTable,
+    canonical_eclass,
+    expand_at,
     is_prefix,
+    trivial_group,
 )
 from localsim.elements import random_code_words
 from localsim.words import _covering, _under
-from oracles import all_balls, enumerate_complete_codes, point_letter, slow_proper_prefix_count, slow_proper_prefixes
+from oracles import (
+    all_balls,
+    as_word,
+    enumerate_complete_codes,
+    point_letter,
+    slow_proper_prefix_count,
+    slow_proper_prefixes,
+)
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -40,7 +54,7 @@ class TestBallContains:
         # balls as sets of depth-5 words: containment is the prefix relation,
         # and two balls that do not nest are disjoint
         words = all_balls(A2, 4)
-        deep = list(itertools.product((0, 1), repeat=5))
+        deep = [as_word(x) for x in itertools.product((0, 1), repeat=5)]
         ball = {w: {x for x in deep if x[: len(w)] == w} for w in words}
         for u, v in itertools.product(words, repeat=2):
             assert is_prefix(u, v) == (ball[v] <= ball[u])
@@ -60,7 +74,7 @@ class TestPointCanonicalForm:
 
     def test_mixed_stays_put(self):
         p = Point(A2, (0, 1), (1, 0))
-        assert p.preperiod == (0, 1) and p.period == (1, 0)
+        assert p.preperiod == as_word((0, 1)) and p.period == as_word((1, 0))
 
     def test_letters_survive_canonicalization(self):
         rng = random.Random(11)
@@ -83,7 +97,7 @@ class TestPrefixCode:
         assert not PrefixCode(A2, ((0, 0), (1,))).is_complete()
 
     def test_non_antichain_rejected(self):
-        with pytest.raises(InvalidCodeError, match=r"^\(0,\) is a prefix of \(0, 1\); not an antichain$"):
+        with pytest.raises(InvalidCodeError, match=r"^0 is a prefix of 01; not an antichain$"):
             PrefixCode(A2, ((0,), (0, 1)))
         with pytest.raises(InvalidCodeError, match="^repeated word in prefix code$"):
             PrefixCode(A2, ((1,), (0,), (1,)))
@@ -97,10 +111,10 @@ class TestProperPrefixCount:
         assert PrefixCode(A2, ((),)).proper_prefixes() == ()
 
     def test_three_leaves(self):
-        assert PrefixCode(A2, ((0, 0), (0, 1), (1,))).proper_prefixes() == ((), (0,))
+        assert PrefixCode(A2, ((0, 0), (0, 1), (1,))).proper_prefixes() == (as_word(()), as_word((0,)))
 
     def test_ternary_root_split(self):
-        assert PrefixCode(A3, ((0,), (1,), (2,))).proper_prefixes() == ((),)
+        assert PrefixCode(A3, ((0,), (1,), (2,))).proper_prefixes() == (as_word(()),)
 
     def test_matches_enumeration_and_closed_form(self):
         # every complete binary code of depth <= 4, plus ternary to depth 2
@@ -129,7 +143,7 @@ class TestProperPrefixCount:
         for code in codes:
             got = code.proper_prefixes()
             assert got == slow_proper_prefixes(code)
-        assert PrefixCode(A2, ((0, 1, 1),)).proper_prefixes() == ((), (0,), (0, 1))
+        assert PrefixCode(A2, ((0, 1, 1),)).proper_prefixes() == tuple(map(as_word, ((), (0,), (0, 1))))
 
     def test_walk_matches_set_oracle_on_random_antichains(self):
         hypothesis, st, settings = _hypothesis()
@@ -163,7 +177,7 @@ class TestProperPrefixCount:
         start = time.perf_counter()
         got = code.proper_prefixes()
         elapsed = time.perf_counter() - start
-        assert got == tuple((1,) * i for i in range(n - 1))
+        assert got == tuple(as_word((1,) * i) for i in range(n - 1))
         assert elapsed < 2.0
 
 
@@ -202,13 +216,13 @@ class TestLiterals:
             assert A2.parse_word(A2.format_word(w)) == w
 
     def test_empty_word_spelled_e(self):
-        assert A2.parse_word("e") == ()
-        assert A2.format_word(()) == "e"
+        assert A2.parse_word("e") == as_word(())
+        assert A2.format_word(as_word(())) == "e"
 
     def test_bracket_form(self):
         a12 = Alphabet(12)
-        assert a12.parse_word("[0,11,3]") == (0, 11, 3)
-        assert a12.format_word((0, 11, 3)) == "[0,11,3]"
+        assert a12.parse_word("[0,11,3]") == as_word((0, 11, 3))
+        assert a12.format_word(as_word((0, 11, 3))) == "[0,11,3]"
 
     def test_point_round_trip(self):
         for text in ("(0)", "(01)", "01(10)", "1(1)"):
@@ -224,7 +238,7 @@ class TestLiterals:
         for text in ("²(0)", "(١)"):
             with pytest.raises(LiteralParseError):
                 A2.parse_point(text)
-        assert Alphabet(12).parse_word("[ 1 , 10 ]") == (1, 10)
+        assert Alphabet(12).parse_word("[ 1 , 10 ]") == as_word((1, 10))
 
     def test_out_of_range_digit_message(self):
         for alphabet, text, letter in ((A2, "012", 2), (A2, "2", 2), (A3, "0213", 3), (Alphabet(7), "97", 9)):
@@ -286,7 +300,7 @@ class TestLiteralProperties:
         @hypothesis.given(_point_parts(st, max_size=40))
         def check(parts):
             alphabet, word, _ = parts
-            assert alphabet.parse_word(alphabet.format_word(word)) == word
+            assert alphabet.parse_word(alphabet.format_word(as_word(word))) == as_word(word)
 
         check()
 
@@ -324,7 +338,7 @@ class TestLiteralProperties:
             assert all(p % q or x.period[:q] * (p // q) != x.period for q in range(1, p))
             n = len(pre) + 2 * len(per) + 1
             raw = (list(pre) + list(per) * n)[:n]
-            assert list(x.prefix(n)) == raw == [point_letter(x, i) for i in range(n)]
+            assert x.prefix(n) == as_word(raw) and raw == [point_letter(x, i) for i in range(n)]
             # drop and _prepend (the path apply takes) build their results
             # without the constructor;
             # from letter n on, the word runs through the period rotated by s
@@ -332,10 +346,142 @@ class TestLiteralProperties:
             for k in range(n + 1):
                 assert x.drop(k) == Point(alphabet, tuple(raw[k:]), per[s:] + per[:s])
             word = tuple(raw[:r])
-            assert x._prepend(word) == Point(alphabet, word + pre, per)
-            assert x._prepend(word).drop(len(word)) == x
+            assert x._prepend(as_word(word)) == Point(alphabet, word + pre, per)
+            assert x._prepend(as_word(word)).drop(len(word)) == x
 
         check()
+
+
+class TestWordType:
+    """A word is a str whose code points are its letters."""
+
+    @staticmethod
+    def _letters(st, d):
+        # over 65,536 letters, the surrogate code points and the last letter
+        # are drawn as often as the rest
+        letter = st.integers(0, d - 1)
+        if d == 65_536:
+            letter = st.one_of(letter, st.integers(0xD800, 0xDFFF), st.just(d - 1))
+        return st.lists(letter, max_size=6).map(tuple)
+
+    def test_check_word_embeds_letter_tuples(self):
+        # order and the prefix relation survive, so sorted codes and both
+        # searches keep their meaning
+        hypothesis, st, settings = _hypothesis()
+        surrogates = []
+
+        @settings
+        @hypothesis.given(st.sampled_from([2, 3, 12, 65_536]), st.data())
+        def check(d, data):
+            alphabet = Alphabet(d)
+            letters = self._letters(st, d)
+            u = data.draw(letters)
+            # v often shares a prefix with u: it starts with a part of u
+            v = u[: data.draw(st.integers(0, len(u)))] + data.draw(letters)
+            wu, wv = alphabet.check_word(u), alphabet.check_word(v)
+            assert type(wu) is str and list(map(ord, wu)) == list(u)
+            assert (wu < wv) == (u < v) and (wu == wv) == (u == v)
+            assert wv.startswith(wu) == is_prefix(u, v) == is_prefix(wu, wv)
+            assert alphabet.check_word(wu) == wu and alphabet.check_word(list(u)) == wu
+            surrogates.append(any(0xD800 <= a <= 0xDFFF for a in u + v))
+
+        check()
+        assert any(surrogates)
+
+    def test_str_words_are_checked_code_point_by_code_point(self):
+        assert A2.check_word("") == "" and A2.check_word("\x01\x00") == as_word((1, 0))
+        for text, letter in (("\x02", 2), ("\x00\x01\x02", 2), ("0", 48)):
+            with pytest.raises(MalformedWordError, match=f"^letter {letter} out of range for alphabet of size 2$"):
+                A2.check_word(text)
+        with pytest.raises(MalformedWordError, match="^letter 65536 out of range"):
+            Alphabet(65_536).check_word(as_word((0xD800, 65_536)))
+
+    def test_alphabet_size_is_capped_below_the_last_code_point(self):
+        Alphabet(0x10FFFF)
+        with pytest.raises(MalformedWordError, match="^alphabet size must be at most 1114111, got 1114112$"):
+            Alphabet(0x110000)
+
+    def test_surrogate_letters_never_encoded(self):
+        # letters 55,296 to 57,343 are surrogate code points, which no
+        # encoding takes; every word operation works on them all the same
+        a = Alphabet(65_536)
+        w = as_word((0xD800, 0xDFFF, 7))
+        assert a.parse_word(a.format_word(w)) == w and a.format_word(w) == "[55296,57343,7]"
+        x = Point(a, w, as_word((0xDC00,)))
+        assert a.parse_point(a.format_point(x)) == x and x.prefix(5) == w + as_word((0xDC00,)) * 2
+        code = PrefixCode(a, (w, w[:2] + as_word((8,)), as_word((0xDFFF,))))
+        assert code.proper_prefixes() == (as_word(()), w[:1], w[:2])
+
+    def test_format_inverts_parse(self):
+        hypothesis, st, settings = _hypothesis()
+
+        @settings
+        @hypothesis.given(st.one_of(st.integers(2, 10), st.integers(11, 300), st.just(65_536)), st.data())
+        def check(d, data):
+            alphabet = Alphabet(d)
+            letters = data.draw(self._letters(st, d))
+            if not letters:
+                text = "e"
+            elif d <= 10:
+                text = "".join(map(str, letters))
+            else:
+                text = "[" + ",".join(map(str, letters)) + "]"
+            assert alphabet.parse_word(text) == as_word(letters)
+            assert alphabet.format_word(alphabet.parse_word(text)) == text
+
+        check()
+
+
+# every message that names a word names it as a literal: (what is built,
+# a thunk that builds it, error type, the whole message)
+def _class(d, rows, ball):
+    return lambda: canonical_eclass(SimTable(trivial_group(d), tuple(Row(*r) for r in rows)), ball)
+
+
+NAMED_WORDS = (
+    ("code", lambda: PrefixCode(A2, ((0,), (0, 1))), InvalidCodeError, "0 is a prefix of 01; not an antichain"),
+    (
+        "code over 12 letters",
+        lambda: PrefixCode(Alphabet(12), ((11,), (11, 0))),
+        InvalidCodeError,
+        "[11] is a prefix of [11,0]; not an antichain",
+    ),
+    (
+        "expand_at",
+        lambda: expand_at(SimTable(trivial_group(2), (Row((), (), 0),)), (0, 1)),
+        NoSuchRowError,
+        "no row with source 01",
+    ),
+    (
+        "expand_at over 12 letters",
+        lambda: expand_at(SimTable(trivial_group(12), (Row((), (), 0),)), (11,)),
+        NoSuchRowError,
+        "no row with source [11]",
+    ),
+    ("class outside", _class(2, [((0,), (0,), 0)], (1,)), InvalidClassError, "source 0 is outside the ball 1"),
+    (
+        "class outside over 12 letters",
+        _class(12, [((11,), (0,), 0)], (10,)),
+        InvalidClassError,
+        "source [11] is outside the ball [10]",
+    ),
+    (
+        "class overlap",
+        _class(2, [((1, 0), (1, 0, 0), 0), ((1, 0, 1), (0,), 0), ((1, 1), (1, 1), 0)], (1,)),
+        InvalidClassError,
+        "sources 10 and 101 overlap",
+    ),
+    ("class partition", _class(2, [((0, 0), (0,), 0)], (0,)), InvalidClassError, "sources do not partition the ball 0"),
+    ("class partition at root", _class(2, [((0,), (0,), 0)], ()), InvalidClassError, "sources do not partition the ball e"),
+    ("class targets", _class(2, [((0,), (0,), 0), ((1,), (0, 1), 0)], ()), InvalidClassError, "targets 0 and 01 overlap"),
+)
+
+
+@pytest.mark.parametrize("build, error, message", [c[1:] for c in NAMED_WORDS], ids=[c[0] for c in NAMED_WORDS])
+def test_message_names_words_as_literals(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
 
 
 def _scan_covering(code, w) -> int:
@@ -355,12 +501,12 @@ class TestPrefixCodeSearch:
         @settings
         @hypothesis.given(st.sampled_from([2, 3, 12]), st.data())
         def check(d, data):
-            letters = st.lists(st.integers(0, d - 1), max_size=4).map(tuple)
+            letters = st.lists(st.integers(0, d - 1), max_size=4).map(as_word)
             words = set(data.draw(st.lists(letters, max_size=12)))
             # the antichain of the minimal words drawn
             code = tuple(sorted(u for u in words if not any(v != u and is_prefix(v, u) for v in words)))
             # a query near a code word: the word itself, a prefix or an extension
-            base = data.draw(st.sampled_from(code)) if code and data.draw(st.booleans()) else ()
+            base = data.draw(st.sampled_from(code)) if code and data.draw(st.booleans()) else as_word(())
             w = base[: data.draw(st.integers(0, len(base)))] + data.draw(letters)
             assert _covering(code, w) == _scan_covering(code, w)
             start, end = _under(code, w, d)
@@ -370,16 +516,17 @@ class TestPrefixCodeSearch:
         check()
 
     def test_edge_cases(self):
-        assert _covering((), (0, 1)) == -1 and _under((), (0,), 2) == (0, 0)
+        w = as_word
+        assert _covering((), w((0, 1))) == -1 and _under((), w((0,)), 2) == (0, 0)
         # the one-ball code covers every word and lies under the root only
-        assert _covering(((),), ()) == 0 and _covering(((),), (1, 0)) == 0
-        assert _under(((),), (), 2) == (0, 1) and _under(((),), (1,), 2) == (1, 1)
-        code = ((0, 1), (1, 0), (1, 1, 0))
+        assert _covering((w(()),), w(())) == 0 and _covering((w(()),), w((1, 0))) == 0
+        assert _under((w(()),), w(()), 2) == (0, 1) and _under((w(()),), w((1,)), 2) == (1, 1)
+        code = tuple(map(w, ((0, 1), (1, 0), (1, 1, 0))))
         # a word equal to a code word is covered by it and is the one word under it
         for i, u in enumerate(code):
             assert _covering(code, u) == i and _under(code, u, 2) == (i, i + 1)
         # words sorting before and after every code word, and the root above them all
-        for w, at in (((0, 0, 1), 0), ((1, 1, 1, 1), 3)):
-            assert _covering(code, w) == -1 and _under(code, w, 2) == (at, at)
-        assert _covering(code, ()) == -1 and _under(code, (), 2) == (0, 3)
-        assert _under(code, (1,), 2) == (1, 3) and _covering(code, (1, 1, 0, 1)) == 2
+        for u, at in (((0, 0, 1), 0), ((1, 1, 1, 1), 3)):
+            assert _covering(code, w(u)) == -1 and _under(code, w(u), 2) == (at, at)
+        assert _covering(code, w(())) == -1 and _under(code, w(()), 2) == (0, 3)
+        assert _under(code, w((1,)), 2) == (1, 3) and _covering(code, w((1, 1, 0, 1))) == 2
