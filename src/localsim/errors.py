@@ -17,10 +17,6 @@ class MalformedStructureError(LocalSimError):
     """A self-similar group description has the wrong shape."""
 
 
-class CompositionDomainError(LocalSimError):
-    """Composed maps whose domain and codomain do not meet."""
-
-
 class NoSuchRowError(LocalSimError):
     """A table row was addressed by a source word it does not contain."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CompositionDomainError, MalformedStructureError, UnsupportedStructureError
+from .errors import IncompatibleElementsError, MalformedStructureError, UnsupportedStructureError
 from .words import Alphabet, Point, Word, _canonical, _is_int, _trusted_point
 
 
@@ -143,17 +143,13 @@ class SelfSimilarGroup:
 
     # -- axioms ------------------------------------------------------------
 
-    def _passes_light_test(self) -> bool:
-        """Whether Light's test proves the multiplication associative.
+    def _generators(self) -> list[int] | None:
+        """A short generating set of the table, or None when it is no group.
 
-        The middle elements a, those with (xa)y == x(ay) for all x and y,
-        are closed under products.  So once they include a generating set,
-        every element is a middle element and the table is associative.
-        The generating set starts at 0 and takes the least element outside
-        the closure of the set under left and right products with it.  In a
-        group each such step at least doubles the closure, so a set longer
-        than the bit length of m means the table is no group; then, or when
-        some generator is not a middle element, the test proves nothing.
+        The set starts at 0 and takes the least element outside the closure
+        of the set under left and right products with it.  In a group each
+        such step at least doubles the closure, so a set longer than the bit
+        length of m means the table is no group.
         """
         m, mul = self.size, self.mul
         gens = [0]
@@ -168,79 +164,95 @@ class SelfSimilarGroup:
                             closure.add(y)
                             todo.append(y)
             if len(closure) == m:
-                break
+                return gens
             if len(gens) == m.bit_length():
-                return False
+                return None
             gens.append(next(i for i in range(m) if i not in closure))
-        for a in gens:
-            row_a = mul[a]
-            for x in range(m):
-                row_x = mul[x]
-                if mul[row_x[a]] != tuple(map(row_x.__getitem__, row_a)):
-                    return False
-        return True
 
     def validate(self) -> list[Violation]:
-        """Check every axiom exhaustively; one Violation per broken axiom.
+        """Check every axiom; one Violation per broken axiom, with every witness.
 
         Checked: the group table axioms (identity row/column, two-sided
         inverses, associativity), the identity element acting trivially,
         the transducer laws for action and restriction of products, and
         faithfulness (distinct elements must act differently on some word).
-        Faithfulness refines a partition of the elements until it is
-        stable, at most m rounds of O(m*d) work, so no word length is
-        assumed.  Associativity is proved by Light's test on a few
-        generators where it can be; only otherwise are all m^3 triples
-        scanned, so a violation still lists every failing triple.
+
+        Associativity and the two transducer laws are laws on pairs (i, j):
+        the row of i*j equals a row built from the rows of i and j.  For
+        each law the j at which it holds for every i are closed under
+        products, so the law holds everywhere once it holds at every j of
+        a generating set (`_generators`):
+
+            associativity (Light's test), for such middle elements a and b:
+                (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)
+            the action law, given associativity:
+                act[i(jk)] = act[(ij)k] = act[ij]∘act[k]
+                           = act[i]∘act[j]∘act[k] = act[i]∘act[jk]
+            the restriction law, given both, where b = act[k][a]:
+                res[i(jk)][a] = res[ij][b]·res[k][a]
+                              = res[i][act[j][b]]·res[j][b]·res[k][a]
+                              = res[i][act[jk][a]]·res[jk][a]
+
+        So each law is checked at m times a few pairs.  Only when that check
+        fails, or a premise or the generating set is missing, are all m^2
+        pairs scanned, cell by cell in (i, j, k) order, so that a violation
+        lists every witness.  Faithfulness refines a partition of the
+        elements until it is stable, at most m rounds of O(m*d) work, so no
+        word length is assumed.
         """
         m, d = self.size, self.alphabet.size
         mul, inv, act, res = self.mul, self.inv, self.act, self.res
+        gens = self._generators()
         out: list[Violation] = []
 
         def collect(axiom: str, witnesses: list[tuple[int, ...]]) -> None:
             if witnesses:
                 out.append(Violation(axiom, tuple(witnesses)))
 
-        collect(
-            "identity-element",
-            [(i,) for i in range(m) if mul[0][i] != i or mul[i][0] != i],
+        def law(axiom: str, cells, premises: bool) -> bool:
+            # cells(js) lists the witnesses (i, j, k) with j in js, in order;
+            # true when the law holds everywhere
+            if premises and gens is not None and not cells(gens):
+                return True
+            witnesses = cells(range(m))
+            collect(axiom, witnesses)
+            return not witnesses
+
+        collect("identity-element", [(i,) for i in range(m) if mul[0][i] != i or mul[i][0] != i])
+        collect("inverse-element", [(i,) for i in range(m) if mul[i][inv[i]] != 0 or mul[inv[i]][i] != 0])
+        # a row of mul is m cells long, so only the pairs whose rows differ
+        # are scanned cell by cell
+        associative = law(
+            "associativity",
+            lambda js: [
+                (i, j, k)
+                for i in range(m)
+                for j in js
+                if mul[mul[i][j]] != tuple(map(mul[i].__getitem__, mul[j]))
+                for k in range(m)
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]
+            ],
+            True,
         )
-        collect(
-            "inverse-element",
-            [(i,) for i in range(m) if mul[i][inv[i]] != 0 or mul[inv[i]][i] != 0],
-        )
-        if not self._passes_light_test():
-            collect(
-                "associativity",
-                [
-                    (i, j, k)
-                    for i in range(m)
-                    for j in range(m)
-                    for k in range(m)
-                    if mul[mul[i][j]][k] != mul[i][mul[j][k]]
-                ],
-            )
         collect("identity-action", [(0, a) for a in range(d) if act[0][a] != a])
         collect("identity-restriction", [(0, a) for a in range(d) if res[0][a] != 0])
-        collect(
+        acts = law(
             "action-composition",
-            [
-                (i, j, a)
-                for i in range(m)
-                for j in range(m)
-                for a in range(d)
-                if act[mul[i][j]][a] != act[i][act[j][a]]
+            lambda js: [
+                (i, j, a) for i in range(m) for j in js for a in range(d) if act[mul[i][j]][a] != act[i][act[j][a]]
             ],
+            associative,
         )
-        collect(
+        law(
             "restriction-cocycle",
-            [
+            lambda js: [
                 (i, j, a)
                 for i in range(m)
-                for j in range(m)
+                for j in js
                 for a in range(d)
                 if res[mul[i][j]][a] != mul[res[i][act[j][a]]][res[j][a]]
             ],
+            associative and acts,
         )
 
         # faithfulness by partition refinement: after t rounds two elements
@@ -251,7 +263,7 @@ class SelfSimilarGroup:
             keys: dict[tuple, int] = {}
             new = []
             for i in range(m):
-                k = (act[i], tuple(cls[res[i][a]] for a in range(d)))
+                k = (act[i], tuple(map(cls.__getitem__, res[i])))
                 new.append(keys.setdefault(k, len(keys)))
             if new == cls:
                 break
@@ -378,7 +390,7 @@ def germ_apply(group: SelfSimilarGroup, elem: int, x: Point) -> Point:
     over the period cycle, and the detected cycle is the output period.
     """
     if x.alphabet != group.alphabet:
-        raise CompositionDomainError("point and germ live over different alphabets")
+        raise IncompatibleElementsError("point and germ live over different alphabets")
     if not _is_int(elem) or not 0 <= elem < group.size:
         raise MalformedStructureError(f"no element {elem!r} in {group!r}")
     out_pre, state = group.act_word(elem, x.preperiod)

@@ -126,10 +126,10 @@ def walls_to_zipper(instance: WallsInstance) -> ZipperFromWalls:
     return ZipperFromWalls(tuple(reports))
 
 
-def integer_line_instance(k: int, max_shift: int | None = None) -> WallsInstance:
+def integer_line_instance(k: int) -> WallsInstance:
     """The integers -k..k with a wall between each consecutive pair.
 
-    Moves are the shifts by 1..max_shift (default k // 2), given as bare
+    Moves are the shifts by 1..max(1, k // 2), given as bare
     basepoint-image pairs since a shift of a truncated line is not a
     bijection, plus the identity with its full mapping.  The expected
     symmetric-difference size for the shift by s is 2s.  The instance
@@ -141,17 +141,13 @@ def integer_line_instance(k: int, max_shift: int | None = None) -> WallsInstance
         raise UnsupportedStructureError(
             f"the integer line is limited to k <= {_MAX_LINE_K}, got {k}: it has 2k walls over 2k+1 points"
         )
-    if max_shift is None:
-        max_shift = max(1, k // 2)
-    if not 1 <= max_shift <= k:
-        raise UnsupportedStructureError("max_shift must be between 1 and k")
     pts = tuple(str(i) for i in range(-k, k + 1))
     walls = tuple(
         (frozenset(str(i) for i in range(-k, j + 1)), frozenset(str(i) for i in range(j + 1, k + 1)))
         for j in range(-k, k)
     )
     moves = [Move("stay", "0", tuple((p, p) for p in pts))]
-    moves.extend(Move(f"shift+{s}", str(s)) for s in range(1, max_shift + 1))
+    moves.extend(Move(f"shift+{s}", str(s)) for s in range(1, max(1, k // 2) + 1))
     return WallsInstance(pts, walls, "0", tuple(moves))
 
 

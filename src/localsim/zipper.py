@@ -81,15 +81,6 @@ class EmbeddingClass:
     group: SelfSimilarGroup
     rows: tuple[Row, ...]
 
-    def __hash__(self) -> int:
-        # a support looks its classes up in dicts, and the rows can hold long
-        # words, so the fields are hashed once, on first use, and the hash is
-        # kept in the instance dict, as cached_property keeps its values
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.group, self.rows))
-        return h
-
     def __repr__(self) -> str:
         return f"<class {format_element(self)}>"
 
@@ -188,14 +179,8 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
 
 def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:
     """The g-translate of a signed support: each class moved by g, its
-    value kept.  Translation must stay injective on the support."""
-    out: dict[EmbeddingClass, int] = {}
-    for e, v in support.items():
-        te = act_on_eclass(g, e)
-        if te in out:
-            raise InvalidClassError("translation must stay injective on the support")
-        out[te] = v
-    return out
+    value kept.  g permutes the classes, so no two land on one."""
+    return {act_on_eclass(g, e): v for e, v in support.items()}
 
 
 def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
@@ -412,7 +397,8 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     Only the binary alphabet with trivial germs is supported: the second
     class is the map fixing 10* and sending 11w to 111w, and the witnesses
     are cyclic shifts of ever deeper uniform partitions of ball 1.  Witness
-    k has 2^(k-1) leaves, so `count` is limited to 16.
+    k > 1 has 2^(k-1)+1 rows, so no two are equal, and `count` is limited
+    to 16.
     """
     if group.alphabet.size != 2 or group.size != 1:
         raise UnsupportedStructureError("the demonstration needs the binary alphabet with trivial germs")
@@ -438,8 +424,6 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         g = CanonicalElement(group, _reduce_rows(group, rows))
         witnesses.append(g)
         depth += 1
-    if len(set(witnesses)) != len(witnesses):
-        raise InvalidClassError("the witnesses must be distinct elements")
 
     first_in = tuple(gz_member(g, first) for g in witnesses)
     second_in = tuple(gz_member(g, second) for g in witnesses)

@@ -20,7 +20,6 @@ from bisect import bisect_left, bisect_right
 
 from localsim import (
     CanonicalElement,
-    CompositionDomainError,
     PrefixCode,
     Row,
     SimTable,
@@ -273,7 +272,7 @@ def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Wor
     as (source, target, germ, lo, hi), the g-rows its target is searched
     among, and a target above several g-sources is replaced by its d
     children, pushed in reverse so the rows come out sorted by source.
-    Raises CompositionDomainError at the first piece no g-row covers."""
+    Raises LookupError at the first piece no g-row covers."""
     act, res, mul = group.act, group.res, group.mul
     d = group.alphabet.size
     g_rows = [(letters(s), letters(t), z) for s, t, z in g_rows]
@@ -290,7 +289,7 @@ def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Wor
                 out.append((as_word(src), as_word(g_target + path), mul[rest][germ]))
                 continue
         if i == hi or g_rows[i][0][: len(tgt)] != tgt:
-            raise CompositionDomainError(
+            raise LookupError(
                 f"target {group.alphabet.format_word(as_word(tgt))} lies outside the domain of the left operand"
             )
         end = bisect_left(g_rows, tgt + (d,), i, hi, key=lambda row: row[0])
@@ -317,16 +316,28 @@ def leaf_ranks(g: CanonicalElement) -> list[int]:
     return ranks
 
 
-def slow_associativity_witnesses(mul) -> tuple[tuple[int, int, int], ...]:
-    """Every triple (i, j, k) with (ij)k != i(jk), by scanning all of them."""
-    m = len(mul)
-    return tuple(
-        (i, j, k)
-        for i in range(m)
-        for j in range(m)
-        for k in range(m)
-        if mul[mul[i][j]][k] != mul[i][mul[j][k]]
-    )
+def slow_law_witnesses(group: SelfSimilarGroup) -> dict[str, tuple[tuple[int, int, int], ...]]:
+    """Every witness of the three laws on products, by scanning all their
+    cells: the triples (i, j, k) with (ij)k != i(jk), and the (i, j, a)
+    where the action or the restriction of ij at the letter a is not the
+    one that applying j, then i, gives."""
+    m, d = group.size, group.alphabet.size
+    mul, act, res = group.mul, group.act, group.res
+    pairs = list(itertools.product(range(m), repeat=2))
+    return {
+        "associativity": tuple(
+            (i, j, k) for i, j in pairs for k in range(m) if mul[mul[i][j]][k] != mul[i][mul[j][k]]
+        ),
+        "action-composition": tuple(
+            (i, j, a) for i, j in pairs for a in range(d) if act[mul[i][j]][a] != act[i][act[j][a]]
+        ),
+        "restriction-cocycle": tuple(
+            (i, j, a)
+            for i, j in pairs
+            for a in range(d)
+            if res[mul[i][j]][a] != mul[res[i][act[j][a]]][res[j][a]]
+        ),
+    }
 
 
 def slow_audit_counts(group: SelfSimilarGroup, generators, radius: int, threshold: int) -> list[tuple[int, int]]:

@@ -183,7 +183,7 @@ def test_criterion_6_properness_audit(t2, v_gens):
 
 
 def test_criterion_7_walls_round_trip(configurations):
-    translated = walls_to_zipper(integer_line_instance(10, max_shift=5))
+    translated = walls_to_zipper(integer_line_instance(10))
     assert translated.ok()
     shifts = 0
     for report in translated.reports:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from localsim import (
-    CompositionDomainError,
+    IncompatibleElementsError,
     MalformedStructureError,
     Point,
     SelfSimilarGroup,
@@ -16,7 +16,7 @@ from localsim import (
     trivial_group,
 )
 from localsim.cli import _resolve_input
-from oracles import as_word, letters, slow_associativity_witnesses, stepwise_act_word
+from oracles import as_word, letters, slow_law_witnesses, stepwise_act_word
 
 AXIOMS = {
     "identity-element",
@@ -39,6 +39,38 @@ def mutated(group, table_name, i, a, value):
     }
     tables[table_name][i][a] = value
     return SelfSimilarGroup(group.alphabet, tables["mul"], tables["inv"], tables["act"], tables["res"])
+
+
+def bit_flips(k):
+    """(Z/2)^k over two letters: bit t of v swaps the letter at depth t, so
+    the restriction of v is v >> 1 under either letter."""
+    m = 1 << k
+    return SelfSimilarGroup(
+        trivial_group(2).alphabet,
+        [[i ^ j for j in range(m)] for i in range(m)],
+        list(range(m)),
+        [(1, 0) if v & 1 else (0, 1) for v in range(m)],
+        [(v >> 1, v >> 1) for v in range(m)],
+    )
+
+
+def depth_two():
+    """The 8 automorphisms of the binary tree that move only the first two
+    letters: v = s + 2*t0 + 4*t1 swaps the first letter when s is 1, and
+    the second when the first is a and t_a is 1.  Unlike those of
+    symmetric(3) and klein, its restrictions depend on the letter."""
+
+    def parts(v):
+        return v & 1, ((v >> 1) & 1, v >> 2)
+
+    def product(i, j):  # j first, then i
+        (si, ti), (sj, tj) = parts(i), parts(j)
+        return (si ^ sj) | (ti[sj] ^ tj[0]) << 1 | (ti[1 ^ sj] ^ tj[1]) << 2
+
+    mul = [[product(i, j) for j in range(8)] for i in range(8)]
+    act = [(v & 1, 1 - (v & 1)) for v in range(8)]
+    res = [parts(v)[1] for v in range(8)]
+    return SelfSimilarGroup(trivial_group(2).alphabet, mul, [row.index(0) for row in mul], act, res, name="depth two")
 
 
 # every shape and range check in SelfSimilarGroup.__init__, over two
@@ -79,24 +111,47 @@ class TestValidate:
         assert (1, 1, 0) in v.witnesses and (1, 1, 1) in v.witnesses
 
     def test_symmetric_six_is_clean(self):
-        # 720 elements: associativity follows from Light's test on a few generators
+        # 720 elements: associativity and the two transducer laws are each
+        # proved at the 6 generators, so no law scans all 518,400 pairs
         assert symmetric_group(6).validate() == []
 
-    def test_associativity_witnesses_match_full_scan(self, s3):
-        # every single corrupted mul cell of sigma2.aut and of symmetric(3)
+    def test_law_witnesses_match_full_scan(self, s3, klein):
+        # every single corrupted mul, act and res cell of sigma2.aut,
+        # symmetric(3), klein and the depth-two group: each law lists exactly
+        # the witnesses a scan of all its cells finds, also where it holds at
+        # the generators only because a premise fails (a wrong act cell of
+        # the depth-two group breaks the restriction law off its generators)
         sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
-        broken = 0
-        for group in (sigma2, s3):
-            for i, j in itertools.product(range(group.size), repeat=2):
-                for value in range(group.size):
-                    if value == group.mul[i][j]:
-                        continue
-                    bad = mutated(group, "mul", i, j, value)
-                    want = slow_associativity_witnesses(bad.mul)
-                    got = {v.axiom: v.witnesses for v in bad.validate()}
-                    assert got.get("associativity", ()) == want
-                    broken += bool(want)
-        assert broken > 0
+        two = depth_two()
+        assert two.validate() == []
+        broken = dict.fromkeys(slow_law_witnesses(s3), 0)
+        for group in (sigma2, s3, klein, two):
+            m, d = group.size, group.alphabet.size
+            for name, width, bound in (("mul", m, m), ("act", d, d), ("res", d, m)):
+                for i, k in itertools.product(range(m), range(width)):
+                    for value in range(bound):
+                        if value == getattr(group, name)[i][k]:
+                            continue
+                        bad = mutated(group, name, i, k, value)
+                        got = {v.axiom: v.witnesses for v in bad.validate()}
+                        for axiom, want in slow_law_witnesses(bad).items():
+                            assert got.get(axiom, ()) == want, (group, name, i, k, value, axiom)
+                            broken[axiom] += bool(want)
+        assert all(broken.values())
+
+    def test_corrupted_restriction_off_the_generators(self):
+        # the generators of (Z/2)^6 are 0 and the powers of two, so a wrong
+        # restriction of element 37 is found at a generator, then listed in full
+        group = bit_flips(6)
+        assert group.validate() == []
+        assert group._generators() == [0, 1, 2, 4, 8, 16, 32]
+        bad = mutated(group, "res", 37, 0, 5)
+        want = slow_law_witnesses(bad)
+        assert want["associativity"] == want["action-composition"] == ()
+        assert [(v.axiom, v.witnesses) for v in bad.validate()] == [("restriction-cocycle", want["restriction-cocycle"])]
+        # every pair whose product is 37, but for 37 = 37 * 0 = 0 * 37, and
+        # more where res[37][0] is a factor
+        assert {(i, i ^ 37, 0) for i in range(64)} - {(0, 37, 0), (37, 0, 0)} < set(want["restriction-cocycle"])
 
     def test_corrupted_identity_action(self, s2):
         bad = mutated(s2, "act", 0, 0, 1)
@@ -114,17 +169,8 @@ class TestValidate:
         assert "faithfulness" in {v.axiom for v in group.validate()}
 
     def test_faithful_beyond_depth_eight(self):
-        # (Z/2)^9: bit k of v swaps the letter at depth k, so element 256
-        # first moves a word at its ninth letter
-        m = 512
-        group = SelfSimilarGroup(
-            trivial_group(2).alphabet,
-            [[i ^ j for j in range(m)] for i in range(m)],
-            list(range(m)),
-            [(1, 0) if v & 1 else (0, 1) for v in range(m)],
-            [(v >> 1, v >> 1) for v in range(m)],
-        )
-        assert group.validate() == []
+        # element 256 of (Z/2)^9 first moves a word at its ninth letter
+        assert bit_flips(9).validate() == []
 
     def test_shape_errors(self, s2):
         with pytest.raises(MalformedStructureError):
@@ -223,7 +269,7 @@ class TestGermAction:
 
     def test_rejects_foreign_point_and_unknown_element(self, s2, t3):
         x = s2.alphabet.parse_point("01(10)")
-        with pytest.raises(CompositionDomainError):
+        with pytest.raises(IncompatibleElementsError):
             germ_apply(t3, 0, x)
         # a germ is a non-bool int, as in tables and structures
         for elem in (2, 1.0, "1", True):

@@ -152,7 +152,7 @@ class TestZipperTranslation:
 
 class TestIntegerLine:
     def test_shift_lengths(self):
-        inst = integer_line_instance(10, max_shift=5)
+        inst = integer_line_instance(10)
         out = walls_to_zipper(inst)
         assert out.ok()
         by_name = {r.name: r for r in out.reports}
@@ -169,8 +169,6 @@ class TestIntegerLine:
     def test_bad_parameters(self):
         with pytest.raises(UnsupportedStructureError, match="k must be >= 1"):
             integer_line_instance(0)
-        with pytest.raises(UnsupportedStructureError, match="max_shift must be between 1 and k"):
-            integer_line_instance(4, max_shift=9)
 
 
 GOOD_WALLS = "points a b\nwall a | b\nbase a\n"

@@ -403,6 +403,7 @@ class TestCocycle:
         # the translated support evaluates by pulling the class back
         values = symdiff(x1)
         moved = zipper._translate(values, x0)
+        assert len(moved) == len(values)
         back = invert(x0)
         for e, v in moved.items():
             assert values[act_on_eclass(back, e)] == v
@@ -579,6 +580,12 @@ class TestNowalls:
             assert gz_member(g, rep.first_class)
             assert not gz_member(g, rep.second_class)
         assert gz_member(rep.covering_element, rep.second_class)
+
+    def test_sixteen_distinct_witnesses(self, t2):
+        # after the identity, witness k has 2^(k-1)+1 rows, so no two are equal
+        rep = nowalls_demo(t2, 16)
+        assert [len(g.rows) for g in rep.witnesses] == [1] + [2 ** (k - 1) + 1 for k in range(2, 17)]
+        assert len(set(rep.witnesses)) == 16
 
     def test_wrong_structure(self, s2, t3):
         for group in (s2, t3):
