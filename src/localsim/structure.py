@@ -303,16 +303,28 @@ def symmetric_group(d: int) -> SelfSimilarGroup:
         raise UnsupportedStructureError(f"symmetric germs are limited to alphabets of at most 6 letters, got {d}")
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
-    mul = tuple(tuple(index[tuple(p[q[a]] for a in range(d))] for q in perms) for p in perms)
-    inv_of = []
-    for p in perms:
-        q = [0] * d
-        for a in range(d):
-            q[p[a]] = a
-        inv_of.append(index[tuple(q)])
+    # mul[p][q] is the index of p after q.  Only the rows of the adjacent
+    # transpositions are built cell by cell; every other row p = s p' is
+    # reached from a row p' already built, as mul[p][q] = mul[s][mul[p'][q]].
+    gens = []
+    for a in range(d - 1):
+        s = list(range(d))
+        s[a], s[a + 1] = a + 1, a
+        gens.append(tuple(index[tuple(s[c] for c in q)] for q in perms))
+    rows: list[tuple[int, ...] | None] = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    reached = [0]
+    for j in reached:
+        for row_s in gens:
+            i = row_s[j]
+            if rows[i] is None:
+                rows[i] = tuple(map(row_s.__getitem__, rows[j]))
+                reached.append(i)
+    mul = tuple(rows)
+    inv = tuple(row.index(0) for row in mul)
     act = tuple(perms)
     res = tuple((i,) * d for i in range(len(perms)))
-    return SelfSimilarGroup(Alphabet(d), mul, tuple(inv_of), act, res, name=f"symmetric({d})")
+    return SelfSimilarGroup(Alphabet(d), mul, inv, act, res, name=f"symmetric({d})")
 
 
 def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:

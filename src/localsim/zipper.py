@@ -23,14 +23,16 @@ membership in gZ composes with the inverse, computed once per element,
 and counts the reduced rows: one row means an inclusion class.
 
 A target of the class that straddles several maximal balls of the inverse
-decides non-membership with no composing at all.  Composition replaces
-such a target by the inverse's rows under it, precomposed with one
-similarity, and these pieces can never merge again, because a mergeable
-family among them would be a mergeable family of the reduced inverse; so
-at least two rows remain.  Every vacated inclusion class is a ball
-properly containing a maximal ball of the inverse, so each -1 check costs
-one `_covering` search, and `max_partition` hands out the element's cached
-sources, so the partitions are walked once and never re-checked.
+decides non-membership.  Composition replaces such a target by the
+inverse's rows under it, precomposed with one similarity, and these
+pieces can never merge again, because a mergeable family among them would
+be a mergeable family of the reduced inverse; so at least two rows
+remain.  The membership composition therefore stops at the first
+straddling target, and every target is searched for once.  Every vacated
+inclusion class is a ball properly containing a maximal ball of the
+inverse, so each -1 check stops at its one target's search, and
+`max_partition` hands out the element's cached sources, so the partitions
+are walked once and never re-checked.
 
 The entries are the internal nodes of the two maximal-partition trees, and
 a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
@@ -63,7 +65,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, _covering, _overlap, _under, is_complete_code, is_prefix
+from .words import Word, _overlap, _under, is_complete_code, is_prefix
 
 
 @dataclass(frozen=True)
@@ -157,24 +159,21 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     needs no twist minimization, as a twist keeps the reduced row count.
 
     A target of e that is not inside one maximal ball of h decides the
-    answer before anything is composed: the class is not in gZ.  The
-    composition replaces such a target t of an e-row r by pieces: the d or
-    more rows of h under t, precomposed with the one similarity of r.  A
-    sibling family that contains a piece has its parent at or below the
-    source of r, so all its members are pieces of r, and pulled back
-    through that similarity a mergeable family among them would be a
-    mergeable family of h, which is reduced.  So no piece ever merges, at
-    least d >= 2 rows remain, and the count is not one.
-    Each target is looked up among h's cached sources by `_covering`; only
-    a class whose targets all lie inside maximal balls is composed.
+    answer: the class is not in gZ.  The composition replaces such a
+    target t of an e-row r by pieces: the d or more rows of h under t,
+    precomposed with the one similarity of r.  A sibling family that
+    contains a piece has its parent at or below the source of r, so all
+    its members are pieces of r, and pulled back through that similarity
+    a mergeable family among them would be a mergeable family of h, which
+    is reduced.  So no piece ever merges, at least d >= 2 rows remain, and
+    the count is not one.  The composition therefore stops at the first
+    straddling target, before pulling anything back, and each target is
+    looked up among h's cached sources once.
     """
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    h = g._inverse
-    sources = h._sources_depth[0]
-    if any(_covering(sources, t) < 0 for _, t, _ in e.rows):
-        return False
-    return len(_reduce_rows(g.group, _compose_rows(h, e.rows))) == 1
+    rows = _compose_rows(g._inverse, e.rows, inside_only=True)
+    return rows is not None and len(_reduce_rows(g.group, rows)) == 1
 
 
 def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:

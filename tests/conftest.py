@@ -63,6 +63,26 @@ def klein(t2):
 
 
 @pytest.fixture(scope="session")
+def depth_two(t2):
+    """The 8 automorphisms of the binary tree that move only the first two
+    letters: v = s + 2*t0 + 4*t1 swaps the first letter when s is 1, and
+    the second when the first is a and t_a is 1.  Unlike those of
+    symmetric(3) and klein, its restrictions depend on the letter."""
+
+    def parts(v):
+        return v & 1, ((v >> 1) & 1, v >> 2)
+
+    def product(i, j):  # j first, then i
+        (si, ti), (sj, tj) = parts(i), parts(j)
+        return (si ^ sj) | (ti[sj] ^ tj[0]) << 1 | (ti[1 ^ sj] ^ tj[1]) << 2
+
+    mul = [[product(i, j) for j in range(8)] for i in range(8)]
+    act = [(v & 1, 1 - (v & 1)) for v in range(8)]
+    res = [parts(v)[1] for v in range(8)]
+    return SelfSimilarGroup(t2.alphabet, mul, [row.index(0) for row in mul], act, res, name="depth two")
+
+
+@pytest.fixture(scope="session")
 def s3_conjugated(s3):
     """symmetric(3) with each restriction conjugated by the transposition
     of the first two letters: restrictions vary and do not commute, and

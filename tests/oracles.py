@@ -340,6 +340,18 @@ def slow_law_witnesses(group: SelfSimilarGroup) -> dict[str, tuple[tuple[int, in
     }
 
 
+def slow_symmetric_tables(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The multiplication and inverse tables of the permutations of
+    {0..d-1}, listed in lexicographic order of their one-line notation,
+    cell by cell: the entry of p and q is the index of a -> p[q[a]], and
+    the inverse of p the index of the permutation undoing it."""
+    perms = list(itertools.permutations(range(d)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = tuple(tuple(index[tuple(p[q[a]] for a in range(d))] for q in perms) for p in perms)
+    inv = tuple(index[tuple(sorted(range(d), key=p.__getitem__))] for p in perms)
+    return mul, inv
+
+
 def slow_audit_counts(group: SelfSimilarGroup, generators, radius: int, threshold: int) -> list[tuple[int, int]]:
     """(ball size, elements within the threshold) per radius, by a plain
     breadth-first search over sets of elements: every generator and every

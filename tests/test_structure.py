@@ -16,7 +16,7 @@ from localsim import (
     trivial_group,
 )
 from localsim.cli import _resolve_input
-from oracles import as_word, letters, slow_law_witnesses, stepwise_act_word
+from oracles import as_word, letters, slow_law_witnesses, slow_symmetric_tables, stepwise_act_word
 
 AXIOMS = {
     "identity-element",
@@ -52,25 +52,6 @@ def bit_flips(k):
         [(1, 0) if v & 1 else (0, 1) for v in range(m)],
         [(v >> 1, v >> 1) for v in range(m)],
     )
-
-
-def depth_two():
-    """The 8 automorphisms of the binary tree that move only the first two
-    letters: v = s + 2*t0 + 4*t1 swaps the first letter when s is 1, and
-    the second when the first is a and t_a is 1.  Unlike those of
-    symmetric(3) and klein, its restrictions depend on the letter."""
-
-    def parts(v):
-        return v & 1, ((v >> 1) & 1, v >> 2)
-
-    def product(i, j):  # j first, then i
-        (si, ti), (sj, tj) = parts(i), parts(j)
-        return (si ^ sj) | (ti[sj] ^ tj[0]) << 1 | (ti[1 ^ sj] ^ tj[1]) << 2
-
-    mul = [[product(i, j) for j in range(8)] for i in range(8)]
-    act = [(v & 1, 1 - (v & 1)) for v in range(8)]
-    res = [parts(v)[1] for v in range(8)]
-    return SelfSimilarGroup(trivial_group(2).alphabet, mul, [row.index(0) for row in mul], act, res, name="depth two")
 
 
 # every shape and range check in SelfSimilarGroup.__init__, over two
@@ -110,22 +91,28 @@ class TestValidate:
         assert v.axiom == "restriction-cocycle"
         assert (1, 1, 0) in v.witnesses and (1, 1, 1) in v.witnesses
 
+    def test_symmetric_tables_match_cell_by_cell(self):
+        # the table is built from the rows of the adjacent transpositions
+        for d in range(2, 6):
+            group = symmetric_group(d)
+            assert (group.mul, group.inv) == slow_symmetric_tables(d)
+            assert group.act == tuple(itertools.permutations(range(d)))
+
     def test_symmetric_six_is_clean(self):
         # 720 elements: associativity and the two transducer laws are each
         # proved at the 6 generators, so no law scans all 518,400 pairs
         assert symmetric_group(6).validate() == []
 
-    def test_law_witnesses_match_full_scan(self, s3, klein):
+    def test_law_witnesses_match_full_scan(self, s3, klein, depth_two):
         # every single corrupted mul, act and res cell of sigma2.aut,
         # symmetric(3), klein and the depth-two group: each law lists exactly
         # the witnesses a scan of all its cells finds, also where it holds at
         # the generators only because a premise fails (a wrong act cell of
         # the depth-two group breaks the restriction law off its generators)
         sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
-        two = depth_two()
-        assert two.validate() == []
+        assert depth_two.validate() == []
         broken = dict.fromkeys(slow_law_witnesses(s3), 0)
-        for group in (sigma2, s3, klein, two):
+        for group in (sigma2, s3, klein, depth_two):
             m, d = group.size, group.alphabet.size
             for name, width, bound in (("mul", m, m), ("act", d, d), ("res", d, m)):
                 for i, k in itertools.product(range(m), range(width)):

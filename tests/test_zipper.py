@@ -134,6 +134,52 @@ def straddles(g, t):
     return any(len(t) < len(r.target) and r.target[: len(t)] == t for r in g.rows)
 
 
+def classes_around(g, h, rng):
+    """Classes in and out of gZ whose targets lie inside maximal balls of
+    g's inverse, straddle them, or both: the inclusion classes of every
+    ball down to one level below g's rows and their translates by g and h,
+    twisted restriction classes of g and h, and a partly straddling class."""
+    group = g.group
+    depth = 1 + max(len(w) for r in g.rows for w in r[:2])
+    classes = []
+    for b in all_balls(group.alphabet, depth):
+        e = incl_class(group, b)
+        classes += [e, act_on_eclass(h, e), act_on_eclass(g, e)]
+    for k in (g, h):
+        for b in max_partition(k).proper_prefixes():
+            classes.append(restriction_class(k, b, rng.randrange(group.size)))
+    classes.append(partly_straddling_class(g, rng))
+    return list(filter(None, classes))
+
+
+def target_kind(g, e):
+    """'inside', 'straddle' or 'mixed': where the class's targets lie
+    against the maximal balls of g's inverse."""
+    split = [straddles(g, r.target) for r in e.rows]
+    return "mixed" if 0 < sum(split) < len(split) else "straddle" if all(split) else "inside"
+
+
+def over_random_classes(groups, check):
+    """Run check(g, e) on random elements g of the groups and the classes
+    around them, and assert that their targets were found inside maximal
+    balls of g's inverse, straddling them, and both."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    kinds = collections.Counter()
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(groups), st.randoms(use_true_random=True), st.integers(1, 3))
+    def run(group, rng, max_depth):
+        g = random_element(group, rng, max_depth=max_depth)
+        h = random_element(group, rng, max_depth=max_depth)
+        for e in classes_around(g, h, rng):
+            kinds[target_kind(g, e)] += 1
+            check(g, e)
+
+    run()
+    assert kinds["mixed"] and kinds["straddle"] and kinds["inside"]
+
+
 class TestCanonicalClasses:
     def test_inclusion_classes(self, t2):
         root = incl_class(t2, ())
@@ -234,37 +280,31 @@ class TestMembership:
                     assert gz_member(g, e) == z_member(act_on_eclass(invert(g), e))
 
     def test_matches_slow_membership(self, t2, s2, t3, s3, klein, s3_conjugated):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-        # targets of the classes checked so far: all inside maximal balls of
-        # the inverse, all straddling, or some of each
-        kinds = collections.Counter()
+        def check(g, e):
+            assert gz_member(g, e) == slow_gz_member(g, e)
 
-        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
-        @hypothesis.given(
-            st.sampled_from([t2, s2, t3, s3, klein, s3_conjugated]),
-            st.randoms(use_true_random=True),
-            st.integers(1, 3),
-        )
-        def check(group, rng, max_depth):
-            g = random_element(group, rng, max_depth=max_depth)
-            h = random_element(group, rng, max_depth=max_depth)
-            depth = 1 + max(len(w) for r in g.rows for w in r[:2])
-            classes = []
-            for b in all_balls(group.alphabet, depth):
-                e = incl_class(group, b)
-                classes += [e, act_on_eclass(h, e), act_on_eclass(g, e)]
-            for k in (g, h):
-                for b in max_partition(k).proper_prefixes():
-                    classes.append(restriction_class(k, b, rng.randrange(group.size)))
-            classes.append(partly_straddling_class(g, rng))
-            for e in filter(None, classes):
-                assert gz_member(g, e) == slow_gz_member(g, e)
-                split = [straddles(g, r.target) for r in e.rows]
-                kinds["mixed" if 0 < sum(split) < len(split) else "straddle" if all(split) else "inside"] += 1
+        over_random_classes([t2, s2, t3, s3, klein, s3_conjugated], check)
 
-        check()
-        assert kinds["mixed"] and kinds["straddle"] and kinds["inside"]
+    def test_membership_composition_stops_at_a_straddle(self, t2, s3, klein, depth_two):
+        # None exactly when some target straddles maximal balls of the
+        # inverse, and the full composition's rows otherwise
+        def check(g, e):
+            early = _compose_rows(g._inverse, e.rows, inside_only=True)
+            if target_kind(g, e) == "inside":
+                assert early == _compose_rows(g._inverse, e.rows)
+            else:
+                assert early is None
+
+        over_random_classes([t2, s3, klein, depth_two], check)
+
+    def test_straddled_classes_keep_two_rows(self, t2, s3, klein, depth_two):
+        # the gz_member docstring's proof that stopping at a straddle changes
+        # no answer: the pieces of a straddled target never merge
+        def check(g, e):
+            if target_kind(g, e) != "inside":
+                assert len(_reduce_rows(g.group, _compose_rows(g._inverse, e.rows))) >= 2
+
+        over_random_classes([t2, s3, klein, depth_two], check)
 
     def test_act_on_inclusion_is_restriction(self, x0):
         e = act_on_eclass(x0, incl_class(x0.group, (0,)))
