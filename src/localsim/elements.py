@@ -12,13 +12,14 @@ only the checked input form that `reduce` and `canonical_eclass` take.
 
 Two moves generate everything here.  Expansion replaces a row by its d
 children (one letter deeper, targets pushed through the germ's action,
-germs replaced by restrictions) and never changes the map.  Reduction is
-the inverse rewrite: a full family of sibling rows whose effect agrees
-with a single similarity collapses to its parent.  Reduction is confluent
-because the balls on which the map agrees with one similarity around a
-point form a chain, so every table has a unique reduced form.  Reduced
-tables are canonical: two tables describe the same map iff their reduced
-sorted forms coincide, and the reduced source code is the coarsest ball
+germs replaced by restrictions) and never changes the map; only the tests
+expand, so it lives in `tests/oracles.py`.  Reduction is the inverse
+rewrite: a full family of sibling rows whose effect agrees with a single
+similarity collapses to its parent.  Reduction is confluent because the
+balls on which the map agrees with one similarity around a point form a
+chain, so every table has a unique reduced form.  Reduced tables are
+canonical: two tables describe the same map iff their reduced sorted
+forms coincide, and the reduced source code is the coarsest ball
 partition on which the map acts by single similarities.
 
 Reduction runs over rows sorted by source, in one pass.  A sorted prefix
@@ -46,7 +47,6 @@ from .errors import (
     InvalidCodeError,
     LiteralParseError,
     MalformedStructureError,
-    NoSuchRowError,
     UnsupportedStructureError,
 )
 from .structure import SelfSimilarGroup, germ_apply
@@ -78,11 +78,11 @@ _source = itemgetter(0)
 class SimTable:
     """The checked input form of a table: rows sorted by source word.
 
-    Construction checks letters and germs only, so that an unreduced or
-    broken table can be built and diagnosed by `validate_table`, expanded
-    by `expand_at`, turned into an element by `reduce` once both columns
-    are complete codes, or into an embedding class by `canonical_eclass`.
-    Elements and classes keep only the group and the reduced rows.
+    Construction checks letters and germs only: `reduce` turns a table
+    whose columns are complete codes into an element and names what is
+    broken in any other, `canonical_eclass` turns one into an embedding
+    class, and expansion lives in `tests/oracles.py`.  Elements and
+    classes keep only the group and the reduced rows.
     """
 
     group: SelfSimilarGroup
@@ -103,7 +103,8 @@ class SimTable:
 
 def _column_violations(d: int, rows: Sequence[Row]) -> list[str]:
     """The violations of rows sorted by source, whose letters and germs
-    are already checked; `validate_table` and `parse_element` share it."""
+    are already checked, as stable strings; none means both columns are
+    complete codes.  `reduce` and `parse_element` share it."""
     if not rows:
         return ["empty-table"]
     out: list[str] = []
@@ -118,15 +119,6 @@ def _column_violations(d: int, rows: Sequence[Row]) -> list[str]:
     elif not is_complete_code(tgts, d):
         out.append("target-incomplete")
     return out
-
-
-def validate_table(t: SimTable) -> list[str]:
-    """Structural violations of a table, as stable diagnostic strings.
-
-    A table is an element when both columns are complete antichains; the
-    rows then pair the two codes one to one.
-    """
-    return _column_violations(t.group.alphabet.size, t.rows)
 
 
 # -- the rewrite engine ------------------------------------------------------
@@ -293,11 +285,11 @@ class CanonicalElement:
 def reduce(t: SimTable) -> CanonicalElement:
     """The unique reduced form of a table that describes a group element.
 
-    Both columns must be complete codes, as `validate_table` checks.
-    InvalidCodeError names two overlapping sources when the sources are no
-    prefix code, and lists the violations otherwise.
+    Both columns must be complete codes.  InvalidCodeError names two
+    overlapping sources when the sources are no prefix code, and lists the
+    violations otherwise.
     """
-    violations = validate_table(t)
+    violations = _column_violations(t.group.alphabet.size, t.rows)
     if "domain-not-antichain" in violations:
         u, v = map(t.group.alphabet.format_word, _overlap(tuple(map(_source, t.rows))))
         raise InvalidCodeError(f"sources {u} and {v} overlap; not a prefix code")
@@ -308,21 +300,6 @@ def reduce(t: SimTable) -> CanonicalElement:
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:
     return CanonicalElement(group, (Row("", "", 0),))
-
-
-def expand_at(t: SimTable, source: Word) -> SimTable:
-    """Replace the row at `source` by its d one-letter-deeper children."""
-    alphabet = t.group.alphabet
-    source = alphabet.check_word(source)
-    for r in t.rows:
-        if r.source == source:
-            break
-    else:
-        raise NoSuchRowError(f"no row with source {alphabet.format_word(source)}")
-    act, res = t.group.act[r.germ], t.group.res[r.germ]
-    children = [Row(source + chr(a), r.target + chr(act[a]), res[a]) for a in alphabet.letters]
-    rows = tuple(x for x in t.rows if x.source != source) + tuple(children)
-    return SimTable(t.group, rows)
 
 
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
@@ -369,7 +346,9 @@ def apply(g: CanonicalElement, x: Point) -> Point:
         if germ:
             tail = germ_apply(group, germ, tail)
         return tail._prepend(tgt)
-    raise NoSuchRowError(f"no row covers the point {x}")
+    # only a hand-built partial map gets here: an element's sources are a
+    # complete code
+    raise InvalidCodeError(f"no row covers the point {x}")
 
 
 def max_partition(g: CanonicalElement) -> PrefixCode:
@@ -451,7 +430,7 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     missing germ means the identity germ.  Each distinct word text is
     parsed, and its letters validated, once by `Alphabet.parse_word`;
     sources and targets spelled alike share one str.  The rows are not checked again: they are sorted and given
-    to the column check `validate_table` runs, which must find both columns
+    to the column check `reduce` runs, which must find both columns
     complete codes (InvalidCodeError lists what it found otherwise), then
     reduced.
     """

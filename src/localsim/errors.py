@@ -17,10 +17,6 @@ class MalformedStructureError(LocalSimError):
     """A self-similar group description has the wrong shape."""
 
 
-class NoSuchRowError(LocalSimError):
-    """A table row was addressed by a source word it does not contain."""
-
-
 class IncompatibleElementsError(LocalSimError):
     """Operands live over different alphabets or different structures."""
 

@@ -284,7 +284,7 @@ def trivial_group(d: int) -> SelfSimilarGroup:
     Its tables grow with d, about 61 bytes a letter, so d is limited to
     _MAX_LETTERS (65,536).
     """
-    if d > _MAX_LETTERS:
+    if _is_int(d) and d > _MAX_LETTERS:
         raise UnsupportedStructureError(
             f"trivial germs are limited to alphabets of at most {_MAX_LETTERS} letters, got {d}"
         )
@@ -299,8 +299,9 @@ def symmetric_group(d: int) -> SelfSimilarGroup:
     is the element itself.  The multiplication table has (d!)^2 cells, so
     d is limited to 6.
     """
-    if d > 6:
+    if _is_int(d) and d > 6:
         raise UnsupportedStructureError(f"symmetric germs are limited to alphabets of at most 6 letters, got {d}")
+    alphabet = Alphabet(d)
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     # mul[p][q] is the index of p after q.  Only the rows of the adjacent
@@ -324,7 +325,7 @@ def symmetric_group(d: int) -> SelfSimilarGroup:
     inv = tuple(row.index(0) for row in mul)
     act = tuple(perms)
     res = tuple((i,) * d for i in range(len(perms)))
-    return SelfSimilarGroup(Alphabet(d), mul, inv, act, res, name=f"symmetric({d})")
+    return SelfSimilarGroup(alphabet, mul, inv, act, res, name=f"symmetric({d})")
 
 
 def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:

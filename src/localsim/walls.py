@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidWallError, LiteralParseError, UnsupportedStructureError
+from .words import _is_int
 
 Wall = tuple[frozenset[str], frozenset[str]]
 
@@ -135,6 +136,8 @@ def integer_line_instance(k: int) -> WallsInstance:
     symmetric-difference size for the shift by s is 2s.  The instance
     takes space quadratic in k, so k is limited to 500.
     """
+    if not _is_int(k):
+        raise UnsupportedStructureError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise UnsupportedStructureError("k must be >= 1")
     if k > _MAX_LINE_K:

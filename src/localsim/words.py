@@ -52,13 +52,9 @@ _LETTER_DIGITS = str.maketrans(_LETTERS, _DIGITS)
 _MAX_SIZE = 0x10FFFF
 
 
-def is_prefix(prefix: Word, word: Word) -> bool:
-    return word[: len(prefix)] == prefix
-
-
 def _is_int(v) -> bool:
-    """The one test for a letter, a germ or a structure table entry: an
-    int that is not a bool."""
+    """The one test for a letter, a germ, a structure table entry or an
+    integer parameter: an int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
@@ -94,7 +90,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 2:
+        if not _is_int(self.size) or self.size < 2:
             raise MalformedWordError(f"alphabet size must be an integer >= 2, got {self.size!r}")
         if self.size > _MAX_SIZE:
             raise MalformedWordError(f"alphabet size must be at most {_MAX_SIZE}, got {self.size}")

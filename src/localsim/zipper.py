@@ -65,7 +65,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, _overlap, _under, is_complete_code, is_prefix
+from .words import Word, _is_int, _overlap, _under, is_complete_code
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     if not f.rows:
         raise InvalidClassError("empty table")
     for r in f.rows:
-        if not is_prefix(ball, r.source):
+        if not r.source.startswith(ball):
             raise InvalidClassError(f"source {fmt(r.source)} is outside the ball {fmt(ball)}")
     stripped = _precompose(group, f.rows, len(ball), "", 0)
     sources = tuple(map(_source, stripped))
@@ -284,9 +284,6 @@ class AuditReport:
     rows: tuple[AuditRow, ...]
     stabilized: bool
 
-    def counts(self) -> list[int]:
-        return [r.within_threshold for r in self.rows]
-
 
 def properness_audit(
     group: SelfSimilarGroup,
@@ -311,6 +308,9 @@ def properness_audit(
     so its elements leave only their dedup keys in the visited set, and
     memory holds the sphere before it plus one key per element reached.
     """
+    for name, value in (("radius", radius), ("threshold", threshold)):
+        if not _is_int(value):
+            raise UnsupportedStructureError(f"{name} must be an integer, got {value!r}")
     if radius < 0:
         raise UnsupportedStructureError("radius must be >= 0")
     start = identity(group)
@@ -401,6 +401,8 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     """
     if group.alphabet.size != 2 or group.size != 1:
         raise UnsupportedStructureError("the demonstration needs the binary alphabet with trivial germs")
+    if not _is_int(count):
+        raise UnsupportedStructureError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise UnsupportedStructureError("count must be >= 1")
     if count > _MAX_WITNESSES:

@@ -257,6 +257,20 @@ def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
     return tuple(Row(as_word(s), as_word(t), g) for s, (t, g) in sorted(table.items()))
 
 
+def slow_expand_at(t: SimTable, source) -> SimTable:
+    """Replace the row at `source` by its d children, one letter deeper:
+    each child's target is the row's target followed by the germ's image
+    of the letter, and its germ the germ's restriction there.  Expansion
+    never changes the map, so reducing the result gives back the same
+    element."""
+    group = t.group
+    src = letters(source)
+    (row,) = [r for r in t.rows if letters(r.source) == src]
+    tgt, act, res = letters(row.target), group.act[row.germ], group.res[row.germ]
+    children = tuple(Row(as_word(src + (a,)), as_word(tgt + (act[a],)), res[a]) for a in group.alphabet.letters)
+    return SimTable(group, tuple(r for r in t.rows if r is not row) + children)
+
+
 def stepwise_act_word(group: SelfSimilarGroup, elem: int, word: Letters) -> tuple[Letters, int]:
     """The image of a word under one group element, a letter at a time,
     and the restriction left after it."""

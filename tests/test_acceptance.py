@@ -1,4 +1,4 @@
-"""Acceptance suite: nine exact, property-based criteria.
+"""Acceptance suite: ten exact, property-based criteria.
 
 Every check is tolerance-zero.  Timed criteria assert their wall-clock
 budget; the terminal summary (see conftest) prints one PASS/FAIL line per
@@ -13,6 +13,7 @@ from oracles import (
     brute_force_symdiff,
     coarsenings,
     enumerate_complete_codes,
+    slow_expand_at,
     tables_over,
 )
 from test_structure import AXIOMS, mutated
@@ -25,13 +26,13 @@ from localsim import (
     cocycle_identity_defect,
     compose,
     enumerate_gamma,
-    expand_at,
     gz_member,
     identity,
     integer_line_instance,
     invert,
     max_partition,
     nowalls_demo,
+    parse_automaton,
     properness_audit,
     random_element,
     random_point,
@@ -43,6 +44,7 @@ from localsim import (
     z_member,
     zipper_length,
 )
+from localsim.cli import _resolve_input
 
 # per-alphabet depth caps keep the randomized suites inside their budgets
 # without thinning the binary coverage
@@ -65,7 +67,7 @@ def test_criterion_1_algebra_laws(configurations):
 
             t = SimTable(g.group, g.rows)
             for _ in range(rng.randrange(1, 5)):
-                t = expand_at(t, rng.choice([r.source for r in t.rows]))
+                t = slow_expand_at(t, rng.choice([r.source for r in t.rows]))
             assert reduce(t) == g
 
         for a, b, c in zip(elems, elems[1:], elems[2:]):
@@ -159,7 +161,7 @@ def test_criterion_5_gamma_finiteness(configurations, t2, s2):
 def test_criterion_6_properness_audit(t2, v_gens):
     start = time.perf_counter()
     report = properness_audit(t2, v_gens, radius=6, threshold=4)
-    counts = report.counts()
+    counts = [r.within_threshold for r in report.rows]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[0] == 1 and counts[1] == 6
     assert counts[-3:] == [counts[-1]] * 3
@@ -177,7 +179,7 @@ def test_criterion_6_properness_audit(t2, v_gens):
     assert counts[-1] == len(short)
 
     degenerate = properness_audit(t2, v_gens, radius=3, threshold=0)
-    assert degenerate.counts() == [1, 1, 1, 1]
+    assert [r.within_threshold for r in degenerate.rows] == [1, 1, 1, 1]
     assert degenerate.stabilized
     assert time.perf_counter() - start < 600
 
@@ -235,3 +237,45 @@ def test_criterion_9_structure_validation(s2):
         assert violations, f"mutation {table}[{i}][{a}] slipped through"
         assert all(v.axiom in AXIOMS for v in violations)
         seen += 1
+
+
+def test_criterion_10_negative_type(configurations):
+    # the zipper length counts the walls between gZ and hZ, so it has
+    # negative type (Cherix-Martin-Valette): for integer weights c summing
+    # to zero, sum c_i c_j |g_i^-1 g_j| is -2 times the sum over the classes
+    # W of (sum c_i symdiff(g_i)[W])^2.  The left side needs only compose
+    # and the closed-form length, the right side only symdiff.
+    start = time.perf_counter()
+    structures = configurations + [parse_automaton(_resolve_input("sigma2.aut"))]
+    rng = random.Random(100_000)
+    nonzero = 0
+    for n in range(200):
+        group = structures[n % len(structures)]
+        k = rng.randrange(2, 8)
+        while True:
+            weights = [rng.randint(-5, 5) for _ in range(k - 1)]
+            weights.append(-sum(weights))
+            if abs(weights[-1]) <= 5 and any(weights):
+                break
+        # each element is a fresh one or the one before times a small one,
+        # so that the symmetric differences share +1 classes too
+        depth = DEPTH[group.alphabet.size] - 1
+        elems = [random_element(group, rng, max_depth=depth)]
+        while len(elems) < k:
+            if rng.random() < 0.5:
+                elems.append(compose(elems[-1], random_element(group, rng, max_depth=2)))
+            else:
+                elems.append(random_element(group, rng, max_depth=depth))
+        inverses = [invert(g) for g in elems]
+        left = sum(
+            a * b * zipper_length(compose(g_inv, h))
+            for a, g_inv in zip(weights, inverses)
+            for b, h in zip(weights, elems)
+        )
+        diffs = [symdiff(g) for g in elems]
+        walls = set().union(*diffs)
+        right = -2 * sum(sum(c * s.get(w, 0) for c, s in zip(weights, diffs)) ** 2 for w in walls)
+        assert left == right
+        nonzero += left != 0
+    assert nonzero > 150
+    assert time.perf_counter() - start < 1

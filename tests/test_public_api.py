@@ -1,4 +1,6 @@
-"""The public API holds no name that only its own unit tests use.
+"""The public API holds no name that only its own unit tests use, no
+error type that nothing raises, and no integer parameter that takes a
+value that is not an int.
 
 A name in `localsim.__all__` earns its place when the benchmark, the
 README or the acceptance suite uses it, or when library code uses it
@@ -12,7 +14,19 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import localsim
+from localsim import (
+    Alphabet,
+    MalformedWordError,
+    UnsupportedStructureError,
+    integer_line_instance,
+    nowalls_demo,
+    properness_audit,
+    symmetric_group,
+    trivial_group,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localsim"
@@ -79,3 +93,87 @@ def test_all_matches_the_imports():
     public = {name for name in imported if not name.startswith("_")}
     assert len(localsim.__all__) == len(set(localsim.__all__))
     assert set(localsim.__all__) == public
+
+
+def test_every_error_type_is_raised():
+    # an error type that nothing raises is API that only its own tests use
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
+    assert sorted(defined - raised) == []
+
+
+def nowalls(count):
+    return nowalls_demo(trivial_group(2), count)
+
+
+def audit_radius(radius):
+    return properness_audit(trivial_group(2), [], radius=radius, threshold=4)
+
+
+def audit_threshold(threshold):
+    return properness_audit(trivial_group(2), [], radius=2, threshold=threshold)
+
+
+NOT_INTS = (2.5, 2.0, "2", None, True)
+SIZE = "alphabet size must be an integer >= 2, got {!r}"
+
+# (function, value, error type, the whole message): a value that is not an
+# int, bools included, raises the function's own error type; an int keeps
+# the message it has always had, which the CLI prints
+INTEGER_PARAMETERS = (
+    *((nowalls, v, UnsupportedStructureError, f"count must be an integer, got {v!r}") for v in NOT_INTS),
+    (nowalls, 0, UnsupportedStructureError, "count must be >= 1"),
+    (
+        nowalls,
+        17,
+        UnsupportedStructureError,
+        "the demonstration is limited to 16 witnesses, got 17: witness k has 2^(k-1) leaves",
+    ),
+    *((integer_line_instance, v, UnsupportedStructureError, f"k must be an integer, got {v!r}") for v in NOT_INTS),
+    (integer_line_instance, 0, UnsupportedStructureError, "k must be >= 1"),
+    (
+        integer_line_instance,
+        501,
+        UnsupportedStructureError,
+        "the integer line is limited to k <= 500, got 501: it has 2k walls over 2k+1 points",
+    ),
+    *((audit_radius, v, UnsupportedStructureError, f"radius must be an integer, got {v!r}") for v in NOT_INTS),
+    (audit_radius, -1, UnsupportedStructureError, "radius must be >= 0"),
+    *((audit_threshold, v, UnsupportedStructureError, f"threshold must be an integer, got {v!r}") for v in NOT_INTS),
+    *((symmetric_group, v, MalformedWordError, SIZE.format(v)) for v in NOT_INTS),
+    (symmetric_group, 1, MalformedWordError, SIZE.format(1)),
+    (
+        symmetric_group,
+        7,
+        UnsupportedStructureError,
+        "symmetric germs are limited to alphabets of at most 6 letters, got 7",
+    ),
+    *((trivial_group, v, MalformedWordError, SIZE.format(v)) for v in NOT_INTS),
+    (trivial_group, 0, MalformedWordError, SIZE.format(0)),
+    (
+        trivial_group,
+        2_000_000,
+        UnsupportedStructureError,
+        "trivial germs are limited to alphabets of at most 65536 letters, got 2000000",
+    ),
+    *((Alphabet, v, MalformedWordError, SIZE.format(v)) for v in NOT_INTS),
+    (Alphabet, 2_000_000, MalformedWordError, "alphabet size must be at most 1114111, got 2000000"),
+)
+
+
+@pytest.mark.parametrize(
+    "function, value, error, message",
+    INTEGER_PARAMETERS,
+    ids=[f"{case[0].__name__}({case[1]!r})" for case in INTEGER_PARAMETERS],
+)
+def test_integer_parameters_are_checked_as_integers(function, value, error, message):
+    with pytest.raises(error) as err:
+        function(value)
+    assert str(err.value) == message

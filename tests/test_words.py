@@ -10,14 +10,11 @@ from localsim import (
     InvalidCodeError,
     LiteralParseError,
     MalformedWordError,
-    NoSuchRowError,
     Point,
     PrefixCode,
     Row,
     SimTable,
     canonical_eclass,
-    expand_at,
-    is_prefix,
     trivial_group,
 )
 from localsim.elements import random_code_words
@@ -38,18 +35,6 @@ A3 = Alphabet(3)
 class TestBallContains:
     """A ball contains another exactly when its address is a prefix of the other's."""
 
-    def test_root_contains_everything(self):
-        assert is_prefix((), (0, 1))
-
-    def test_equal(self):
-        assert is_prefix((0, 1), (0, 1))
-
-    def test_siblings_disjoint(self):
-        assert not is_prefix((0,), (1,)) and not is_prefix((1,), (0,))
-
-    def test_reverse(self):
-        assert not is_prefix((0, 1), (0,)) and is_prefix((0,), (0, 1))
-
     def test_nesting_is_chainlike(self):
         # balls as sets of depth-5 words: containment is the prefix relation,
         # and two balls that do not nest are disjoint
@@ -57,8 +42,8 @@ class TestBallContains:
         deep = [as_word(x) for x in itertools.product((0, 1), repeat=5)]
         ball = {w: {x for x in deep if x[: len(w)] == w} for w in words}
         for u, v in itertools.product(words, repeat=2):
-            assert is_prefix(u, v) == (ball[v] <= ball[u])
-            if not is_prefix(u, v) and not is_prefix(v, u):
+            assert v.startswith(u) == (ball[v] <= ball[u])
+            if not v.startswith(u) and not u.startswith(v):
                 assert not ball[u] & ball[v]
 
 
@@ -381,7 +366,7 @@ class TestWordType:
             wu, wv = alphabet.check_word(u), alphabet.check_word(v)
             assert type(wu) is str and list(map(ord, wu)) == list(u)
             assert (wu < wv) == (u < v) and (wu == wv) == (u == v)
-            assert wv.startswith(wu) == is_prefix(u, v) == is_prefix(wu, wv)
+            assert wv.startswith(wu) == (v[: len(u)] == u)
             assert alphabet.check_word(wu) == wu and alphabet.check_word(list(u)) == wu
             surrogates.append(any(0xD800 <= a <= 0xDFFF for a in u + v))
 
@@ -446,18 +431,6 @@ NAMED_WORDS = (
         InvalidCodeError,
         "[11] is a prefix of [11,0]; not an antichain",
     ),
-    (
-        "expand_at",
-        lambda: expand_at(SimTable(trivial_group(2), (Row((), (), 0),)), (0, 1)),
-        NoSuchRowError,
-        "no row with source 01",
-    ),
-    (
-        "expand_at over 12 letters",
-        lambda: expand_at(SimTable(trivial_group(12), (Row((), (), 0),)), (11,)),
-        NoSuchRowError,
-        "no row with source [11]",
-    ),
     ("class outside", _class(2, [((0,), (0,), 0)], (1,)), InvalidClassError, "source 0 is outside the ball 1"),
     (
         "class outside over 12 letters",
@@ -485,11 +458,11 @@ def test_message_names_words_as_literals(build, error, message):
 
 
 def _scan_covering(code, w) -> int:
-    return next((i for i, u in enumerate(code) if is_prefix(u, w)), -1)
+    return next((i for i, u in enumerate(code) if w.startswith(u)), -1)
 
 
 def _scan_under(code, b) -> list[int]:
-    return [i for i, u in enumerate(code) if is_prefix(b, u)]
+    return [i for i, u in enumerate(code) if u.startswith(b)]
 
 
 class TestPrefixCodeSearch:
@@ -504,7 +477,7 @@ class TestPrefixCodeSearch:
             letters = st.lists(st.integers(0, d - 1), max_size=4).map(as_word)
             words = set(data.draw(st.lists(letters, max_size=12)))
             # the antichain of the minimal words drawn
-            code = tuple(sorted(u for u in words if not any(v != u and is_prefix(v, u) for v in words)))
+            code = tuple(sorted(u for u in words if not any(v != u and u.startswith(v) for v in words)))
             # a query near a code word: the word itself, a prefix or an extension
             base = data.draw(st.sampled_from(code)) if code and data.draw(st.booleans()) else as_word(())
             w = base[: data.draw(st.integers(0, len(base)))] + data.draw(letters)

@@ -23,6 +23,7 @@ from localsim import (
     invert,
     max_partition,
     nowalls_demo,
+    parse_automaton,
     parse_element,
     properness_audit,
     random_element,
@@ -33,6 +34,7 @@ from localsim import (
     z_member,
     zipper_length,
 )
+from localsim.cli import _resolve_input
 from localsim.elements import _compose_rows, _reduce_rows
 from oracles import (
     all_balls,
@@ -482,6 +484,19 @@ class TestWalls:
                 assert in1 != in2
                 assert side == (1 if in1 else -1)
 
+    def test_separating_walls_are_a_difference_of_symdiffs(self, configurations):
+        # a class lies in g1Z and not in g2Z exactly when symdiff(g1) minus
+        # symdiff(g2) is +1 there, and the other way round at -1: an oracle
+        # that translates nothing
+        rng = random.Random(139)
+        structures = configurations + [parse_automaton(_resolve_input("sigma2.aut"))]
+        for n in range(300):
+            group = structures[n % len(structures)]
+            g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
+            s1, s2 = symdiff(g1), symdiff(g2)
+            sides = {e: s1.get(e, 0) - s2.get(e, 0) for e in s1.keys() | s2.keys()}
+            assert dict(separating_walls(g1, g2)) == {e: side for e, side in sides.items() if side}
+
     def test_separating_walls_sorted_by_rows(self, configurations, x0, x1):
         rng = random.Random(137)
         pairs = [(x0, x1)]
@@ -536,11 +551,15 @@ class TestHalfSpaceNonemptiness:
             assert not gz_member(element_missing(e), e)
 
 
+def within(report):
+    return [r.within_threshold for r in report.rows]
+
+
 class TestPropernessAudit:
     def test_no_generators(self, t2):
         report = properness_audit(t2, [], radius=4, threshold=10)
         assert [r.ball_size for r in report.rows] == [1, 1, 1, 1, 1]
-        assert report.counts() == [1, 1, 1, 1, 1]
+        assert within(report) == [1, 1, 1, 1, 1]
         assert report.stabilized
 
     def test_negative_radius(self, t2):
@@ -549,14 +568,14 @@ class TestPropernessAudit:
 
     def test_threshold_zero_only_identity(self, t2, v_gens):
         report = properness_audit(t2, v_gens, radius=3, threshold=0)
-        assert report.counts() == [1, 1, 1, 1]
+        assert within(report) == [1, 1, 1, 1]
 
     def test_v_generators_frozen_counts(self, t2, v_gens):
         report = properness_audit(t2, v_gens, radius=5, threshold=4)
-        assert report.counts() == [1, 6, 13, 20, 22, 22]
+        assert within(report) == [1, 6, 13, 20, 22, 22]
         assert not report.stabilized
         longer = properness_audit(t2, v_gens, radius=6, threshold=4)
-        assert longer.counts()[-3:] == [22, 22, 22]
+        assert within(longer)[-3:] == [22, 22, 22]
         assert longer.stabilized
 
     def test_outermost_sphere_is_not_kept(self, t2, v_gens):
@@ -569,7 +588,7 @@ class TestPropernessAudit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.counts() == [1, 6, 13, 20, 22, 22]
+        assert within(report) == [1, 6, 13, 20, 22, 22]
         assert peak < 3 * 2**20
 
     def test_skipped_inverse_keeps_counts(self, t2, s2, v_gens):
