@@ -80,9 +80,9 @@ class SimTable:
 
     Construction checks letters and germs only: `reduce` turns a table
     whose columns are complete codes into an element and names what is
-    broken in any other, `canonical_eclass` turns one into an embedding
-    class, and expansion lives in `tests/oracles.py`.  Elements and
-    classes keep only the group and the reduced rows.
+    broken in any other as `parse_element` does; `canonical_eclass` turns
+    one into an embedding class, and expansion lives in `tests/oracles.py`.
+    Elements and classes keep only the group and the reduced rows.
     """
 
     group: SelfSimilarGroup
@@ -99,26 +99,6 @@ class SimTable:
             rows.append(Row(src, tgt, r.germ))
         rows.sort(key=_source)
         object.__setattr__(self, "rows", tuple(rows))
-
-
-def _column_violations(d: int, rows: Sequence[Row]) -> list[str]:
-    """The violations of rows sorted by source, whose letters and germs
-    are already checked, as stable strings; none means both columns are
-    complete codes.  `reduce` and `parse_element` share it."""
-    if not rows:
-        return ["empty-table"]
-    out: list[str] = []
-    srcs = tuple(map(_source, rows))
-    if _overlap(srcs) is not None:
-        out.append("domain-not-antichain")
-    elif not is_complete_code(srcs, d):
-        out.append("incomplete-domain")
-    tgts = tuple(sorted(r.target for r in rows))
-    if _overlap(tgts) is not None:
-        out.append("target-not-antichain")
-    elif not is_complete_code(tgts, d):
-        out.append("target-incomplete")
-    return out
 
 
 # -- the rewrite engine ------------------------------------------------------
@@ -282,20 +262,33 @@ class CanonicalElement:
         return f"<{format_element(self)}>"
 
 
+def _element(group: SelfSimilarGroup, rows: Sequence[Row]) -> CanonicalElement:
+    """Check that rows sorted by source, letters and germs checked, form two
+    complete codes, and reduce them.  `reduce` and `parse_element` both end
+    here, so InvalidCodeError gives a broken table one diagnosis."""
+    d = group.alphabet.size
+    violations = []
+    for words, nested, incomplete in (
+        (tuple(map(_source, rows)), "domain-not-antichain", "incomplete-domain"),
+        (tuple(sorted(r.target for r in rows)), "target-not-antichain", "target-incomplete"),
+    ):
+        if _overlap(words) is not None:
+            violations.append(nested)
+        elif not is_complete_code(words, d):
+            violations.append(incomplete)
+    if violations:
+        raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
+    return CanonicalElement(group, _reduce_rows(group, rows))
+
+
 def reduce(t: SimTable) -> CanonicalElement:
     """The unique reduced form of a table that describes a group element.
 
-    Both columns must be complete codes.  InvalidCodeError names two
-    overlapping sources when the sources are no prefix code, and lists the
-    violations otherwise.
+    Both columns must be complete codes; InvalidCodeError lists the
+    violations otherwise, in the words `parse_element` uses for the same
+    rows.
     """
-    violations = _column_violations(t.group.alphabet.size, t.rows)
-    if "domain-not-antichain" in violations:
-        u, v = map(t.group.alphabet.format_word, _overlap(tuple(map(_source, t.rows))))
-        raise InvalidCodeError(f"sources {u} and {v} overlap; not a prefix code")
-    if violations:
-        raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
-    return CanonicalElement(t.group, _reduce_rows(t.group, t.rows))
+    return _element(t.group, t.rows)
 
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:
@@ -429,10 +422,10 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     structure in ASCII decimal digits, no more than `int()` converts; a
     missing germ means the identity germ.  Each distinct word text is
     parsed, and its letters validated, once by `Alphabet.parse_word`;
-    sources and targets spelled alike share one str.  The rows are not checked again: they are sorted and given
-    to the column check `reduce` runs, which must find both columns
-    complete codes (InvalidCodeError lists what it found otherwise), then
-    reduced.
+    sources and targets spelled alike share one str.  The rows are not
+    checked again: sorted, they go through the one column check and
+    reduction `reduce` ends in, so both columns must be complete codes and
+    InvalidCodeError lists what it found otherwise.
     """
     if text.strip() == "id":
         return identity(group)
@@ -474,10 +467,7 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
         rows.append(Row(src, tgt, germ))
     rows.sort(key=_source)
-    violations = _column_violations(alphabet.size, rows)
-    if violations:
-        raise InvalidCodeError(f"invalid table: {', '.join(violations)}")
-    return CanonicalElement(group, _reduce_rows(group, rows))
+    return _element(group, rows)
 
 
 def format_element(g) -> str:
@@ -497,7 +487,12 @@ def format_element(g) -> str:
 
 
 def random_code_words(alphabet, rng, max_depth: int = 5, split_prob: float = 0.55) -> list[Word]:
-    """A random complete code grown by independent splitting, depth-capped."""
+    """A random complete code grown by independent splitting, depth-capped;
+    max_depth is an int >= 0 and split_prob a real number in [0, 1]."""
+    if not _is_int(max_depth) or max_depth < 0:
+        raise UnsupportedStructureError(f"max_depth must be an integer >= 0, got {max_depth!r}")
+    if isinstance(split_prob, bool) or not isinstance(split_prob, (int, float)) or not 0 <= split_prob <= 1:
+        raise UnsupportedStructureError(f"split_prob must be a real number in [0, 1], got {split_prob!r}")
     out: list[Word] = []
     # depth-first in letter order, as the splitting draws are made; children
     # are pushed in reverse so the first letter is visited first
@@ -515,7 +510,8 @@ def random_element(
     group: SelfSimilarGroup, rng, max_depth: int = 5, split_prob: float = 0.55
 ) -> CanonicalElement:
     """A random element: random source code, random equal-size target code,
-    random bijection, random germs; then reduced."""
+    random bijection, random germs; then reduced.  The source code is drawn
+    first, so `random_code_words` checks max_depth and split_prob."""
     alphabet = group.alphabet
     srcs = random_code_words(alphabet, rng, max_depth, split_prob)
     tgts: list[Word] = [""]

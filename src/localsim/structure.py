@@ -68,6 +68,8 @@ class SelfSimilarGroup:
             (mul, size, size, "mul"),
             (act, d, d, "act"),
             (res, d, size, "res"),
+            # inv as one row of m entries, whose length is checked above
+            ((inv,), size, size, "inv"),
         ):
             for row in table:
                 if len(row) != width:
@@ -75,9 +77,6 @@ class SelfSimilarGroup:
                 for v in row:
                     if not _is_int(v) or not 0 <= v < bound:
                         raise MalformedStructureError(f"{label} entry {v!r} out of range")
-        for v in inv:
-            if not _is_int(v) or not 0 <= v < size:
-                raise MalformedStructureError(f"inv entry {v!r} out of range")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "mul", mul)
@@ -377,21 +376,17 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
         raise MalformedStructureError("elements count must be >= 1")
 
     def cell(key: tuple) -> int:
+        # each record is used once: the ones left over lie outside the tables
         if key not in cells:
             raise MalformedStructureError(f"missing record for {key}")
-        return cells[key]
+        return cells.pop(key)
 
     mul = [[cell(("mul", i, j)) for j in range(m)] for i in range(m)]
     inv = [cell(("inv", i)) for i in range(m)]
     act = [[cell(("act", i, a)) for a in range(d)] for i in range(m)]
     res = [[cell(("res", i, a)) for a in range(d)] for i in range(m)]
-    known = {("mul", i, j) for i in range(m) for j in range(m)}
-    known |= {("inv", i) for i in range(m)}
-    known |= {("act", i, a) for i in range(m) for a in range(d)}
-    known |= {("res", i, a) for i in range(m) for a in range(d)}
-    extra = set(cells) - known
-    if extra:
-        raise MalformedStructureError(f"records out of range: {sorted(extra)[:3]}")
+    if cells:
+        raise MalformedStructureError(f"records out of range: {sorted(cells)[:3]}")
     return SelfSimilarGroup(Alphabet(d), mul, inv, act, res, name=name)
 
 

@@ -17,10 +17,10 @@ inverse loses its inclusion class.  Each ball B properly containing a
 maximal ball of g picks up the class of g restricted to B, read straight
 off the reduced table of g: the rows under B with B stripped from their
 sources are already reduced, because a mergeable family among them would
-be mergeable in g, so only twist minimization is left to do.  Every entry
-is still checked against the membership tests before it is emitted;
-membership in gZ composes with the inverse, computed once per element,
-and counts the reduced rows: one row means an inclusion class.
+be mergeable in g, so only twist minimization is left to do.  A -1 entry
+is one row, each +1 entry is checked to have more, and every entry is
+checked against membership in gZ: that composes with the inverse, once
+per element, and counts the reduced rows; one means an inclusion class.
 
 A target of the class that straddles several maximal balls of the inverse
 decides non-membership.  Composition replaces such a target by the
@@ -109,8 +109,6 @@ def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
     group = f.group
     fmt = group.alphabet.format_word
     ball = group.alphabet.check_word(ball)
-    if not f.rows:
-        raise InvalidClassError("empty table")
     for r in f.rows:
         if not r.source.startswith(ball):
             raise InvalidClassError(f"source {fmt(r.source)} is outside the ball {fmt(ball)}")
@@ -190,17 +188,18 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     the class of g restricted to B (these lie in gZ but not Z), read off
     the rows of g under B and twist minimized.  -1 entries: for each ball
     B properly containing a maximal ball of the inverse, the inclusion
-    class of B (in Z but not gZ); B comes from a checked code, so the
-    class is built without checking it again.  Every entry is
-    cross-checked against the membership tests before it is emitted.  The
-    map's iteration order is not part of the contract; sort by the classes'
-    rows where order matters.
+    class of B (in Z but not gZ), one row built from a checked code.  Each
+    +1 entry is checked to have two rows or more, so it lies outside Z and
+    apart from the -1 entries, and every entry is cross-checked against
+    membership in gZ.  Distinct balls give distinct classes on each side,
+    as a twist keeps the image g(B).  The map's iteration order is not
+    part of the contract; sort by the classes' rows where order matters.
     """
     group = g.group
     out: dict[EmbeddingClass, int] = {}
     for b in max_partition(g._inverse).proper_prefixes():
         e = EmbeddingClass(group, (Row("", b, 0),))
-        if not z_member(e) or gz_member(g, e):
+        if gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
     rows = g.rows
@@ -211,8 +210,6 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
         e = _eclass(group, _precompose(group, rows[lo:hi], len(b), "", 0))
         if z_member(e) or not gz_member(g, e):
             raise InvalidClassError("translated class failed its membership check")
-        if e in out:
-            raise InvalidClassError("the two sides of the difference must be disjoint")
         out[e] = 1
     return out
 

@@ -123,6 +123,19 @@ class TestValidateTable:
                 SimTable(s2, (Row((), (), germ),))
 
 
+# one literal per violation kind, and three that break both columns:
+# (literal, the violations `reduce` and `parse_element` both list)
+BROKEN_LITERALS = (
+    ("0->0", "incomplete-domain, target-incomplete"),
+    ("0->0;01->10;1->11", "domain-not-antichain"),
+    ("0->0;10->1", "incomplete-domain"),
+    ("0->0;1->0", "target-not-antichain"),
+    ("0->00;1->1", "target-incomplete"),
+    ("0->0;0->1;1->1", "domain-not-antichain, target-not-antichain"),
+    ("e->e;0->1", "domain-not-antichain, target-not-antichain"),
+)
+
+
 class TestExpandReduce:
     def test_expand_identity(self, t2):
         t = slow_expand_at(SimTable(t2, identity(t2).rows), ())
@@ -137,25 +150,21 @@ class TestExpandReduce:
         t = SimTable(t2, (Row((0,), (0,), 0), Row((1,), (1,), 0)))
         assert reduce(t) == identity(t2)
 
-    def test_reduce_rejects_overlapping_sources(self, t2):
-        # the root above a second row, and a repeated source
-        for rows, pair in (
-            ((Row((), (), 0), Row((0,), (1,), 0)), "e and 0"),
-            ((Row((0,), (0,), 0), Row((0,), (1,), 0), Row((1,), (1,), 0)), "0 and 0"),
-        ):
-            with pytest.raises(InvalidCodeError, match=f"^sources {pair} overlap; not a prefix code$"):
-                reduce(SimTable(t2, rows))
+    @pytest.mark.parametrize("text, issues", BROKEN_LITERALS, ids=[case[0] for case in BROKEN_LITERALS])
+    def test_reduce_matches_parse_element(self, t2, text, issues):
+        # a broken table gets one diagnosis, given as rows or as a literal
+        w = t2.alphabet.parse_word
+        rows = tuple(Row(w(s), w(t), 0) for s, t in (row.split("->") for row in text.split(";")))
+        with pytest.raises(InvalidCodeError) as by_rows:
+            reduce(SimTable(t2, rows))
+        with pytest.raises(InvalidCodeError) as by_literal:
+            parse_element(text, t2)
+        assert str(by_rows.value) == str(by_literal.value) == f"invalid table: {issues}"
 
     def test_reduce_rejects_incomplete_domain(self, t2):
-        # 0->0 alone maps the ball at 0 only; its reduced form would be a
-        # one-row table that no group element has
-        for rows, issue in (
-            ((Row((0,), (0,), 0),), "incomplete-domain, target-incomplete"),
-            ((Row((0,), (0,), 0), Row((1, 0), (1,), 0)), "incomplete-domain"),
-            ((), "empty-table"),
-        ):
-            with pytest.raises(InvalidCodeError, match=f"^invalid table: {issue}$"):
-                reduce(SimTable(t2, rows))
+        # the empty table, which no literal spells, covers no ball at all
+        with pytest.raises(InvalidCodeError, match="^invalid table: incomplete-domain, target-incomplete$"):
+            reduce(SimTable(t2, ()))
 
     def test_reduce_reverses_germ_expansion(self, s2):
         t = SimTable(s2, (Row((0,), (1,), 1), Row((1,), (0,), 1)))
@@ -560,15 +569,7 @@ class TestLiterals:
         assert format_element(g) == "e->e:1"
 
     def test_incomplete_rejected(self, t2):
-        # one literal per violation kind, and two that break both columns
-        for text, issues in (
-            ("0->0", "incomplete-domain, target-incomplete"),
-            ("0->0;01->10;1->11", "domain-not-antichain"),
-            ("0->0;10->1", "incomplete-domain"),
-            ("0->0;1->0", "target-not-antichain"),
-            ("0->00;1->1", "target-incomplete"),
-            ("0->0;0->1;1->1", "domain-not-antichain, target-not-antichain"),
-        ):
+        for text, issues in BROKEN_LITERALS:
             with pytest.raises(InvalidCodeError) as err:
                 parse_element(text, t2)
             assert str(err.value) == f"invalid table: {issues}", text

@@ -11,6 +11,7 @@ name used by nothing but other unused names is unused too.
 """
 
 import ast
+import random
 import re
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from localsim import (
     integer_line_instance,
     nowalls_demo,
     properness_audit,
+    random_element,
     symmetric_group,
     trivial_group,
 )
@@ -121,6 +123,14 @@ def audit_threshold(threshold):
     return properness_audit(trivial_group(2), [], radius=2, threshold=threshold)
 
 
+def random_max_depth(max_depth):
+    return random_element(trivial_group(2), random.Random(0), max_depth=max_depth)
+
+
+def random_split_prob(split_prob):
+    return random_element(trivial_group(2), random.Random(0), split_prob=split_prob)
+
+
 NOT_INTS = (2.5, 2.0, "2", None, True)
 SIZE = "alphabet size must be an integer >= 2, got {!r}"
 
@@ -147,6 +157,14 @@ INTEGER_PARAMETERS = (
     *((audit_radius, v, UnsupportedStructureError, f"radius must be an integer, got {v!r}") for v in NOT_INTS),
     (audit_radius, -1, UnsupportedStructureError, "radius must be >= 0"),
     *((audit_threshold, v, UnsupportedStructureError, f"threshold must be an integer, got {v!r}") for v in NOT_INTS),
+    *(
+        (random_max_depth, v, UnsupportedStructureError, f"max_depth must be an integer >= 0, got {v!r}")
+        for v in (2.5, -1, True)
+    ),
+    *(
+        (random_split_prob, v, UnsupportedStructureError, f"split_prob must be a real number in [0, 1], got {v!r}")
+        for v in ("x", 1.5, True)
+    ),
     *((symmetric_group, v, MalformedWordError, SIZE.format(v)) for v in NOT_INTS),
     (symmetric_group, 1, MalformedWordError, SIZE.format(1)),
     (

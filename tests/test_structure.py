@@ -199,6 +199,11 @@ BAD_AUTOMATA = (
     ("alphabet 2\nelements 0\n", "elements count must be >= 1"),
     (COMPLETE_AUT.replace("res 0 1 0\n", ""), "missing record for ('res', 0, 1)"),
     (COMPLETE_AUT + "act 0 2 0\n", "records out of range: [('act', 0, 2)]"),
+    # four left over, one in each table: the first three in sorted order
+    (
+        COMPLETE_AUT + "res 1 0 0\nmul 0 1 0\nact 0 2 0\ninv 3 0\n",
+        "records out of range: [('act', 0, 2), ('inv', 3), ('mul', 0, 1)]",
+    ),
     (COMPLETE_AUT.replace("act 0 1 1", "act 0 1 2"), "act entry 2 out of range"),
 )
 

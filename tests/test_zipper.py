@@ -371,10 +371,12 @@ class TestSymdiff:
         check()
 
     def test_failed_membership_check_raises(self, x0, monkeypatch):
-        # the checks are exceptions, not asserts, so they also run under -O
-        monkeypatch.setattr(zipper, "z_member", lambda e: False)
-        with pytest.raises(InvalidClassError, match="vacated inclusion class"):
-            symdiff(x0)
+        # the checks are exceptions, not asserts, so they also run under -O;
+        # a -1 entry must lie outside gZ, a +1 entry inside it
+        for answer, side in ((True, "vacated inclusion class"), (False, "translated class")):
+            monkeypatch.setattr(zipper, "gz_member", lambda g, e, answer=answer: answer)
+            with pytest.raises(InvalidClassError, match=f"^{side} failed its membership check$"):
+                symdiff(x0)
 
     def test_support_signs_verified(self, configurations):
         rng = random.Random(79)
