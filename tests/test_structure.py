@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 import re
@@ -54,6 +55,12 @@ def bit_flips(k):
     )
 
 
+class Letter(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
 # every shape and range check in SelfSimilarGroup.__init__, over two
 # letters: (mul, inv, act, res, message fragment)
 BAD_TABLES = (
@@ -68,6 +75,11 @@ BAD_TABLES = (
     (((0,),), (0,), ((0, 1),), ((0, True),), "res entry True out of range"),
     (((0,),), (1,), ((0, 1),), ((0, 0),), "inv entry 1 out of range"),
     (((0,),), (0.0,), ((0, 1),), ((0, 0),), "inv entry 0.0 out of range"),
+    # rows that are not all plain ints in range: the first bad entry is named
+    (((0,),), (0,), ((1.0, 0),), ((0, 0),), "act entry 1.0 out of range"),
+    (((0,),), (0,), ((True, 0),), ((0, 0),), "act entry True out of range"),
+    (((0,),), (0,), ((Letter.TWO, 0),), ((0, 0),), "act entry <Letter.TWO: 2> out of range"),
+    (((0,),), (0,), ((2, True),), ((0, 0),), "act entry 2 out of range"),
 )
 
 
@@ -176,6 +188,13 @@ class TestValidate:
         for mul, inv, act, res in cases:
             with pytest.raises(MalformedStructureError, match="True|False"):
                 SelfSimilarGroup(s2.alphabet, mul, inv, act, res)
+
+    def test_int_subclass_entries_pass(self, s2):
+        # a row of plain ints is range-checked whole; any other goes cell by
+        # cell, which lets an int subclass other than bool through
+        group = SelfSimilarGroup(s2.alphabet, s2.mul, s2.inv, ((Letter.ZERO, Letter.ONE), (1, 0)), s2.res)
+        assert group == s2 and group.validate() == []
+        assert type(group.act[0][1]) is Letter
 
 
 COMPLETE_AUT = "alphabet 2\nelements 1\nmul 0 0 0\ninv 0 0\nact 0 0 0\nact 0 1 1\nres 0 0 0\nres 0 1 0\n"

@@ -45,6 +45,7 @@ from oracles import (
     slow_compose_rows,
     slow_eclass,
     slow_gz_member,
+    slow_twists,
 )
 
 
@@ -236,13 +237,23 @@ class TestCanonicalClasses:
         assert canonical_eclass(embed(s2, rows[::-1]), ()) == a
         assert incl_class(s2, (0,)) not in support
 
-    def test_twist_minimization_matches_composition(self, t2, s2, s3, klein, s3_conjugated):
-        # each twist derived by really composing with the global similarity
+    def test_twist_minimization_matches_composition(self, t2, s2, s3, klein, s3_conjugated, depth_two):
+        # each twist derived by really composing with the global similarity.
+        # _eclass ranks the twists by their first rows and builds only the
+        # tied ones, so the seeded run must hold classes with several twists
+        # tied on the first row, not only classes with a single winner
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
         rng = random.Random(131)
-        for group in (t2, s2, s3, klein, s3_conjugated):
+        ties = collections.Counter()
+        for group in (t2, s2, s3, klein, s3_conjugated, depth_two, sigma2):
             for _ in range(40):
                 _, rows = random_class_rows(group, rng)
                 assert zipper._eclass(group, rows).rows == slow_eclass(group, rows)
+                firsts = [twist[0] for twist in slow_twists(group, rows)]
+                if firsts.count(min(firsts)) > 1:
+                    ties[group.name] += 1
+        # with this seed: 15 of depth_two's 40 classes, and no other's
+        assert ties["depth two"] >= 10
 
 
 class TestMembership:
