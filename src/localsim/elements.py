@@ -7,8 +7,9 @@ bijection, describes a homeomorphism of the boundary: a group element.
 `reduce` and `parse_element` accept no other table.  Embeddings of the
 whole space into itself appear only as the points the group acts on, the
 embedding classes of `zipper`, which reduce their rows with the same pass.
-An element or a class is its group and its reduced rows; `SimTable` is
-only the checked input form that `reduce` and `canonical_eclass` take.
+An element or a class is its group and its reduced rows; `reduce` and
+`canonical_eclass` take rows as (source, target, germ) triples and check
+their letters and germs first.
 
 Two moves generate everything here.  Expansion replaces a row by its d
 children (one letter deeper, targets pushed through the germ's action,
@@ -78,33 +79,6 @@ class Row(NamedTuple):
 
 
 _source = itemgetter(0)
-
-
-@dataclass(frozen=True)
-class SimTable:
-    """The checked input form of a table: rows sorted by source word.
-
-    Construction checks letters and germs only: `reduce` turns a table
-    whose columns are complete codes into an element and names what is
-    broken in any other as `parse_element` does; `canonical_eclass` turns
-    one into an embedding class, and expansion lives in `tests/oracles.py`.
-    Elements and classes keep only the group and the reduced rows.
-    """
-
-    group: SelfSimilarGroup
-    rows: tuple[Row, ...]
-
-    def __post_init__(self):
-        alphabet = self.group.alphabet
-        rows = []
-        for r in self.rows:
-            src = alphabet.check_word(r.source)
-            tgt = alphabet.check_word(r.target)
-            if not _is_int(r.germ) or not 0 <= r.germ < self.group.size:
-                raise MalformedStructureError(f"no germ {r.germ!r} in {self.group!r}")
-            rows.append(Row(src, tgt, r.germ))
-        rows.sort(key=_source)
-        object.__setattr__(self, "rows", tuple(rows))
 
 
 # -- the rewrite engine ------------------------------------------------------
@@ -278,6 +252,21 @@ class CanonicalElement:
         return f"<{format_element(self)}>"
 
 
+def _checked_rows(group: SelfSimilarGroup, rows: Iterable[tuple]) -> list[Row]:
+    """(source, target, germ) triples, each word a str or a sequence of int
+    letters, as `Row`s sorted by source: each row's source, target and germ
+    are checked in that order, so the first broken one is the one named."""
+    check = group.alphabet.check_word
+    out = []
+    for src, tgt, germ in rows:
+        src, tgt = check(src), check(tgt)
+        if not _is_int(germ) or not 0 <= germ < group.size:
+            raise MalformedStructureError(f"no germ {germ!r} in {group!r}")
+        out.append(Row(src, tgt, germ))
+    out.sort(key=_source)
+    return out
+
+
 def _element(group: SelfSimilarGroup, rows: Sequence[Row]) -> CanonicalElement:
     """Check that rows sorted by source, letters and germs checked, form two
     complete codes, and reduce them.  `reduce` and `parse_element` both end
@@ -297,14 +286,16 @@ def _element(group: SelfSimilarGroup, rows: Sequence[Row]) -> CanonicalElement:
     return CanonicalElement(group, _reduce_rows(group, rows))
 
 
-def reduce(t: SimTable) -> CanonicalElement:
-    """The unique reduced form of a table that describes a group element.
+def reduce(group: SelfSimilarGroup, rows: Iterable[tuple]) -> CanonicalElement:
+    """The unique reduced form of a table that describes a group element:
+    (source, target, germ) triples, in any order, each word a str or a
+    sequence of int letters.
 
-    Both columns must be complete codes; InvalidCodeError lists the
-    violations otherwise, in the words `parse_element` uses for the same
-    rows.
+    Letters and germs are checked first.  Both columns must be complete
+    codes; InvalidCodeError lists the violations otherwise, in the words
+    `parse_element` uses for the same rows.
     """
-    return _element(t.group, t.rows)
+    return _element(group, _checked_rows(group, rows))
 
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:

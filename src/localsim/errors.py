@@ -41,8 +41,6 @@ class LiteralParseError(LocalSimError):
         if row is not None:
             where += f" (row {row}"
             where += f", column {column})" if column is not None else ")"
-        elif column is not None:
-            where += f" (column {column})"
         super().__init__(message + where)
         self.row = row
         self.column = column

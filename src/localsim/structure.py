@@ -49,6 +49,10 @@ class SelfSimilarGroup:
     Construction checks shapes and index ranges only.  Whether the tables
     actually satisfy the group and transducer axioms is the business of
     `validate`, so that broken structures can be loaded and diagnosed.
+    Every operation of the library assumes a structure that passes
+    `validate()`: the built-ins do by construction, and the CLI validates
+    every automaton file it loads.  On a broken table an embedding class
+    can come out wrong without an error.
     """
 
     __slots__ = ("alphabet", "size", "mul", "inv", "act", "res", "name", "_hash", "_by_action", "_letterwise")
@@ -340,6 +344,9 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
     `act i a b`, `res i a j`.  '#' starts a comment.  Every cell must be
     given exactly once.  Fields are ASCII decimal digits, as in word and
     germ literals, no more than `int()` converts.
+
+    Only the shape is checked here: call `validate()` on the result before
+    any other operation, which assumes a structure that passes it.
     """
     d = m = None
     cells: dict[tuple, int] = {}

@@ -15,7 +15,7 @@ is passed where an operation actually needs to know d; it has at most
 0x10FFFF letters, so that every letter and the bound chr(d) are code
 points.  Letters are validated once, where a word enters the library: in
 `Alphabet.parse_word` for literals, and by `check_word` wherever a public
-constructor or function takes a word (`Point`, `PrefixCode`, `SimTable`,
+constructor or function takes a word (`Point`, `PrefixCode`, `reduce`,
 ...); `check_word` also takes any iterable of int letters.  Words derived
 from checked ones (suffixes, rotations, table rows, images under a germ)
 are not checked again.

@@ -60,8 +60,8 @@ from typing import Iterable, Sequence
 from .elements import (
     CanonicalElement,
     Row,
-    SimTable,
     _as_row,
+    _checked_rows,
     _compose_rows,
     _precompose,
     _reduce_rows,
@@ -130,28 +130,30 @@ def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> 
     return EmbeddingClass(group, tuple(map(_as_row, rows)))
 
 
-def canonical_eclass(f: SimTable, ball: Word) -> EmbeddingClass:
-    """The class of an embedding defined on the ball at `ball`.
+def canonical_eclass(group: SelfSimilarGroup, rows: Iterable[tuple], ball: Word) -> EmbeddingClass:
+    """The class of an embedding defined on the ball at `ball`, given by
+    (source, target, germ) triples as `reduce` takes them.
 
-    The sources of f must partition that ball and its targets must be
-    pairwise disjoint.  The class is represented on the whole space by
-    precomposing with the canonical similarity onto the ball (strip the
-    ball address off every source), then reduced and twist minimized.
+    Letters and germs are checked first.  The sources must partition that
+    ball and the targets must be pairwise disjoint.  The class is
+    represented on the whole space by precomposing with the canonical
+    similarity onto the ball (strip the ball address off every source),
+    then reduced and twist minimized.
     """
-    group = f.group
+    rows = _checked_rows(group, rows)
     fmt = group.alphabet.format_word
     ball = group.alphabet.check_word(ball)
-    for r in f.rows:
+    for r in rows:
         if not r.source.startswith(ball):
             raise InvalidClassError(f"source {fmt(r.source)} is outside the ball {fmt(ball)}")
-    stripped = _precompose(group, f.rows, len(ball), "", 0)
+    stripped = _precompose(group, rows, len(ball), "", 0)
     sources = tuple(map(_source, stripped))
     clash = _overlap(sources)
     if clash is not None:
         raise InvalidClassError(f"sources {fmt(ball + clash[0])} and {fmt(ball + clash[1])} overlap")
     if not is_complete_code(sources, group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {fmt(ball)}")
-    clash = _overlap(tuple(sorted(r.target for r in f.rows)))
+    clash = _overlap(tuple(sorted(r.target for r in rows)))
     if clash is not None:
         raise InvalidClassError(f"targets {fmt(clash[0])} and {fmt(clash[1])} overlap")
     return _eclass(group, _reduce_rows(group, stripped))
@@ -441,8 +443,8 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         )
     w = group.alphabet.parse_word
     first = incl_class(group, w("0"))
-    f2 = SimTable(group, (Row(w("10"), w("10"), 0), Row(w("11"), w("111"), 0)))
-    second = canonical_eclass(f2, w("1"))
+    second_rows = (Row(w("10"), w("10"), 0), Row(w("11"), w("111"), 0))
+    second = canonical_eclass(group, second_rows, w("1"))
 
     witnesses = [identity(group)]
     depth = 1
@@ -461,7 +463,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     # an element whose translate does contain the second class: the second
     # embedding extended to a bijection by sending ball 0 onto the balls its
     # image leaves uncovered, 0 and 110 (the table is already reduced)
-    rows = (Row(w("00"), w("0"), 0), Row(w("01"), w("110"), 0)) + f2.rows
+    rows = (Row(w("00"), w("0"), 0), Row(w("01"), w("110"), 0)) + second_rows
     covering = CanonicalElement(group, rows)
     ok = all(first_in) and not any(second_in) and gz_member(covering, second)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)

@@ -22,7 +22,6 @@ from localsim import (
     CanonicalElement,
     PrefixCode,
     Row,
-    SimTable,
     act_on_eclass,
     compose,
     gz_member,
@@ -204,7 +203,7 @@ def tables_over(group: SelfSimilarGroup, src, dst) -> set[CanonicalElement]:
     for perm in itertools.permutations(dst):
         for germs in itertools.product(range(group.size), repeat=len(src)):
             rows = tuple(Row(s, t, z) for s, t, z in zip(src, perm, germs))
-            out.add(reduce(SimTable(group, rows)))
+            out.add(reduce(group, rows))
     return out
 
 
@@ -257,18 +256,18 @@ def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
     return tuple(Row(as_word(s), as_word(t), g) for s, (t, g) in sorted(table.items()))
 
 
-def slow_expand_at(t: SimTable, source) -> SimTable:
+def slow_expand_at(group: SelfSimilarGroup, rows, source) -> tuple[Row, ...]:
     """Replace the row at `source` by its d children, one letter deeper:
     each child's target is the row's target followed by the germ's image
-    of the letter, and its germ the germ's restriction there.  Expansion
-    never changes the map, so reducing the result gives back the same
-    element."""
-    group = t.group
+    of the letter, and its germ the germ's restriction there.  The rows
+    come back sorted by source.  Expansion never changes the map, so
+    reducing the result gives back the same element."""
     src = letters(source)
-    (row,) = [r for r in t.rows if letters(r.source) == src]
+    (row,) = [r for r in rows if letters(r.source) == src]
     tgt, act, res = letters(row.target), group.act[row.germ], group.res[row.germ]
     children = tuple(Row(as_word(src + (a,)), as_word(tgt + (act[a],)), res[a]) for a in group.alphabet.letters)
-    return SimTable(group, tuple(r for r in t.rows if r is not row) + children)
+    out = tuple(r for r in rows if r is not row) + children
+    return tuple(sorted(out, key=lambda r: letters(r.source)))
 
 
 def stepwise_act_word(group: SelfSimilarGroup, elem: int, word: Letters) -> tuple[Letters, int]:

@@ -1,11 +1,13 @@
 import collections
 import itertools
 import random
+import re
 import time
 
 import pytest
 
 from localsim import (
+    Alphabet,
     CanonicalElement,
     IncompatibleElementsError,
     InvalidCodeError,
@@ -14,13 +16,15 @@ from localsim import (
     Point,
     PrefixCode,
     Row,
-    SimTable,
     UnsupportedStructureError,
+    act_on_eclass,
     apply,
     compose,
     enumerate_gamma,
     format_element,
+    gz_member,
     identity,
+    incl_class,
     invert,
     is_in_F,
     is_in_T,
@@ -102,27 +106,27 @@ class TestValidateTable:
     """`reduce` names every violation of a table's two columns."""
 
     def test_identity_clean(self, t2):
-        assert reduce(SimTable(t2, (Row((), (), 0),))) == identity(t2)
-        assert reduce(SimTable(t2, (Row("", "", 0),))) == identity(t2)
+        assert reduce(t2, (Row((), (), 0),)) == identity(t2)
+        assert reduce(t2, (Row("", "", 0),)) == identity(t2)
 
     def test_incomplete_domain(self, t2):
         with pytest.raises(InvalidCodeError, match="^invalid table: incomplete-domain, target-incomplete$"):
-            reduce(SimTable(t2, (Row((0,), (0,), 0),)))
+            reduce(t2, (Row((0,), (0,), 0),))
 
     def test_target_collision(self, t2):
         with pytest.raises(InvalidCodeError, match="^invalid table: target-not-antichain$"):
-            reduce(SimTable(t2, (Row((0,), (0,), 0), Row((1,), (0, 1), 0))))
+            reduce(t2, (Row((0,), (0,), 0), Row((1,), (0, 1), 0)))
 
     def test_partial_image_rejected(self, t2):
         # an embedding of the whole space onto two smaller balls is no element
-        t = SimTable(t2, (Row((0,), (0, 0), 0), Row((1,), (1, 0), 0)))
+        rows = (Row((0,), (0, 0), 0), Row((1,), (1, 0), 0))
         with pytest.raises(InvalidCodeError, match="^invalid table: target-incomplete$"):
-            reduce(t)
+            reduce(t2, rows)
 
     def test_germs_are_ints(self, s2):
         for germ in (1.0, True, "1"):
             with pytest.raises(MalformedStructureError, match="no germ"):
-                SimTable(s2, (Row((), (), germ),))
+                reduce(s2, (Row((), (), germ),))
 
 
 # one literal per violation kind, and three that break both columns:
@@ -140,17 +144,16 @@ BROKEN_LITERALS = (
 
 class TestExpandReduce:
     def test_expand_identity(self, t2):
-        t = slow_expand_at(SimTable(t2, identity(t2).rows), ())
-        assert t.rows == (Row(as_word((0,)), as_word((0,)), 0), Row(as_word((1,)), as_word((1,)), 0))
+        rows = slow_expand_at(t2, identity(t2).rows, ())
+        assert rows == (Row(as_word((0,)), as_word((0,)), 0), Row(as_word((1,)), as_word((1,)), 0))
 
     def test_expand_pushes_germ(self, s2):
-        root_swap = SimTable(s2, (Row((), (), 1),))
-        t = slow_expand_at(root_swap, ())
-        assert t.rows == (Row(as_word((0,)), as_word((1,)), 1), Row(as_word((1,)), as_word((0,)), 1))
+        root_swap = (Row((), (), 1),)
+        rows = slow_expand_at(s2, root_swap, ())
+        assert rows == (Row(as_word((0,)), as_word((1,)), 1), Row(as_word((1,)), as_word((0,)), 1))
 
     def test_reduce_recognizes_identity(self, t2):
-        t = SimTable(t2, (Row((0,), (0,), 0), Row((1,), (1,), 0)))
-        assert reduce(t) == identity(t2)
+        assert reduce(t2, (Row((0,), (0,), 0), Row((1,), (1,), 0))) == identity(t2)
 
     @pytest.mark.parametrize("text, issues", BROKEN_LITERALS, ids=[case[0] for case in BROKEN_LITERALS])
     def test_reduce_matches_parse_element(self, t2, text, issues):
@@ -158,7 +161,7 @@ class TestExpandReduce:
         w = t2.alphabet.parse_word
         rows = tuple(Row(w(s), w(t), 0) for s, t in (row.split("->") for row in text.split(";")))
         with pytest.raises(InvalidCodeError) as by_rows:
-            reduce(SimTable(t2, rows))
+            reduce(t2, rows)
         with pytest.raises(InvalidCodeError) as by_literal:
             parse_element(text, t2)
         assert str(by_rows.value) == str(by_literal.value) == f"invalid table: {issues}"
@@ -166,11 +169,10 @@ class TestExpandReduce:
     def test_reduce_rejects_incomplete_domain(self, t2):
         # the empty table, which no literal spells, covers no ball at all
         with pytest.raises(InvalidCodeError, match="^invalid table: incomplete-domain, target-incomplete$"):
-            reduce(SimTable(t2, ()))
+            reduce(t2, ())
 
     def test_reduce_reverses_germ_expansion(self, s2):
-        t = SimTable(s2, (Row((0,), (1,), 1), Row((1,), (0,), 1)))
-        assert reduce(t).rows == (Row(as_word(()), as_word(()), 1),)
+        assert reduce(s2, (Row((0,), (1,), 1), Row((1,), (0,), 1))).rows == (Row(as_word(()), as_word(()), 1),)
 
     def test_x0_already_reduced(self, x0):
         assert x0.rows == tuple(
@@ -181,31 +183,31 @@ class TestExpandReduce:
         for group in configurations:
             for _ in range(60):
                 g = random_element(group, rng, max_depth=4)
-                t = SimTable(group, g.rows)
+                rows = g.rows
                 for _ in range(rng.randrange(1, 6)):
-                    source = rng.choice([r.source for r in t.rows])
-                    t = slow_expand_at(t, source)
-                assert reduce(t) == g
+                    source = rng.choice([r.source for r in rows])
+                    rows = slow_expand_at(group, rows, source)
+                assert reduce(group, rows) == g
 
 
 KERNEL_DEPTH = {2: 4, 3: 3}
 
 
-def random_table(group, rng, shape: str, splits: int) -> SimTable:
-    """A random element's table, or an embedding made from one by moving its
+def random_table(group, rng, shape: str, splits: int) -> tuple[Row, ...]:
+    """A random element's rows, or an embedding made from them by moving its
     targets ("embedding") or its sources ("sub-ball") under a random letter,
-    expanded at `splits` random rows."""
+    expanded at `splits` random rows; sorted by source."""
     g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
     a = as_word((rng.randrange(group.alphabet.size),))
     if shape == "element":
-        t = SimTable(group, g.rows)
+        rows = g.rows
     elif shape == "embedding":
-        t = SimTable(group, tuple(Row(s, a + w, z) for s, w, z in g.rows))
+        rows = tuple(Row(s, a + w, z) for s, w, z in g.rows)
     else:
-        t = SimTable(group, tuple(Row(a + s, w, z) for s, w, z in g.rows))
+        rows = tuple(Row(a + s, w, z) for s, w, z in g.rows)
     for _ in range(splits):
-        t = slow_expand_at(t, rng.choice([r.source for r in t.rows]))
-    return t
+        rows = slow_expand_at(group, rows, rng.choice([r.source for r in rows]))
+    return rows
 
 
 class TestRewriteKernel:
@@ -231,14 +233,14 @@ class TestRewriteKernel:
             st.integers(0, 6),
         )
         def check(group, rng, shape, splits):
-            t = random_table(group, rng, shape, splits)
-            assert _reduce_rows(group, t.rows) == slow_reduce_rows(group, t.rows)
+            rows = random_table(group, rng, shape, splits)
+            assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows)
 
             g = random_element(group, rng, max_depth=KERNEL_DEPTH[group.alphabet.size])
             right = random_table(group, rng, "element", splits)
-            rows = _compose_rows(g, right.rows)
+            rows = _compose_rows(g, right)
             assert all(u[0] < v[0] for u, v in itertools.pairwise(rows))
-            assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(right)).rows
+            assert _reduce_rows(group, rows) == slow_reduce_rows(group, rows) == compose(g, reduce(group, right)).rows
 
         check()
 
@@ -309,6 +311,33 @@ class TestRewriteKernel:
         assert straddled >= 50 and straddling_rows[True] >= 50
 
 
+# operands over two structures: (operation, a thunk given the trivial and
+# the symmetric structure on two letters, the whole message)
+STRUCTURE_MISMATCHES = (
+    ("compose", lambda t2, s2: compose(identity(t2), identity(s2)), "cannot compose over different structures"),
+    (
+        "apply",
+        lambda t2, s2: apply(identity(t2), Point(Alphabet(3), (), (2,))),
+        "point and element live over different alphabets",
+    ),
+    (
+        "act_on_eclass",
+        lambda t2, s2: act_on_eclass(identity(t2), incl_class(s2, (0,))),
+        "element and class over different structures",
+    ),
+    (
+        "gz_member",
+        lambda t2, s2: gz_member(identity(t2), incl_class(s2, (0,))),
+        "element and class over different structures",
+    ),
+    (
+        "properness_audit",
+        lambda t2, s2: properness_audit(t2, [identity(s2)], 1, 4),
+        "generator over a different structure",
+    ),
+)
+
+
 class TestComposeInvert:
     def test_identity_neutral(self, x0, t2):
         assert compose(x0, identity(t2)) == x0
@@ -364,9 +393,12 @@ class TestComposeInvert:
         assert g._inverse == invert(g) and compose(g, g._inverse) == identity(t2)
         assert g == same and hash(g) == hash(same)
 
-    def test_structure_mismatch(self, t2, s2):
-        with pytest.raises(IncompatibleElementsError):
-            compose(identity(t2), identity(s2))
+    @pytest.mark.parametrize(
+        "build, message", [case[1:] for case in STRUCTURE_MISMATCHES], ids=[case[0] for case in STRUCTURE_MISMATCHES]
+    )
+    def test_structure_mismatch(self, t2, s2, build, message):
+        with pytest.raises(IncompatibleElementsError, match=f"^{re.escape(message)}$"):
+            build(t2, s2)
 
 
 class TestApply:

@@ -152,6 +152,27 @@ class TestValidate:
         # more where res[37][0] is a factor
         assert {(i, i ^ 37, 0) for i in range(64)} - {(0, 37, 0), (37, 0, 0)} < set(want["restriction-cocycle"])
 
+    def test_no_group_scans_every_pair(self, t2):
+        # {0, 1} is closed under products, and 2 is outside it, so no
+        # generating set is found: each law lists every witness a scan of
+        # all its cells finds, with no check at generators first
+        bad = SelfSimilarGroup(
+            t2.alphabet,
+            [[0, 1, 2], [1, 0, 2], [2, 0, 1]],
+            [0, 1, 2],
+            [(0, 1), (0, 1), (1, 0)],
+            [(0, 0), (2, 1), (0, 0)],
+        )
+        assert bad._generators() is None
+        want = slow_law_witnesses(bad)
+        assert {axiom: len(w) for axiom, w in want.items()} == {
+            "associativity": 6,
+            "action-composition": 2,
+            "restriction-cocycle": 7,
+        }
+        got = {v.axiom: v.witnesses for v in bad.validate()}
+        assert {axiom: got.get(axiom, ()) for axiom in want} == want
+
     def test_corrupted_identity_action(self, s2):
         bad = mutated(s2, "act", 0, 0, 1)
         assert "identity-action" in {v.axiom for v in bad.validate()}

@@ -12,8 +12,6 @@ from localsim import (
     MalformedWordError,
     Point,
     PrefixCode,
-    Row,
-    SimTable,
     canonical_eclass,
     trivial_group,
 )
@@ -69,6 +67,10 @@ class TestPointCanonicalForm:
             raw = list(pre) + list(per) * 12
             p = Point(A2, pre, per)
             assert [point_letter(p, i) for i in range(12)] == raw[:12]
+
+    def test_empty_period_rejected(self):
+        with pytest.raises(MalformedWordError, match="^a point needs a nonempty period$"):
+            Point(Alphabet(2), "", "")
 
 
 class TestPrefixCode:
@@ -420,7 +422,7 @@ class TestWordType:
 # every message that names a word names it as a literal: (what is built,
 # a thunk that builds it, error type, the whole message)
 def _class(d, rows, ball):
-    return lambda: canonical_eclass(SimTable(trivial_group(d), tuple(Row(*r) for r in rows)), ball)
+    return lambda: canonical_eclass(trivial_group(d), rows, ball)
 
 
 NAMED_WORDS = (

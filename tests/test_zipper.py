@@ -10,7 +10,6 @@ from localsim import (
     CanonicalElement,
     InvalidClassError,
     Row,
-    SimTable,
     UnsupportedStructureError,
     act_on_eclass,
     canonical_eclass,
@@ -49,10 +48,6 @@ from oracles import (
 )
 
 
-def embed(group, rows):
-    return SimTable(group, tuple(Row(s, t, g) for s, t, g in rows))
-
-
 def random_class_rows(group, rng):
     """A random element h and the reduced rows of a class in hZ: h composed
     with a twisted inclusion of a ball of depth <= 2."""
@@ -67,7 +62,7 @@ def element_containing(e):
     image = [r.target for r in e.rows]
     missing = complement_cover(group.alphabet, image)
     if not missing:
-        return reduce(SimTable(group, e.rows))
+        return reduce(group, e.rows)
     rows = [Row(as_word((0,)) + r.source, r.target, r.germ) for r in e.rows]
     srcs = [as_word((1,))]
     while len(srcs) < len(missing):
@@ -75,7 +70,7 @@ def element_containing(e):
         srcs.remove(w)
         srcs.extend(w + as_word((a,)) for a in group.alphabet.letters)
     rows.extend(Row(s, t, 0) for s, t in zip(sorted(srcs), missing))
-    return reduce(SimTable(group, tuple(rows)))
+    return reduce(group, rows)
 
 
 def element_missing(e):
@@ -91,7 +86,7 @@ def element_missing(e):
     ball = e.rows[0].target
     rows = [Row(ball + as_word((0,)), ball + as_word((1,)), 0), Row(ball + as_word((1,)), ball + as_word((0,)), 0)]
     rows.extend(Row(w, w, 0) for w in complement_cover(group.alphabet, [ball]))
-    return reduce(SimTable(group, tuple(rows)))
+    return reduce(group, rows)
 
 
 def restriction_class(g, ball, germ=0):
@@ -102,7 +97,7 @@ def restriction_class(g, ball, germ=0):
     rows = [r for r in g.rows if r.source[: len(ball)] == ball]
     stripped = [Row(r.source[len(ball):], r.target, r.germ) for r in rows]
     twisted = slow_compose_rows(group, stripped, [((), (), germ)])
-    return canonical_eclass(SimTable(group, tuple(Row(ball + s, t, z) for s, t, z in twisted)), ball)
+    return canonical_eclass(group, tuple(Row(ball + s, t, z) for s, t, z in twisted), ball)
 
 
 def partly_straddling_class(g, rng):
@@ -129,7 +124,7 @@ def partly_straddling_class(g, rng):
         sources.remove(w)
         sources.extend(w + as_word((a,)) for a in range(d))
     rows = tuple(Row(s, t, rng.randrange(group.size)) for s, t in zip(sorted(sources), targets))
-    return canonical_eclass(SimTable(group, rows), ())
+    return canonical_eclass(group, rows, ())
 
 
 def straddles(g, t):
@@ -187,54 +182,54 @@ class TestCanonicalClasses:
     def test_inclusion_classes(self, t2):
         root = incl_class(t2, ())
         assert z_member(root)
-        assert canonical_eclass(embed(t2, [((), (), 0)]), ()) == root
-        assert canonical_eclass(embed(t2, [((0,), (0,), 0)]), (0,)) == incl_class(t2, (0,))
+        assert canonical_eclass(t2, [((), (), 0)], ()) == root
+        assert canonical_eclass(t2, [((0,), (0,), 0)], (0,)) == incl_class(t2, (0,))
 
     def test_twist_identifies_germ_variants(self, s2):
-        plain = canonical_eclass(embed(s2, [((), (0,), 0)]), ())
-        twisted = canonical_eclass(embed(s2, [((), (0,), 1)]), ())
+        plain = canonical_eclass(s2, [((), (0,), 0)], ())
+        twisted = canonical_eclass(s2, [((), (0,), 1)], ())
         assert plain == twisted
         assert plain == incl_class(s2, (0,))
 
     def test_twist_does_not_overidentify(self, s2):
         # image ball 0 versus image ball 1 stay different classes
-        assert canonical_eclass(embed(s2, [((), (0,), 0)]), ()) != incl_class(s2, (1,))
+        assert canonical_eclass(s2, [((), (0,), 0)], ()) != incl_class(s2, (1,))
 
     def test_sources_must_sit_in_ball(self, t2):
         with pytest.raises(InvalidClassError):
-            canonical_eclass(embed(t2, [((0,), (0,), 0)]), (1,))
+            canonical_eclass(t2, [((0,), (0,), 0)], (1,))
 
     def test_sources_must_partition_ball(self, t2):
         with pytest.raises(InvalidClassError):
-            canonical_eclass(embed(t2, [((0, 0), (0,), 0)]), (0,))
+            canonical_eclass(t2, [((0, 0), (0,), 0)], (0,))
 
     def test_sources_must_not_overlap(self, t2):
         # 0, 00, 01 has the Kraft sum of a complete code but is no antichain
         with pytest.raises(InvalidClassError, match=r"sources 0 and 00 overlap"):
-            canonical_eclass(embed(t2, [((0,), (1, 0, 0), 0), ((0, 0), (0,), 0), ((0, 1), (1, 1), 0)]), ())
+            canonical_eclass(t2, [((0,), (1, 0, 0), 0), ((0, 0), (0,), 0), ((0, 1), (1, 1), 0)], ())
         with pytest.raises(InvalidClassError, match=r"sources 10 and 101 overlap"):
-            canonical_eclass(embed(t2, [((1, 0), (1, 0, 0), 0), ((1, 0, 1), (0,), 0), ((1, 1), (1, 1), 0)]), (1,))
+            canonical_eclass(t2, [((1, 0), (1, 0, 0), 0), ((1, 0, 1), (0,), 0), ((1, 1), (1, 1), 0)], (1,))
 
     def test_targets_must_not_repeat(self, t2):
         with pytest.raises(InvalidClassError, match=r"targets 0 and 0 overlap"):
-            canonical_eclass(embed(t2, [((0,), (0,), 0), ((1,), (0,), 0)]), ())
+            canonical_eclass(t2, [((0,), (0,), 0), ((1,), (0,), 0)], ())
 
     def test_targets_must_not_nest(self, t2):
         with pytest.raises(InvalidClassError, match=r"targets 0 and 01 overlap"):
-            canonical_eclass(embed(t2, [((0,), (0,), 0), ((1,), (0, 1), 0)]), ())
+            canonical_eclass(t2, [((0,), (0,), 0), ((1,), (0, 1), 0)], ())
 
     def test_hash_agrees_with_equality_and_is_stable(self, s2):
         # the hash is cached on first use; equal classes built apart must
         # still hash alike, and using one as a dict key must not change it
         rows = [((0,), (1, 0), 1), ((1,), (0,), 0)]
-        a = canonical_eclass(embed(s2, rows), ())
-        b = canonical_eclass(embed(s2, rows), ())
+        a = canonical_eclass(s2, rows, ())
+        b = canonical_eclass(s2, rows, ())
         assert a is not b and a == b
         first = hash(a)
         support = {a: 1}
         assert support[b] == 1 and b in support
         assert hash(a) == hash(b) == first == hash((a.group, a.rows))
-        assert canonical_eclass(embed(s2, rows[::-1]), ()) == a
+        assert canonical_eclass(s2, rows[::-1], ()) == a
         assert incl_class(s2, (0,)) not in support
 
     def test_twist_minimization_matches_composition(self, t2, s2, s3, klein, s3_conjugated, depth_two):
@@ -258,7 +253,7 @@ class TestCanonicalClasses:
 
 class TestMembership:
     def test_x0_restriction_not_in_z(self, x0):
-        e = canonical_eclass(SimTable(x0.group, x0.rows), ())
+        e = canonical_eclass(x0.group, x0.rows, ())
         assert not z_member(e)
         assert gz_member(x0, e)
 
