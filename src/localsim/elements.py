@@ -234,18 +234,24 @@ class CanonicalElement:
 
     def packed(self) -> str:
         """One str that tells apart the elements of a group, for dedup
-        sets: each row is its source and its target, each led by its
-        length as a code point, then its germ as a code point.
+        sets: each row is its source length, its target length, its target
+        and its germ, each number as one code point.  No source letters are
+        written.
 
-        Read left to right, the lengths mark where each word ends, so no
-        two row lists give the same str.  A length always fits in a code
-        point: a complete code with a word of L letters holds words of
-        every length from 1 to L, so at 0x110000 letters its sources alone
-        would be some 6 * 10**11 letters long.
+        The sources are a complete code in sorted order, and such a code is
+        fixed by its sequence of lengths: the first word is 0^L1, and each
+        later word is the successor of the one before, padded with 0s to its
+        length, where the successor drops the trailing letters d-1 and
+        raises the last letter left by one.  Read left to right, the
+        lengths then give back every source and mark where each target
+        ends, so no two elements of a group give the same str.  A length
+        always fits in a code point: a complete code with a word of L
+        letters holds words of every length from 1 to L, so at 0x110000
+        letters its sources alone would be some 6 * 10**11 letters long.
         """
         out: list[str] = []
         for s, t, germ in self.rows:
-            out += (chr(len(s)), s, chr(len(t)), t, chr(germ))
+            out += (chr(len(s)), chr(len(t)), t, chr(germ))
         return "".join(out)
 
     def __repr__(self) -> str:
@@ -254,11 +260,20 @@ class CanonicalElement:
 
 def _checked_rows(group: SelfSimilarGroup, rows: Iterable[tuple]) -> list[Row]:
     """(source, target, germ) triples, each word a str or a sequence of int
-    letters, as `Row`s sorted by source: each row's source, target and germ
-    are checked in that order, so the first broken one is the one named."""
+    letters, as `Row`s sorted by source: each row is checked to be a triple,
+    then its source, target and germ in that order, so the first broken one
+    is the one named."""
     check = group.alphabet.check_word
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise MalformedStructureError(f"rows must be (source, target, germ) triples, got {rows!r}") from None
     out = []
-    for src, tgt, germ in rows:
+    for row in rows:
+        try:
+            src, tgt, germ = row
+        except (TypeError, ValueError):
+            raise MalformedStructureError(f"row {row!r} is not a (source, target, germ) triple") from None
         src, tgt = check(src), check(tgt)
         if not _is_int(germ) or not 0 <= germ < group.size:
             raise MalformedStructureError(f"no germ {germ!r} in {group!r}")

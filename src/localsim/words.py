@@ -107,7 +107,10 @@ class Alphabet:
                 return word
             # some letter is out of range; the loop below names the first
             word = map(ord, word)
-        word = tuple(word)
+        try:
+            word = tuple(word)
+        except TypeError:
+            raise MalformedWordError(f"a word is a str or an iterable of int letters, got {word!r}") from None
         for a in word:
             if not _is_int(a) or not 0 <= a < self.size:
                 raise MalformedWordError(f"letter {a!r} out of range for alphabet of size {self.size}")

@@ -335,9 +335,14 @@ def properness_audit(
     product with that generator's inverse is its parent, which is already
     visited, so that product is skipped; the counts do not change.
 
-    The outermost sphere is counted, not kept: no later radius expands it,
-    so its elements leave only their dedup keys in the visited set, and
-    memory holds the sphere before it plus one key per element reached.
+    Each element is released as soon as it is expanded: the sphere being
+    expanded shrinks while the next one grows, and the order within a
+    sphere does not matter, as a sphere is a set and the skipped product is
+    the parent whatever the order.  The outermost sphere is counted, not
+    kept: no later radius expands it, so its elements leave only their
+    dedup keys in the visited set.  Memory holds one key per element
+    reached plus, at any moment, the part of one sphere not yet expanded
+    and the part of the next found so far.
     """
     for name, value in (("radius", radius), ("threshold", threshold)):
         if not _is_int(value):
@@ -370,7 +375,8 @@ def properness_audit(
         new_frontier: list[CanonicalElement] = []
         new_reached_by: list[int] = []
         keep = r < radius
-        for x, j in zip(frontier, reached_by):
+        while frontier:
+            x, j = frontier.pop(), reached_by.pop()
             back = inverse_at[j] if j >= 0 else -1
             for i, s in enumerate(gens):
                 if i == back:

@@ -19,6 +19,7 @@ from localsim import (
     UnsupportedStructureError,
     act_on_eclass,
     apply,
+    canonical_eclass,
     compose,
     enumerate_gamma,
     format_element,
@@ -101,6 +102,26 @@ class TestPacked:
             assert len({g.packed() for g in elems}) == len(elems) > 500
             assert len({"".join(s + t + chr(z) for s, t, z in g.rows) for g in elems}) < len(elems)
 
+    def test_equal_keys_exactly_for_equal_elements(self, t2, s2, t3, s3):
+        # the key holds no source letters, only lengths; shallow random
+        # elements repeat, so both equal and distinct pairs are compared
+        rng = random.Random(25)
+        for group in (t2, s2, t3, s3):
+            elems = [random_element(group, rng, max_depth=rng.randrange(1, 4)) for _ in range(300)]
+            keys = [g.packed() for g in elems]
+            pairs = [(keys[i] == keys[j], elems[i] == elems[j]) for i, j in itertools.combinations(range(300), 2)]
+            assert all(same_key == same_element for same_key, same_element in pairs), group
+            assert any(same_element for _, same_element in pairs), group
+
+
+# rows that are not (source, target, germ) triples: (rows, the whole message)
+MALFORMED_ROWS = (
+    ([((0,), (0,))], "row ((0,), (0,)) is not a (source, target, germ) triple"),
+    ([((0,), (0,), 0, 1)], "row ((0,), (0,), 0, 1) is not a (source, target, germ) triple"),
+    ([5], "row 5 is not a (source, target, germ) triple"),
+    (5, "rows must be (source, target, germ) triples, got 5"),
+)
+
 
 class TestValidateTable:
     """`reduce` names every violation of a table's two columns."""
@@ -127,6 +148,15 @@ class TestValidateTable:
         for germ in (1.0, True, "1"):
             with pytest.raises(MalformedStructureError, match="no germ"):
                 reduce(s2, (Row((), (), germ),))
+
+    @pytest.mark.parametrize("rows, message", MALFORMED_ROWS, ids=[case[1] for case in MALFORMED_ROWS])
+    def test_malformed_rows(self, t2, rows, message):
+        # reduce and canonical_eclass check rows in the one helper
+        for build in (lambda: reduce(t2, rows), lambda: canonical_eclass(t2, rows, ())):
+            with pytest.raises(MalformedStructureError) as err:
+                build()
+            assert str(err.value) == message
+
 
 
 # one literal per violation kind, and three that break both columns:

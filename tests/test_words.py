@@ -13,6 +13,8 @@ from localsim import (
     Point,
     PrefixCode,
     canonical_eclass,
+    incl_class,
+    reduce,
     trivial_group,
 )
 from localsim.elements import random_code_words
@@ -382,6 +384,21 @@ class TestWordType:
                 A2.check_word(text)
         with pytest.raises(MalformedWordError, match="^letter 65536 out of range"):
             Alphabet(65_536).check_word(as_word((0xD800, 65_536)))
+
+    @pytest.mark.parametrize(
+        "word, build",
+        (
+            (None, lambda t2, w: t2.alphabet.check_word(w)),
+            (5, lambda t2, w: reduce(t2, [(w, (0,), 0)])),
+            (5, lambda t2, w: PrefixCode(t2.alphabet, [w])),
+            (3, lambda t2, w: incl_class(t2, w)),
+        ),
+        ids=["check_word", "reduce", "PrefixCode", "incl_class"],
+    )
+    def test_word_that_is_no_iterable_rejected(self, word, build):
+        with pytest.raises(MalformedWordError) as err:
+            build(trivial_group(2), word)
+        assert str(err.value) == f"a word is a str or an iterable of int letters, got {word!r}"
 
     def test_alphabet_size_is_capped_below_the_last_code_point(self):
         Alphabet(0x10FFFF)
