@@ -42,6 +42,7 @@ from .elements import (
 from .errors import LocalSimError
 from .structure import SelfSimilarGroup, parse_automaton, symmetric_group, trivial_group
 from .walls import integer_line_instance, parse_walls_file, walls_to_zipper
+from .words import _data_lines
 from .zipper import (
     cocycle_identity_defect,
     nowalls_demo,
@@ -62,15 +63,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_input(name: str) -> str:
-    """Read a data file from the filesystem, else the packaged fixtures; a
-    file that cannot be read or is not UTF-8 text is a LocalSimError
-    naming it."""
+    """Read a data file from the filesystem, else, for a bare file name,
+    the packaged fixtures; a file that cannot be read or is not UTF-8 text
+    is a LocalSimError naming it."""
     p = Path(name)
     try:
         if p.is_file():
             return p.read_text()
         packaged = resources.files("localsim").joinpath("fixtures", p.name)
-        if packaged.is_file():
+        if p.name == name and packaged.is_file():
             return packaged.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise LocalSimError(f"cannot read {name}: {exc}") from None
@@ -108,10 +109,7 @@ def _build_group(args: argparse.Namespace) -> SelfSimilarGroup:
 def parse_gens_file(text: str, group: SelfSimilarGroup) -> list[tuple[str, CanonicalElement]]:
     """Read `name = literal` lines, '#' starting comments."""
     out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, _, line in _data_lines(text):
         if "=" not in line:
             raise LocalSimError(f"generators file line {ln}: expected `name = literal`")
         name, lit = (part.strip() for part in line.split("=", 1))
@@ -245,14 +243,16 @@ def _cmd_nowalls(args):
 
 
 def _cmd_walls2zipper(args):
+    if args.file is not None and args.zline is not None:
+        raise LocalSimError(f"walls2zipper takes a file or --zline K, not both: got {args.file} and --zline {args.zline}")
     if args.zline is not None:
         instance = integer_line_instance(args.zline)
     elif args.file is None:
         raise LocalSimError("walls2zipper needs a file or --zline K")
     else:
         instance = parse_walls_file(_resolve_input(args.file))
-    result = walls_to_zipper(instance)
-    for r in result.reports:
+    reports = walls_to_zipper(instance)
+    for r in reports:
         preserves = "-" if r.preserves_walls is None else ("true" if r.preserves_walls else "false")
         yield (
             {
@@ -267,7 +267,7 @@ def _cmd_walls2zipper(args):
             f"move {r.name} image {r.image} separating {r.separating} "
             f"symdiff {r.symdiff_size} match {'true' if r.sizes_match else 'false'} preserves {preserves}",
         )
-    ok = result.ok()
+    ok = all(r.sizes_match and r.preserves_walls is not False for r in reports)
     yield {"cmd": "walls2zipper-summary", "ok": ok}, f"ok {'true' if ok else 'false'}"
 
 

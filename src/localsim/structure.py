@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import IncompatibleElementsError, MalformedStructureError, UnsupportedStructureError
-from .words import Alphabet, Point, Word, _canonical, _is_int, _trusted_point
+from .words import Alphabet, Point, Word, _canonical, _data_lines, _is_int, _trusted_point
 
 
 @dataclass(frozen=True)
@@ -351,10 +351,7 @@ def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
     d = m = None
     cells: dict[tuple, int] = {}
     expect_args = {"mul": 3, "inv": 2, "act": 3, "res": 3}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _data_lines(text):
         parts = line.split()
         kw, args = parts[0], parts[1:]
         if not all(p.isascii() and p.isdigit() for p in args):

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidWallError, LiteralParseError, UnsupportedStructureError
-from .words import _is_int
+from .words import _data_lines, _is_int
 
 Wall = tuple[frozenset[str], frozenset[str]]
 
@@ -100,21 +100,13 @@ class MoveReport:
     preserves_walls: bool | None
 
 
-@dataclass(frozen=True)
-class ZipperFromWalls:
-    reports: tuple[MoveReport, ...]
-
-    def ok(self) -> bool:
-        return all(r.sizes_match and r.preserves_walls is not False for r in self.reports)
-
-
-def walls_to_zipper(instance: WallsInstance) -> ZipperFromWalls:
+def walls_to_zipper(instance: WallsInstance) -> tuple[MoveReport, ...]:
     """Translate an instance into its half-space picture, move by move.
 
-    For each move the report compares the symmetric-difference size of the
-    half-space sets at the basepoint and the move's image against twice
-    the separating-wall count; a full mapping is additionally checked to
-    permute the walls.
+    One report per move, in order.  Each compares the symmetric-difference
+    size of the half-space sets at the basepoint and the move's image
+    against twice the separating-wall count; a full mapping is additionally
+    checked to permute the walls.
     """
     base = instance.half_space_set(instance.basepoint)
     reports = []
@@ -124,7 +116,7 @@ def walls_to_zipper(instance: WallsInstance) -> ZipperFromWalls:
         size = len(base ^ there)
         preserves = None if m.mapping is None else instance.permutes_walls(dict(m.mapping))
         reports.append(MoveReport(m.name, m.image, sep, size, size == 2 * sep, preserves))
-    return ZipperFromWalls(tuple(reports))
+    return tuple(reports)
 
 
 def integer_line_instance(k: int) -> WallsInstance:
@@ -172,10 +164,7 @@ def parse_walls_file(text: str) -> WallsInstance:
     walls: list[Wall] = []
     base: str | None = None
     raw_moves: list[tuple[int, str, list[str]]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, _, line in _data_lines(text):
         head, *rest = line.split()
         if head == "points":
             if points is not None:

@@ -58,6 +58,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """The line rule of every data file: '#' starts a comment, lines blank
+    after that are skipped, and lines count from 1.  Yields (line number,
+    raw line, text before the comment, stripped)."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, raw, line
+
+
 def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
     """Two neighbours of which the first is a prefix of (or equal to) the
     second, or None if the words are an antichain.  In sorted order the
@@ -173,7 +183,8 @@ class Alphabet:
         per = self.parse_word(per_txt)
         if not per:
             raise LiteralParseError("point literal needs a nonempty period")
-        return Point(self, pre, per)
+        # parse_word has checked every letter; only the form needs finding
+        return _trusted_point(self, *_canonical(pre, per))
 
     def format_point(self, point: "Point") -> str:
         pre = self.format_word(point.preperiod) if point.preperiod else ""

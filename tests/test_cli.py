@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from localsim.cli import _build_parser, _resolve_input, main
+from localsim import (
+    LiteralParseError,
+    LocalSimError,
+    MalformedStructureError,
+    Move,
+    WallsInstance,
+    parse_automaton,
+    parse_element,
+    parse_walls_file,
+    trivial_group,
+)
+from localsim.cli import _build_parser, _resolve_input, main, parse_gens_file
 
 X0 = "00->0;01->10;1->11"
 
@@ -193,8 +204,99 @@ class TestErrorPaths:
     def test_walls2zipper_needs_input(self, capsys):
         assert run(capsys, "walls2zipper")[0] == 1
 
+    def test_walls2zipper_takes_a_file_or_zline_not_both(self, capsys, tmp_path):
+        path = tmp_path / "inst.walls"
+        path.write_text("points a b\nwall a | b\nbase a\npair hop a b\n")
+        assert run(capsys, "walls2zipper", str(path), "--zline", "1") == (
+            1,
+            "",
+            f"error: walls2zipper takes a file or --zline K, not both: got {path} and --zline 1\n",
+        )
+        assert run(capsys, "walls2zipper") == (1, "", "error: walls2zipper needs a file or --zline K\n")
+
     def test_small_alphabet_rejected(self, capsys):
         assert run(capsys, "--alphabet", "1", "canon", "id")[0] == 1
+
+
+class TestInputResolution:
+    """A missing file falls back to the bundled fixture of that name only
+    when the name is bare."""
+
+    @pytest.mark.parametrize("name", ["/no/such/dir/sigma2.aut", "./sigma2.aut"])
+    def test_missing_path_with_a_directory_is_an_error(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["hstruct", "validate", name], ["--hstruct", name, "canon", "id"]):
+            assert run(capsys, *argv) == (1, "", f"error: no such file: {name}\n")
+
+    def test_missing_gens_path_with_a_directory_is_an_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "audit", "--gens", "./missing/v.gens", "--radius", "1", "--threshold", "4")
+        assert (code, out, err) == (1, "", "error: no such file: ./missing/v.gens\n")
+
+    def test_bare_names_resolve(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "hstruct", "validate", "sigma2.aut") == (
+            0,
+            "ok: 2 elements over 2 letters, all axioms hold\n",
+            "",
+        )
+        code, out, _ = run(capsys, "audit", "--gens", "v.gens", "--radius", "1", "--threshold", "4")
+        assert (code, out) == (0, "radius 0 ball 1 within 1\nradius 1 ball 8 within 6\nstabilized false\n")
+
+
+V = trivial_group(2)
+
+# the three data formats: (lines, parser, parsed value, a line it rejects,
+# error type, whole message for that line at line number {})
+DATA_FORMATS = {
+    "automaton": (
+        ["alphabet 2", "elements 1", "mul 0 0 0", "inv 0 0", "act 0 0 0", "act 0 1 1", "res 0 0 0", "res 0 1 0"],
+        parse_automaton,
+        V,
+        "bogus 1",
+        MalformedStructureError,
+        "line {}: unknown record 'bogus'",
+    ),
+    "walls": (
+        ["points a b", "wall a | b", "base a", "pair hop a b"],
+        parse_walls_file,
+        WallsInstance(("a", "b"), ((frozenset("a"), frozenset("b")),), "a", (Move("hop", "b"),)),
+        "bogus",
+        LiteralParseError,
+        "unknown directive 'bogus' (row {})",
+    ),
+    "gens": (
+        [f"x0 = {X0}", "one = e->e"],
+        lambda text: parse_gens_file(text, V),
+        [("x0", parse_element(X0, V)), ("one", parse_element("e->e", V))],
+        "bogus",
+        LocalSimError,
+        "generators file line {}: expected `name = literal`",
+    ),
+}
+
+# the shared line rule: '#' cuts a comment anywhere on a line, lines blank
+# after that are skipped, and lines count from 1 whatever their ends.  Each
+# variant edits the lines, then joins them with its line end and final end.
+LINE_VARIANTS = {
+    "comment-in-column-1": (lambda lines: ["# a comment", *lines], "\n", "\n"),
+    "trailing-comment": (lambda lines: [f"{line}  # a note" for line in lines], "\n", "\n"),
+    "whitespace-only-line": (lambda lines: [lines[0], " \t ", *lines[1:]], "\n", "\n"),
+    "crlf": (lambda lines: lines, "\r\n", "\r\n"),
+    "no-final-newline": (lambda lines: lines, "\n", ""),
+}
+
+
+@pytest.mark.parametrize("variant", LINE_VARIANTS)
+@pytest.mark.parametrize("fmt", DATA_FORMATS)
+def test_data_line_rule(fmt, variant):
+    lines, parse, parsed, bad, error, message = DATA_FORMATS[fmt]
+    edit, end, final = LINE_VARIANTS[variant]
+    assert parse(end.join(edit(lines)) + final) == parsed
+    with_bad = edit([*lines, bad])
+    with pytest.raises(error) as err:
+        parse(end.join(with_bad) + final)
+    assert str(err.value) == message.format(len(with_bad))
 
 
 class TestAuditCommand:

@@ -121,17 +121,15 @@ class TestZipperTranslation:
             "a",
             (Move("stay", "a", (("a", "a"), ("b", "b"))),),
         )
-        out = walls_to_zipper(inst)
-        assert out.reports[0].symdiff_size == 0
-        assert out.reports[0].sizes_match
-        assert out.reports[0].preserves_walls
-        assert out.ok()
+        (report,) = walls_to_zipper(inst)
+        assert report.symdiff_size == 0
+        assert report.sizes_match
+        assert report.preserves_walls
 
     def test_factor_two_everywhere(self):
-        out = walls_to_zipper(square_instance())
-        for r in out.reports:
+        for r in walls_to_zipper(square_instance()):
             assert r.symdiff_size == 2 * r.separating
-        assert out.ok()
+            assert r.sizes_match and r.preserves_walls is not False
 
     def test_wall_breaking_move_flagged(self):
         inst = WallsInstance(
@@ -140,22 +138,22 @@ class TestZipperTranslation:
             "a",
             (Move("bad", "b", (("a", "b"), ("b", "a"), ("c", "c"))),),
         )
-        out = walls_to_zipper(inst)
-        assert out.reports[0].preserves_walls is False
-        assert not out.ok()
+        (report,) = walls_to_zipper(inst)
+        assert report.sizes_match
+        assert report.preserves_walls is False
 
     def test_pair_moves_skip_the_check(self):
-        out = walls_to_zipper(square_instance())
-        assert out.reports[0].preserves_walls is None
-        assert out.reports[1].preserves_walls is True
+        reports = walls_to_zipper(square_instance())
+        assert reports[0].preserves_walls is None
+        assert reports[1].preserves_walls is True
 
 
 class TestIntegerLine:
     def test_shift_lengths(self):
         inst = integer_line_instance(10)
-        out = walls_to_zipper(inst)
-        assert out.ok()
-        by_name = {r.name: r for r in out.reports}
+        reports = walls_to_zipper(inst)
+        assert all(r.sizes_match and r.preserves_walls is not False for r in reports)
+        by_name = {r.name: r for r in reports}
         for s in range(1, 6):
             r = by_name[f"shift+{s}"]
             assert r.separating == s

@@ -9,6 +9,7 @@ from localsim import (
     InvalidClassError,
     InvalidCodeError,
     LiteralParseError,
+    LocalSimError,
     MalformedWordError,
     Point,
     PrefixCode,
@@ -197,6 +198,49 @@ def test_literal_rejected(size, kind, text, error, fragment):
     with pytest.raises(error) as err:
         parse(text)
     assert fragment in str(err.value)
+
+
+class TestParsePoint:
+    """`parse_point` checks each letter once, in `parse_word`, and builds
+    the canonical point directly: it gives what the checking constructor
+    gives, and rejects what it rejected."""
+
+    @pytest.mark.parametrize("size", [2, 3, 12])
+    def test_equals_the_checked_constructor(self, size):
+        alphabet = Alphabet(size)
+        rng = random.Random(size)
+
+        def spell(word):
+            if not word:
+                return "e"
+            if size <= 10:
+                return "".join(map(str, word))
+            return "[" + ",".join(map(str, word)) + "]"
+
+        for _ in range(300):
+            root = tuple(rng.randrange(size) for _ in range(rng.randint(1, 3)))
+            per = root * rng.randint(1, 3)
+            # a preperiod ending in letters of the period is absorbed by it
+            pre = tuple(rng.randrange(size) for _ in range(rng.randrange(4))) + per[rng.randrange(len(per) + 1) :]
+            # an empty preperiod may be left out or spelled e
+            head = spell(pre) if pre else rng.choice(["", "e"])
+            text = f"{head}({spell(per)})"
+            assert alphabet.parse_point(text) == Point(alphabet, pre, per), text
+
+    @pytest.mark.parametrize(
+        "size, text, error, message",
+        [
+            (2, "01", LiteralParseError, "point literal must look like 'prefix(period)', got '01'"),
+            (2, "01(e)", LiteralParseError, "point literal needs a nonempty period"),
+            (2, "0(2)", MalformedWordError, "letter 2 out of range for alphabet of size 2"),
+            (3, "3(0)", MalformedWordError, "letter 3 out of range for alphabet of size 3"),
+            (12, "([0,12])", MalformedWordError, "letter 12 out of range for alphabet of size 12"),
+        ],
+    )
+    def test_rejections_keep_type_and_message(self, size, text, error, message):
+        with pytest.raises(LocalSimError) as err:
+            Alphabet(size).parse_point(text)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 class TestLiterals:
