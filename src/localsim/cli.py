@@ -92,6 +92,11 @@ def _load_group(name: str, alphabet: int | None) -> SelfSimilarGroup:
     return group
 
 
+def _violation_lines(violations: dict[str, tuple]) -> list[str]:
+    """One line per broken axiom: its witness count and first witness."""
+    return [f"{axiom}: {len(w)} witness(es), first witness {w[0]}" for axiom, w in violations.items()]
+
+
 def _build_group(args: argparse.Namespace) -> SelfSimilarGroup:
     """The structure a computation runs over; an automaton file must pass
     validation."""
@@ -101,7 +106,7 @@ def _build_group(args: argparse.Namespace) -> SelfSimilarGroup:
         return group
     violations = group.validate()
     if violations:
-        lines = "; ".join(str(v) for v in violations)
+        lines = "; ".join(_violation_lines(violations))
         raise LocalSimError(f"structure {name} fails validation: {lines}")
     return group
 
@@ -129,11 +134,11 @@ def _cmd_hstruct(args):
         "name": group.name or target,
         "alphabet": group.alphabet.size,
         "elements": group.size,
-        "violations": [v.axiom for v in violations],
+        "violations": list(violations),
         "ok": not violations,
     }
     if violations:
-        yield rec, "\n".join(str(v) for v in violations)
+        yield rec, "\n".join(_violation_lines(violations))
     else:
         yield rec, f"ok: {group.size} elements over {group.alphabet.size} letters, all axioms hold"
 

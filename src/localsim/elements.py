@@ -550,10 +550,16 @@ def random_element(
     return CanonicalElement(group, _reduce_rows(group, rows))
 
 
+_MAX_POINT_LEN = 10_000
+
+
 def random_point(alphabet, rng, max_len: int = 4) -> Point:
-    """A random point: a preperiod under max_len letters, a period of 1 to max_len - 1."""
+    """A random point: a preperiod under max_len letters, a period of 1 to
+    max_len - 1.  Each letter is one draw, so max_len is at most 10,000."""
     if not _is_int(max_len) or max_len < 2:
         raise UnsupportedStructureError(f"max_len must be an integer >= 2, got {max_len!r}")
+    if max_len > _MAX_POINT_LEN:
+        raise UnsupportedStructureError(f"random points are limited to max_len <= {_MAX_POINT_LEN}, got {max_len}")
     pre_len = rng.randrange(0, max_len)
     per_len = rng.randrange(1, max_len)
     pre = "".join(chr(rng.randrange(alphabet.size)) for _ in range(pre_len))

@@ -25,22 +25,9 @@ element is called the germ of the similarity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import IncompatibleElementsError, MalformedStructureError, UnsupportedStructureError
 from .words import Alphabet, Point, Word, _canonical, _data_lines, _is_int, _trusted_point
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One violated axiom with every witness tuple that breaks it."""
-
-    axiom: str
-    witnesses: tuple[tuple[int, ...], ...]
-
-    def __str__(self) -> str:
-        first = f", first witness {self.witnesses[0]}" if self.witnesses else ""
-        return f"{self.axiom}: {len(self.witnesses)} witness(es){first}"
 
 
 class SelfSimilarGroup:
@@ -177,13 +164,14 @@ class SelfSimilarGroup:
                 return None
             gens.append(next(i for i in range(m) if i not in closure))
 
-    def validate(self) -> list[Violation]:
-        """Check every axiom; one Violation per broken axiom, with every witness.
+    def validate(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Map each broken axiom to all its witnesses; {} when every axiom holds.
 
-        Checked: the group table axioms (identity row/column, two-sided
-        inverses, associativity), the identity element acting trivially,
-        the transducer laws for action and restriction of products, and
-        faithfulness (distinct elements must act differently on some word).
+        Checked, in the order the mapping keeps: the group table axioms
+        (identity row/column, two-sided inverses, associativity), the
+        identity element acting trivially, the transducer laws for action
+        and restriction of products, and faithfulness (distinct elements
+        must act differently on some word).
 
         Associativity and the two transducer laws are laws on pairs (i, j):
         the row of i*j equals a row built from the rows of i and j.  For
@@ -211,11 +199,11 @@ class SelfSimilarGroup:
         m, d = self.size, self.alphabet.size
         mul, inv, act, res = self.mul, self.inv, self.act, self.res
         gens = self._generators()
-        out: list[Violation] = []
+        out: dict[str, tuple[tuple[int, ...], ...]] = {}
 
         def collect(axiom: str, witnesses: list[tuple[int, ...]]) -> None:
             if witnesses:
-                out.append(Violation(axiom, tuple(witnesses)))
+                out[axiom] = tuple(witnesses)
 
         def law(axiom: str, cells, premises: bool) -> bool:
             # cells(js) lists the witnesses (i, j, k) with j in js, in order;

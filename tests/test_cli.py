@@ -23,6 +23,23 @@ from localsim.cli import _build_parser, _resolve_input, main, parse_gens_file
 
 X0 = "00->0;01->10;1->11"
 
+# broken copies of sigma2.aut: (file name, the cell changed, the line written
+# for each broken axiom, in the order the axioms are checked)
+BROKEN_SIGMA2 = (
+    ("bad.aut", ("res 1 0 1", "res 1 0 0"), ["restriction-cocycle: 2 witness(es), first witness (1, 1, 0)"]),
+    (
+        "two.aut",
+        ("mul 1 1 0", "mul 1 1 1"),
+        ["inverse-element: 1 witness(es), first witness (1,)", "action-composition: 2 witness(es), first witness (1, 1, 0)"],
+    ),
+)
+
+
+def write_broken_sigma2(directory: Path) -> None:
+    sigma2 = _resolve_input("sigma2.aut")
+    for name, (old, new), _ in BROKEN_SIGMA2:
+        (directory / name).write_text(sigma2.replace(old, new))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -122,13 +139,14 @@ class TestStructureSelection:
         assert code == 1
         assert err == "error: trivial germs are limited to alphabets of at most 65536 letters, got 65537\n"
 
-    def test_invalid_structure_blocks_computation(self, capsys, tmp_path):
-        bad = _resolve_input("sigma2.aut").replace("res 1 0 1", "res 1 0 0")
-        path = tmp_path / "bad.aut"
-        path.write_text(bad)
-        code, _, err = run(capsys, "--hstruct", str(path), "zipper-length", "id")
-        assert code == 1
-        assert "restriction-cocycle" in err
+    def test_invalid_structure_blocks_computation(self, capsys, tmp_path, monkeypatch):
+        # the error names the file as given, so run where the bare name finds it
+        write_broken_sigma2(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for name, _, lines in BROKEN_SIGMA2:
+            for command in (["zipper-length", "id"], ["canon", "id"]):
+                err = f"error: structure {name} fails validation: {'; '.join(lines)}\n"
+                assert run(capsys, "--hstruct", name, *command) == (1, "", err)
 
 
 class TestHstructValidate:
@@ -137,17 +155,18 @@ class TestHstructValidate:
         assert run(capsys, "hstruct", "validate", "sigma2.aut")[0] == 0
         assert run(capsys, "--hstruct", "symmetric", "--alphabet", "4", "hstruct", "validate")[0] == 0
 
-    def test_violations_exit_two(self, capsys, tmp_path):
-        bad = _resolve_input("sigma2.aut").replace("res 1 0 1", "res 1 0 0")
-        path = tmp_path / "bad.aut"
-        path.write_text(bad)
-        code, out, _ = run(capsys, "hstruct", "validate", str(path))
-        assert code == 2
-        assert "restriction-cocycle" in out
-        code, out, _ = run(capsys, "--format", "records", "hstruct", "validate", str(path))
-        assert code == 2
-        rec = json.loads(out)
-        assert rec["ok"] is False and rec["violations"] == ["restriction-cocycle"]
+    def test_violations_exit_two(self, capsys, tmp_path, monkeypatch):
+        write_broken_sigma2(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for name, _, lines in BROKEN_SIGMA2:
+            assert run(capsys, "hstruct", "validate", name) == (2, "".join(f"{line}\n" for line in lines), "")
+        # the records keep the axioms in the order they are checked
+        code, out, err = run(capsys, "--format", "records", "hstruct", "validate", "two.aut")
+        assert (code, err) == (2, "")
+        assert out == (
+            '{"alphabet":2,"cmd":"hstruct-validate","elements":2,"name":"two","ok":false,'
+            '"violations":["inverse-element","action-composition"]}\n'
+        )
 
     def test_alphabet_mismatch(self, capsys):
         code, out, err = run(capsys, "--alphabet", "3", "hstruct", "validate", "sigma2.aut")

@@ -740,6 +740,9 @@ class TestRandomCodes:
         for max_len in (1, 0, -3):
             with pytest.raises(UnsupportedStructureError, match=f"max_len must be an integer >= 2, got {max_len}"):
                 random_point(t3.alphabet, NoDraws(), max_len)
+        # one draw a letter: a preperiod drawn below 10**30 would never be joined
+        with pytest.raises(UnsupportedStructureError, match=f"limited to max_len <= 10000, got {10**30}"):
+            random_point(t3.alphabet, NoDraws(), 10**30)
         # from 2 on, the points and the draw after them are those of the
         # implementation without the check
         rng = random.Random(163)

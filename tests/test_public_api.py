@@ -26,6 +26,7 @@ from localsim import (
     nowalls_demo,
     properness_audit,
     random_element,
+    random_point,
     symmetric_group,
     trivial_group,
 )
@@ -131,6 +132,10 @@ def random_split_prob(split_prob):
     return random_element(trivial_group(2), random.Random(0), split_prob=split_prob)
 
 
+def random_max_len(max_len):
+    return random_point(Alphabet(2), random.Random(0), max_len)
+
+
 NOT_INTS = (2.5, 2.0, "2", None, True)
 SIZE = "alphabet size must be an integer >= 2, got {!r}"
 
@@ -165,6 +170,7 @@ INTEGER_PARAMETERS = (
         (random_split_prob, v, UnsupportedStructureError, f"split_prob must be a real number in [0, 1], got {v!r}")
         for v in ("x", 1.5, True)
     ),
+    (random_max_len, 10_001, UnsupportedStructureError, "random points are limited to max_len <= 10000, got 10001"),
     *((symmetric_group, v, MalformedWordError, SIZE.format(v)) for v in NOT_INTS),
     (symmetric_group, 1, MalformedWordError, SIZE.format(1)),
     (
