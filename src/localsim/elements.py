@@ -37,7 +37,8 @@ Composition feeds this pass directly, with plain tuples sorted by source;
 only the reduced rows become `Row`s.  Each row of h either chains with
 the one row of g around its target, or precomposes the rows of g under
 the target with its similarity, pulling their source tails back through
-its germ.  The twists and restriction classes of `zipper` precompose too.
+its germ.  `zipper` precomposes too, to twist a class and to strip a
+ball off its sources.
 """
 
 from __future__ import annotations

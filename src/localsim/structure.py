@@ -97,6 +97,8 @@ class SelfSimilarGroup:
     def __setattr__(self, *_):
         raise AttributeError("SelfSimilarGroup is immutable")
 
+    __delattr__ = __setattr__
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True

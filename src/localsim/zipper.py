@@ -13,14 +13,15 @@ the walls separating the orbit points Z and gZ.
 
 Each quantity has one derivation.  `symdiff` reads the difference off the
 maximal partitions.  Each ball properly containing a maximal ball of the
-inverse loses its inclusion class.  Each ball B properly containing a
-maximal ball of g picks up the class of g restricted to B, read straight
-off the reduced table of g: the rows under B with B stripped from their
-sources are already reduced, because a mergeable family among them would
-be mergeable in g, so only twist minimization is left to do.  A -1 entry
-is one row, each +1 entry is checked to have more, and every entry is
-checked against membership in gZ: that composes with the inverse, once
-per element, and counts the reduced rows; one means an inclusion class.
+inverse loses its inclusion class.  The gained classes are a translate by
+definition, gZ ∖ Z = g(Z ∖ g⁻¹Z): each ball B properly containing a
+maximal ball of g gives g applied to the inclusion class of B, built by
+`act_on_eclass`, the one translation.  Each side keeps one check: a -1
+entry is checked to lie outside gZ, and a +1 entry to have two rows or
+more, so that it lies outside Z.  A vacated inclusion class has its one
+target straddling maximal balls of the inverse, so `gz_member` decides it
+at that target's search, and `max_partition` hands out the element's
+cached sources, so the partitions are walked once and never re-checked.
 
 A class is canonical as the least of its right twists, and row lists
 compare by their first rows first.  For a structure that passes
@@ -30,18 +31,6 @@ sources back through a tree automorphism, so the least twisted source is
 and one search finds it.  So each twist is ranked by its first row without
 being built, and only the twists tied on the least first row, usually one
 or none besides the identity, are built and compared in full.
-
-A target of the class that straddles several maximal balls of the inverse
-decides non-membership.  Composition replaces such a target by the
-inverse's rows under it, precomposed with one similarity, and these
-pieces can never merge again, because a mergeable family among them would
-be a mergeable family of the reduced inverse; so at least two rows
-remain.  The membership composition therefore stops at the first
-straddling target, and every target is searched for once.  Every vacated
-inclusion class is a ball properly containing a maximal ball of the
-inverse, so each -1 check stops at its one target's search, and
-`max_partition` hands out the element's cached sources, so the partitions
-are walked once and never re-checked.
 
 The entries are the internal nodes of the two maximal-partition trees, and
 a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
@@ -74,7 +63,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, _covering, _is_int, _overlap, _under, is_complete_code
+from .words import Word, _covering, _is_int, _overlap, is_complete_code
 
 
 @dataclass(frozen=True)
@@ -218,16 +207,16 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     """The difference of the translated and plain inclusion families, as a
     map from each class in it to its sign.
 
-    +1 entries: for each ball B properly containing a maximal ball of g,
-    the class of g restricted to B (these lie in gZ but not Z), read off
-    the rows of g under B and twist minimized.  -1 entries: for each ball
-    B properly containing a maximal ball of the inverse, the inclusion
-    class of B (in Z but not gZ), one row built from a checked code.  Each
-    +1 entry is checked to have two rows or more, so it lies outside Z and
-    apart from the -1 entries, and every entry is cross-checked against
-    membership in gZ.  Distinct balls give distinct classes on each side,
-    as a twist keeps the image g(B).  The map's iteration order is not
-    part of the contract; sort by the classes' rows where order matters.
+    -1 entries: for each ball B properly containing a maximal ball of the
+    inverse, the inclusion class of B (in Z but not gZ), one row built
+    from a checked code and checked to lie outside gZ.  +1 entries: the
+    g-translate of Z ∖ g⁻¹Z, as gZ ∖ Z = g(Z ∖ g⁻¹Z), so for each ball
+    B properly containing a maximal ball of g, g applied to the inclusion
+    class of B, checked to have two rows or more, so it lies outside Z
+    and apart from the -1 entries.  Distinct balls give distinct classes
+    on each side, as g permutes the classes.  The map's iteration order is
+    not part of the contract; sort by the classes' rows where order
+    matters.
     """
     group = g.group
     out: dict[EmbeddingClass, int] = {}
@@ -236,13 +225,9 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
         if gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
-    rows = g.rows
-    sources = g._sources_depth[0]
-    d = group.alphabet.size
     for b in max_partition(g).proper_prefixes():
-        lo, hi = _under(sources, b, d)
-        e = _eclass(group, _precompose(group, rows[lo:hi], len(b), "", 0))
-        if z_member(e) or not gz_member(g, e):
+        e = act_on_eclass(g, EmbeddingClass(group, (Row("", b, 0),)))
+        if z_member(e):
             raise InvalidClassError("translated class failed its membership check")
         out[e] = 1
     return out

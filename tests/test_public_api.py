@@ -1,6 +1,6 @@
 """The public API holds no name that only its own unit tests use, no
-error type that nothing raises, and no integer parameter that takes a
-value that is not an int.
+error type that nothing raises, no integer parameter that takes a value
+that is not an int, and no type whose instances can change.
 
 A name in `localsim.__all__` earns its place when the benchmark, the
 README or the acceptance suite uses it, or when library code uses it
@@ -22,13 +22,16 @@ from localsim import (
     Alphabet,
     MalformedWordError,
     UnsupportedStructureError,
+    incl_class,
     integer_line_instance,
+    max_partition,
     nowalls_demo,
     properness_audit,
     random_element,
     random_point,
     symmetric_group,
     trivial_group,
+    walls_to_zipper,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -201,3 +204,47 @@ def test_integer_parameters_are_checked_as_integers(function, value, error, mess
     with pytest.raises(error) as err:
         function(value)
     assert str(err.value) == message
+
+
+def test_public_types_are_immutable_and_hashable():
+    # one instance of every public class, with an attribute it has
+    group = trivial_group(2)
+    g = random_element(group, random.Random(0), max_depth=2)
+    audit = properness_audit(group, [g], radius=1, threshold=4)
+    line = integer_line_instance(1)
+    instances = {
+        "Alphabet": (group.alphabet, "size"),
+        "AuditReport": (audit, "rows"),
+        "AuditRow": (audit.rows[0], "ball_size"),
+        "CanonicalElement": (g, "rows"),
+        "EmbeddingClass": (incl_class(group, "\0"), "rows"),
+        "Move": (line.moves[0], "image"),
+        "MoveReport": (walls_to_zipper(line)[0], "separating"),
+        "NowallsReport": (nowalls_demo(group, 1), "ok"),
+        "Point": (random_point(group.alphabet, random.Random(0)), "period"),
+        "PrefixCode": (max_partition(g), "words"),
+        "Row": (g.rows[0], "target"),
+        "SelfSimilarGroup": (group, "mul"),
+        "WallsInstance": (line, "walls"),
+    }
+    public = {
+        name
+        for name in localsim.__all__
+        if isinstance(getattr(localsim, name), type)
+        and getattr(localsim, name).__module__.startswith("localsim.")
+        and not issubclass(getattr(localsim, name), Exception)
+    }
+    assert sorted(instances) == sorted(public)
+    for name, (x, attribute) in instances.items():
+        assert type(x) is getattr(localsim, name)
+        before = getattr(x, attribute)
+        with pytest.raises(AttributeError):
+            setattr(x, attribute, None)
+        with pytest.raises(AttributeError):
+            delattr(x, attribute)
+        assert getattr(x, attribute) is before
+        hash(x)
+        assert isinstance(repr(x), str)
+    code = instances["PrefixCode"][0]
+    assert tuple(code) == code.words
+    assert (group == "t2") is False

@@ -57,6 +57,12 @@ def random_class_rows(group, rng):
     return h, _reduce_rows(group, _compose_rows(h, (Row(as_word(()), ball, rng.randrange(group.size)),)))
 
 
+def rotated_comb(group, n):
+    """The comb with sources 1^i 0 and 1^(n-1), each sent one place on."""
+    words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
+    return parse_element(";".join(f"{s}->{t}" for s, t in zip(words, words[1:] + words[:1])), group)
+
+
 def element_containing(e):
     """Some group element g with e in gZ, built by completing e's table."""
     group = e.group
@@ -344,11 +350,10 @@ class TestSymdiff:
             for _ in range(8):
                 g = random_element(group, rng, max_depth=2)
                 assert symdiff(g) == brute_force_symdiff(g)
-        # rotated combs: sources 1^i 0 and 1^(n-1), each sent one place on;
-        # translating their classes back splits long targets over many rows
+        # rotated combs: translating their classes back splits long targets
+        # over many rows
         for n in (8, 10):
-            words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
-            g = parse_element(";".join(f"{s}->{t}" for s, t in zip(words, words[1:] + words[:1])), t2)
+            g = rotated_comb(t2, n)
             assert symdiff(g) == brute_force_symdiff(g)
 
     def test_varying_restrictions_match_membership_oracle(self, klein, s3_conjugated):
@@ -379,11 +384,33 @@ class TestSymdiff:
 
     def test_failed_membership_check_raises(self, x0, monkeypatch):
         # the checks are exceptions, not asserts, so they also run under -O;
-        # a -1 entry must lie outside gZ, a +1 entry inside it
-        for answer, side in ((True, "vacated inclusion class"), (False, "translated class")):
-            monkeypatch.setattr(zipper, "gz_member", lambda g, e, answer=answer: answer)
-            with pytest.raises(InvalidClassError, match=f"^{side} failed its membership check$"):
-                symdiff(x0)
+        # a -1 entry must lie outside gZ, a +1 entry outside Z
+        monkeypatch.setattr(zipper, "gz_member", lambda g, e: True)
+        with pytest.raises(InvalidClassError, match="^vacated inclusion class failed its membership check$"):
+            symdiff(x0)
+        monkeypatch.undo()
+        monkeypatch.setattr(zipper, "z_member", lambda e: True)
+        with pytest.raises(InvalidClassError, match="^translated class failed its membership check$"):
+            symdiff(x0)
+
+    def test_one_membership_check_and_one_translation_per_entry(self, t2, monkeypatch):
+        # a -1 entry costs one gz_member call and a +1 entry one translation;
+        # no entry is re-derived through the inverse
+        calls = collections.Counter()
+
+        def counting(f):
+            def wrapper(*args):
+                calls[f.__name__] += 1
+                return f(*args)
+
+            return wrapper
+
+        g = rotated_comb(t2, 64)
+        for f in (gz_member, act_on_eclass):
+            monkeypatch.setattr(zipper, f.__name__, counting(f))
+        signs = collections.Counter(symdiff(g).values())
+        assert signs == {-1: 63, 1: 63}
+        assert calls == {"gz_member": 63, "act_on_eclass": 63}
 
     def test_support_signs_verified(self, configurations):
         rng = random.Random(79)
