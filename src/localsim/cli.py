@@ -118,7 +118,12 @@ def parse_gens_file(text: str, group: SelfSimilarGroup) -> list[tuple[str, Canon
         if "=" not in line:
             raise LocalSimError(f"generators file line {ln}: expected `name = literal`")
         name, lit = (part.strip() for part in line.split("=", 1))
-        out.append((name, parse_element(lit, group)))
+        try:
+            out.append((name, parse_element(lit, group)))
+        except LocalSimError as exc:
+            # the same error, its type and literal position kept, named by line
+            exc.args = (f"generators file line {ln}: {exc}",)
+            raise
     return out
 
 

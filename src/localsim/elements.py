@@ -112,9 +112,7 @@ def _precompose(
     return out
 
 
-def _compose_rows(
-    g: CanonicalElement, h_rows: Sequence[Row], *, inside_only: bool = False
-) -> list[tuple[Word, Word, int]] | None:
+def _compose_rows(g: CanonicalElement, h_rows: Sequence[Row]) -> list[tuple[Word, Word, int]]:
     """Rows of g after h (h applied first), as plain tuples sorted by source.
 
     The h-rows must be sorted by source, and each target is looked up
@@ -128,11 +126,6 @@ def _compose_rows(
     for `_reduce_rows`.  Nothing is built from g beyond its cached sources,
     so translating many small classes by one large element costs only
     their lookups.
-
-    With `inside_only`, the first straddling target returns None before
-    anything is pulled back: `zipper.gz_member` needs the rows only when
-    every target lies inside one g-row, and that search is the one lookup
-    each target gets.
     """
     group = g.group
     mul = group.mul
@@ -151,8 +144,6 @@ def _compose_rows(
                 emit((src, g_target + path, mul[rest][germ]))
             else:
                 emit((src, g_target + tgt[k:], germ))
-        elif inside_only:
-            return None
         else:
             lo, hi = _under(sources, tgt, d)
             out += _precompose(group, g_rows[lo:hi], len(tgt), src, germ)

@@ -329,9 +329,9 @@ def symmetric_group(d: int) -> SelfSimilarGroup:
 def parse_automaton(text: str, name: str = "") -> SelfSimilarGroup:
     """Parse the line-oriented automaton format.
 
-    Header lines `alphabet d` and `elements m` come first (in either
-    order); then one record per table cell: `mul i j k`, `inv i j`,
-    `act i a b`, `res i a j`.  '#' starts a comment.  Every cell must be
+    Header lines `alphabet d` and `elements m`, and one record per table
+    cell: `mul i j k`, `inv i j`, `act i a b`, `res i a j`, in any order,
+    headers included.  '#' starts a comment.  Every cell must be
     given exactly once.  Fields are ASCII decimal digits, as in word and
     germ literals, no more than `int()` converts.
 

@@ -245,13 +245,10 @@ class Point:
 
 def _canonical(pre: Word, per: Word) -> tuple[Word, Word]:
     """The canonical parts of the point pre(per), for a nonempty period:
-    the primitive root of the period, then the preperiod absorbed."""
-    n = len(per)
-    for p in range(1, n + 1):
-        if n % p == 0 and per[:p] * (n // p) == per:
-            per = per[:p]
-            break
-    return _absorb(pre, per)
+    the primitive root of the period, then the preperiod absorbed.  The
+    root's length is the least rotation that gives the period back, which
+    divides the period's length."""
+    return _absorb(pre, per[: (per + per).find(per, 1)])
 
 
 def _absorb(pre: Word, per: Word) -> tuple[Word, Word]:

@@ -176,8 +176,7 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     """Whether the class belongs to the g-translate of the inclusion family:
-    whether the inverse h composed with it reduces to one row.  That count
-    needs no twist minimization, as a twist keeps the reduced row count.
+    whether the inverse h translates it to an inclusion class.
 
     A target of e that is not inside one maximal ball of h decides the
     answer: the class is not in gZ.  The composition replaces such a
@@ -187,14 +186,18 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     its members are pieces of r, and pulled back through that similarity
     a mergeable family among them would be a mergeable family of h, which
     is reduced.  So no piece ever merges, at least d >= 2 rows remain, and
-    the count is not one.  The composition therefore stops at the first
-    straddling target, before pulling anything back, and each target is
-    looked up among h's cached sources once.
+    the translate is not an inclusion class.  Each target is therefore
+    looked up among h's cached sources first, and the class is translated
+    only when none straddles.
     """
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    rows = _compose_rows(g._inverse, e.rows, inside_only=True)
-    return rows is not None and len(_reduce_rows(g.group, rows)) == 1
+    h = g._inverse
+    sources = h._sources_depth[0]
+    for _, target, _ in e.rows:
+        if _covering(sources, target) < 0:
+            return False
+    return z_member(act_on_eclass(h, e))
 
 
 def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from localsim import (
+    InvalidCodeError,
     LiteralParseError,
     LocalSimError,
     MalformedStructureError,
+    MalformedWordError,
     Move,
     WallsInstance,
     parse_automaton,
@@ -199,6 +201,22 @@ class TestErrorPaths:
         code, _, err = run(capsys, "audit", "--gens", "nope.gens", "--radius", "1", "--threshold", "0")
         assert code == 1
         assert "no such file" in err
+
+    @pytest.mark.parametrize(
+        "literal, error, message",
+        [
+            ("0->0;1->2", MalformedWordError, "letter 2 out of range for alphabet of size 2"),
+            ("0->0", InvalidCodeError, "invalid table: incomplete-domain, target-incomplete"),
+        ],
+    )
+    def test_bad_literal_in_gens_file_is_named_by_line(self, capsys, tmp_path, literal, error, message):
+        text = f"a = id\n# a comment\nc = {literal}\n"
+        with pytest.raises(error, match=f"^generators file line 3: {message}$"):
+            parse_gens_file(text, V)
+        path = tmp_path / "bad.gens"
+        path.write_text(text)
+        code, out, err = run(capsys, "audit", "--gens", str(path), "--radius", "1", "--threshold", "0")
+        assert (code, out, err) == (1, "", f"error: generators file line 3: {message}\n")
 
     def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
         path = tmp_path / "binary"

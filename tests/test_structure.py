@@ -276,6 +276,15 @@ class TestAutomatonFile:
         assert parsed == s2
         assert parsed.validate() == {}
 
+    def test_headers_may_come_last(self, s2):
+        # the headers are read wherever they stand, not only first
+        lines = _resolve_input("sigma2.aut").splitlines()
+        headers = ["alphabet 2", "elements 2"]
+        moved = "\n".join([line for line in lines if line not in headers] + headers)
+        parsed = parse_automaton(moved, name="sigma2")
+        assert parsed == s2
+        assert parsed.validate() == {}
+
     COMPLETE = COMPLETE_AUT
 
     def test_minimal_file_parses(self, t2):

@@ -57,6 +57,16 @@ def random_class_rows(group, rng):
     return h, _reduce_rows(group, _compose_rows(h, (Row(as_word(()), ball, rng.randrange(group.size)),)))
 
 
+def counting(f, calls):
+    """f, counting its calls in calls[f.__name__]."""
+
+    def wrapper(*args, **kwargs):
+        calls[f.__name__] += 1
+        return f(*args, **kwargs)
+
+    return wrapper
+
+
 def rotated_comb(group, n):
     """The comb with sources 1^i 0 and 1^(n-1), each sent one place on."""
     words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
@@ -300,15 +310,16 @@ class TestMembership:
 
         over_random_classes([t2, s2, t3, s3, klein, s3_conjugated], check)
 
-    def test_membership_composition_stops_at_a_straddle(self, t2, s3, klein, depth_two):
-        # None exactly when some target straddles maximal balls of the
-        # inverse, and the full composition's rows otherwise
+    def test_membership_composition_stops_at_a_straddle(self, t2, s3, klein, depth_two, monkeypatch):
+        # no composition when some target straddles maximal balls of the
+        # inverse, and the one translation otherwise
+        calls = collections.Counter()
+        monkeypatch.setattr(zipper, "_compose_rows", counting(_compose_rows, calls))
+
         def check(g, e):
-            early = _compose_rows(g._inverse, e.rows, inside_only=True)
-            if target_kind(g, e) == "inside":
-                assert early == _compose_rows(g._inverse, e.rows)
-            else:
-                assert early is None
+            calls.clear()
+            gz_member(g, e)
+            assert calls["_compose_rows"] == (target_kind(g, e) == "inside")
 
         over_random_classes([t2, s3, klein, depth_two], check)
 
@@ -394,23 +405,15 @@ class TestSymdiff:
             symdiff(x0)
 
     def test_one_membership_check_and_one_translation_per_entry(self, t2, monkeypatch):
-        # a -1 entry costs one gz_member call and a +1 entry one translation;
-        # no entry is re-derived through the inverse
+        # a -1 entry costs one gz_member call and no composition, and a +1
+        # entry one translation; no entry is re-derived through the inverse
         calls = collections.Counter()
-
-        def counting(f):
-            def wrapper(*args):
-                calls[f.__name__] += 1
-                return f(*args)
-
-            return wrapper
-
         g = rotated_comb(t2, 64)
-        for f in (gz_member, act_on_eclass):
-            monkeypatch.setattr(zipper, f.__name__, counting(f))
+        for f in (gz_member, act_on_eclass, _compose_rows):
+            monkeypatch.setattr(zipper, f.__name__, counting(f, calls))
         signs = collections.Counter(symdiff(g).values())
         assert signs == {-1: 63, 1: 63}
-        assert calls == {"gz_member": 63, "act_on_eclass": 63}
+        assert calls == {"gz_member": 63, "act_on_eclass": 63, "_compose_rows": 63}
 
     def test_support_signs_verified(self, configurations):
         rng = random.Random(79)
