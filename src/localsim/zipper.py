@@ -15,13 +15,23 @@ Each quantity has one derivation.  `symdiff` reads the difference off the
 maximal partitions.  Each ball properly containing a maximal ball of the
 inverse loses its inclusion class.  The gained classes are a translate by
 definition, gZ ∖ Z = g(Z ∖ g⁻¹Z): each ball B properly containing a
-maximal ball of g gives g applied to the inclusion class of B, built by
-`act_on_eclass`, the one translation.  Each side keeps one check: a -1
-entry is checked to lie outside gZ, and a +1 entry to have two rows or
-more, so that it lies outside Z.  A vacated inclusion class has its one
-target straddling maximal balls of the inverse, so `gz_member` decides it
-at that target's search, and `max_partition` hands out the element's
-cached sources, so the partitions are walked once and never re-checked.
+maximal ball of g gives g applied to the inclusion class of B, and that
+translate has a closed form, read off g's rows.  The one row e -> B of the
+inclusion straddles g's maximal balls, so the translate is the rows of g
+under B, with B stripped off their sources, and they are reduced as they
+stand: a mergeable family among them would be a mergeable family of g.
+Each side keeps one check: a -1 entry is checked to lie outside gZ, and a
++1 entry to have two rows or more, so that it lies outside Z.  A vacated
+inclusion class has its one target straddling maximal balls of the
+inverse, so `gz_member` decides it at that target's search, and
+`max_partition` hands out the element's cached sources, so the partitions
+are walked once and never re-checked.
+
+`act_on_eclass` is the translation everywhere else, in `gz_member` and in
+`_translate`, and it reduces the composed rows only for a class of two
+rows or more.  A one-row class is an inclusion class, with source e; its
+translate is either one row, or the pieces of its one straddled target,
+which never merge, by the proof in `gz_member`.
 
 A class is canonical as the least of its right twists, and row lists
 compare by their first rows first.  For a structure that passes
@@ -63,7 +73,7 @@ from .elements import (
 )
 from .errors import IncompatibleElementsError, InvalidClassError, UnsupportedStructureError
 from .structure import SelfSimilarGroup
-from .words import Word, _covering, _is_int, _overlap, is_complete_code
+from .words import Word, _covering, _is_int, _overlap, _under, is_complete_code
 
 
 @dataclass(frozen=True)
@@ -168,10 +178,20 @@ def z_member(e: EmbeddingClass) -> bool:
 
 
 def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
-    """Translate a class by post-composition with a group element."""
+    """Translate a class by post-composition with a group element.
+
+    The composed rows are reduced only when the class has two rows or more.
+    A one-row class has source e, so its translate is one row when its
+    target lies inside one maximal ball of g, and otherwise the pieces of
+    that one straddled target, which never merge, as `gz_member` proves.
+    Either way it is reduced as it stands.
+    """
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    return _eclass(g.group, _reduce_rows(g.group, _compose_rows(g, e.rows)))
+    rows = _compose_rows(g, e.rows)
+    if len(e.rows) > 1:
+        rows = _reduce_rows(g.group, rows)
+    return _eclass(g.group, rows)
 
 
 def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
@@ -216,10 +236,15 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     g-translate of Z ∖ g⁻¹Z, as gZ ∖ Z = g(Z ∖ g⁻¹Z), so for each ball
     B properly containing a maximal ball of g, g applied to the inclusion
     class of B, checked to have two rows or more, so it lies outside Z
-    and apart from the -1 entries.  Distinct balls give distinct classes
-    on each side, as g permutes the classes.  The map's iteration order is
-    not part of the contract; sort by the classes' rows where order
-    matters.
+    and apart from the -1 entries.  That translate is read off g in closed
+    form: B straddles g's maximal balls, so composing g after the inclusion
+    gives the rows of g under B with B stripped, found by one `_under`
+    search among g's cached sources.  They are reduced already, since a
+    mergeable family among them would be one of g, so only the twist
+    minimization of `_eclass` is left.  Distinct balls give distinct
+    classes on each side, as g permutes the classes.  The map's iteration
+    order is not part of the contract; sort by the classes' rows where
+    order matters.
     """
     group = g.group
     out: dict[EmbeddingClass, int] = {}
@@ -228,8 +253,10 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
         if gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
+    sources, d = g._sources_depth[0], group.alphabet.size
     for b in max_partition(g).proper_prefixes():
-        e = act_on_eclass(g, EmbeddingClass(group, (Row("", b, 0),)))
+        lo, hi = _under(sources, b, d)
+        e = _eclass(group, _precompose(group, g.rows[lo:hi], len(b), "", 0))
         if z_member(e):
             raise InvalidClassError("translated class failed its membership check")
         out[e] = 1

@@ -20,11 +20,10 @@ from bisect import bisect_left, bisect_right
 
 from localsim import (
     CanonicalElement,
+    EmbeddingClass,
     PrefixCode,
     Row,
-    act_on_eclass,
     compose,
-    gz_member,
     identity,
     incl_class,
     invert,
@@ -144,7 +143,9 @@ def brute_force_symdiff(g: CanonicalElement) -> dict:
 
     Candidates are the inclusion classes of every ball of depth up to the
     deepest leaf of g or its inverse plus one, together with their
-    g-translates; each is classified purely by z_member/gz_member.
+    g-translates, each composed by the stack walk, reduced, and made
+    canonical by trying every twist; each is classified purely by its row
+    count and `slow_gz_member`.
     """
     group = g.group
     depth = 1 + max(
@@ -153,13 +154,15 @@ def brute_force_symdiff(g: CanonicalElement) -> dict:
     )
     out = {}
     for b in all_balls(group.alphabet, depth):
-        for e in (incl_class(group, b), act_on_eclass(g, incl_class(group, b))):
-            inz = z_member(e)
-            ingz = gz_member(g, e)
+        e = incl_class(group, b)
+        moved = EmbeddingClass(group, slow_eclass(group, _reduce_rows(group, slow_compose_rows(group, g.rows, e.rows))))
+        for c in (e, moved):
+            inz = z_member(c)
+            ingz = slow_gz_member(g, c)
             if inz and not ingz:
-                out[e] = -1
+                out[c] = -1
             elif ingz and not inz:
-                out[e] = 1
+                out[c] = 1
     return out
 
 

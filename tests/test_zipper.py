@@ -332,6 +332,28 @@ class TestMembership:
 
         over_random_classes([t2, s3, klein, depth_two], check)
 
+    def test_one_row_class_is_translated_without_reduction(self, t2, s2, t3, s3, monkeypatch):
+        # act_on_eclass's docstring: the translate of a one-row class is one
+        # row or the pieces of one straddled target, which never merge, so
+        # only a class of two rows or more is reduced
+        calls = collections.Counter()
+        monkeypatch.setattr(zipper, "_reduce_rows", counting(_reduce_rows, calls))
+        kinds = collections.Counter()
+        rng = random.Random(151)
+        for group in (t2, s2, t3, s3):
+            for _ in range(60):
+                g = random_element(group, rng, max_depth=3)
+                h = random_element(group, rng, max_depth=3)
+                ball = as_word(tuple(rng.randrange(group.alphabet.size) for _ in range(rng.randrange(3))))
+                e = incl_class(group, ball)
+                for c in (e, act_on_eclass(h, e)):
+                    calls.clear()
+                    got = act_on_eclass(g, c)
+                    assert calls["_reduce_rows"] == (len(c.rows) > 1)
+                    assert got.rows == slow_eclass(group, _reduce_rows(group, slow_compose_rows(group, g.rows, c.rows)))
+                    kinds[target_kind(invert(g), c) if z_member(c) else "rows"] += 1
+        assert kinds["inside"] >= 50 and kinds["straddle"] >= 50 and kinds["rows"] >= 50
+
     def test_act_on_inclusion_is_restriction(self, x0):
         e = act_on_eclass(x0, incl_class(x0.group, (0,)))
         assert e.rows == (Row(as_word((0,)), as_word((0,)), 0), Row(as_word((1,)), as_word((1, 0)), 0))
@@ -404,16 +426,33 @@ class TestSymdiff:
         with pytest.raises(InvalidClassError, match="^translated class failed its membership check$"):
             symdiff(x0)
 
-    def test_one_membership_check_and_one_translation_per_entry(self, t2, monkeypatch):
+    def test_one_membership_check_per_entry_and_no_composition(self, t2, monkeypatch):
         # a -1 entry costs one gz_member call and no composition, and a +1
-        # entry one translation; no entry is re-derived through the inverse
+        # entry is read off g's rows: no translation, composition or reduction
         calls = collections.Counter()
         g = rotated_comb(t2, 64)
-        for f in (gz_member, act_on_eclass, _compose_rows):
+        counted = (gz_member, act_on_eclass, _compose_rows, _reduce_rows)
+        for f in counted:
             monkeypatch.setattr(zipper, f.__name__, counting(f, calls))
         signs = collections.Counter(symdiff(g).values())
         assert signs == {-1: 63, 1: 63}
-        assert calls == {"gz_member": 63, "act_on_eclass": 63, "_compose_rows": 63}
+        assert [calls[f.__name__] for f in counted] == [63, 0, 0, 0]
+
+    def test_gained_classes_match_translation_and_restriction(self, t2, s2, t3, s3, klein, s3_conjugated, depth_two):
+        # the +1 side's closed form, g's rows under B with B stripped, is the
+        # translate of B's inclusion class and g's restriction class at B
+        rng = random.Random(149)
+        balls = 0
+        for group in (t2, s2, t3, s3, klein, s3_conjugated, depth_two):
+            for _ in range(20):
+                g = random_element(group, rng, max_depth=3)
+                internal = max_partition(g).proper_prefixes()
+                want = [act_on_eclass(g, incl_class(group, b)) for b in internal]
+                assert want == [restriction_class(g, b) for b in internal]
+                gained = [e for e, v in symdiff(g).items() if v == 1]
+                assert collections.Counter(gained) == collections.Counter(want)
+                balls += len(internal)
+        assert balls >= 200
 
     def test_support_signs_verified(self, configurations):
         rng = random.Random(79)
