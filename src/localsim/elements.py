@@ -236,10 +236,11 @@ class CanonicalElement:
         length, where the successor drops the trailing letters d-1 and
         raises the last letter left by one.  Read left to right, the
         lengths then give back every source and mark where each target
-        ends, so no two elements of a group give the same str.  A length
-        always fits in a code point: a complete code with a word of L
-        letters holds words of every length from 1 to L, so at 0x110000
-        letters its sources alone would be some 6 * 10**11 letters long.
+        ends, so no two elements of a group give the same str, and
+        `_unpack` reads the element back that way.  A length always fits in
+        a code point: a complete code with a word of L letters holds words
+        of every length from 1 to L, so at 0x110000 letters its sources
+        alone would be some 6 * 10**11 letters long.
         """
         out: list[str] = []
         for s, t, germ in self.rows:
@@ -248,6 +249,42 @@ class CanonicalElement:
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
+
+
+def _unpack(group: SelfSimilarGroup, key: str, shapes: dict[str, tuple[Word, ...]]) -> CanonicalElement:
+    """The element of `group` whose `packed()` key is `key`.
+
+    Each row is read back as its source length, its target and its germ.
+    The source lengths, run together, are the element's shape, and the
+    sources follow from the shape by the successor rule of `packed()`.
+    `shapes` maps each shape met so far to its sources; the caller keeps
+    one dict per group, so the elements of one shape share one tuple of
+    sources.  Nothing is checked: `key` must come from `packed()` over
+    `group`.
+    """
+    shape = ""
+    targets: list[Word] = []
+    germs: list[int] = []
+    i, end = 0, len(key)
+    while i < end:
+        j = i + 2 + ord(key[i + 1])
+        shape += key[i]
+        targets.append(key[i + 2 : j])
+        germs.append(ord(key[j]))
+        i = j + 1
+    sources = shapes.get(shape)
+    if sources is None:
+        last = chr(group.alphabet.size - 1)
+        word = ""
+        words: list[Word] = []
+        for n in map(ord, shape):
+            if words:
+                word = word.rstrip(last)
+                word = word[:-1] + chr(ord(word[-1]) + 1)
+            word += "\0" * (n - len(word))
+            words.append(word)
+        sources = shapes[shape] = tuple(words)
+    return CanonicalElement(group, tuple(map(_as_row, zip(sources, targets, germs))))
 
 
 def _checked_rows(group: SelfSimilarGroup, rows: Iterable[tuple]) -> list[Row]:

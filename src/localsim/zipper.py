@@ -65,6 +65,7 @@ from .elements import (
     _precompose,
     _reduce_rows,
     _source,
+    _unpack,
     compose,
     format_element,
     identity,
@@ -346,67 +347,84 @@ def properness_audit(
     over the last two radius increments.  Lengths come from
     `zipper_length`.
 
-    Each frontier element remembers the generator that reached it.  Its
-    product with that generator's inverse is its parent, which is already
-    visited, so that product is skipped; the counts do not change.
+    The search keeps no elements between spheres.  Every element reached
+    leaves its `packed()` key in the visited set, and the sphere being
+    expanded and the next one are dicts from that same key str to a mask
+    of generators to skip; `elements._unpack` decodes a key back to its
+    element when it is popped.  Generator i takes x to y exactly when i's
+    inverse takes y back to x.  So when x's product with generator i is a
+    y already visited that still waits in either dict, y's mask gains the
+    bit of i's inverse, and a new y starts with that bit alone, as x is
+    its parent.  A masked product is an element already expanded, so
+    skipping it changes no count.  An edge of the Cayley graph out to the
+    next sphere is composed once, an edge within one sphere once, from the
+    end expanded first, and an edge back to the sphere before never.
 
-    Each element is released as soon as it is expanded: the sphere being
-    expanded shrinks while the next one grows, and the order within a
-    sphere does not matter, as a sphere is a set and the skipped product is
-    the parent whatever the order.  The outermost sphere is counted, not
-    kept: no later radius expands it, so its elements leave only their
-    dedup keys in the visited set.  Memory holds one key per element
-    reached plus, at any moment, the part of one sphere not yet expanded
-    and the part of the next found so far.
+    Each key is popped as it is expanded: the sphere being expanded
+    shrinks while the next one grows, and the order within a sphere does
+    not matter, as a sphere is a set and only an expanded element sets a
+    mask bit.  The outermost sphere is counted, not kept: no later radius
+    expands it, so its elements leave only their keys in the visited set.
+    Memory holds one key per element reached, a dict slot and a mask for
+    each element of the two spheres in the dicts, and one tuple of
+    sources per shape of key decoded.
     """
+    if not isinstance(group, SelfSimilarGroup):
+        raise UnsupportedStructureError(f"group must be a SelfSimilarGroup, got {group!r}")
     for name, value in (("radius", radius), ("threshold", threshold)):
         if not _is_int(value):
             raise UnsupportedStructureError(f"{name} must be an integer, got {value!r}")
     if radius < 0:
         raise UnsupportedStructureError("radius must be >= 0")
+    try:
+        generators = iter(generators)
+    except TypeError:
+        raise UnsupportedStructureError(f"generators must be an iterable of elements, got {generators!r}") from None
     start = identity(group)
     # the symmetrized generators in first-seen order, each mapped to its
     # inverse; the identity is left out, as the start is visited already
     inverses: dict[CanonicalElement, CanonicalElement] = {}
     for g in generators:
+        if not isinstance(g, CanonicalElement):
+            raise UnsupportedStructureError(f"generators must hold elements, got {g!r}")
         if g.group != group:
             raise IncompatibleElementsError("generator over a different structure")
         if g != start and g not in inverses:
             h = invert(g)
             inverses[g] = h
             inverses[h] = g
-    gens = list(inverses)
-    position = {g: i for i, g in enumerate(gens)}
-    inverse_at = [position[inverses[g]] for g in gens]
+    position = {g: i for i, g in enumerate(inverses)}
+    # each generator with its own mask bit and the bit of its inverse
+    steps = [(g, 1 << i, 1 << position[h]) for i, (g, h) in enumerate(inverses.items())]
 
-    visited = {start.packed()}
-    # the generator that reached each frontier element, in a parallel list of
-    # small ints (pairs would cost a tuple per element); -1 for the start
-    frontier = [start]
-    reached_by = [-1]
+    key = start.packed()
+    visited = {key}
+    frontier = {key: 0}
+    shapes: dict[str, tuple[Word, ...]] = {}
     count = 1 if zipper_length(start) <= threshold else 0
     rows = [AuditRow(0, 1, count)]
     for r in range(1, radius + 1):
-        new_frontier: list[CanonicalElement] = []
-        new_reached_by: list[int] = []
+        found: dict[str, int] = {}
         keep = r < radius
         while frontier:
-            x, j = frontier.pop(), reached_by.pop()
-            back = inverse_at[j] if j >= 0 else -1
-            for i, s in enumerate(gens):
-                if i == back:
+            key, skip = frontier.popitem()
+            x = _unpack(group, key, shapes)
+            for s, bit, back in steps:
+                if skip & bit:
                     continue
                 y = compose(s, x)
                 k = y.packed()
                 if k not in visited:
                     visited.add(k)
                     if keep:
-                        new_frontier.append(y)
-                        new_reached_by.append(i)
+                        found[k] = back
                     if zipper_length(y) <= threshold:
                         count += 1
-        frontier = new_frontier
-        reached_by = new_reached_by
+                elif k in found:
+                    found[k] |= back
+                elif k in frontier:
+                    frontier[k] |= back
+        frontier = found
         rows.append(AuditRow(r, len(visited), count))
     stabilized = (
         len(rows) >= 3

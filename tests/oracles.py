@@ -387,3 +387,35 @@ def slow_audit_counts(group: SelfSimilarGroup, generators, radius: int, threshol
         visited |= frontier
         out.append((len(visited), sum(1 for g in visited if zipper_length(g) <= threshold)))
     return out
+
+
+def slow_audit_composes(group: SelfSimilarGroup, generators, radius: int) -> int:
+    """How many products `properness_audit` composes up to `radius`, from
+    the spheres of a plain breadth-first search over elements.
+
+    An edge is an element x of the ball of radius - 1 with a symmetrized
+    generator s other than the identity, leading to s x.  The audit
+    composes every edge out to the next sphere, one of the two edges
+    between a pair of elements of one sphere (x to s x and back by s^-1),
+    and no edge back to the sphere before."""
+    start = identity(group)
+    steps = ({g for g in generators} | {invert(g) for g in generators}) - {start}
+    sphere = {start: 0}
+    frontier = [start]
+    for r in range(1, radius + 1):
+        reached = []
+        for x in frontier:
+            for s in steps:
+                y = compose(s, x)
+                if y not in sphere:
+                    sphere[y] = r
+                    reached.append(y)
+        frontier = reached
+    outward = inside = 0
+    for x, r in sphere.items():
+        if r < radius:
+            for s in steps:
+                there = sphere[compose(s, x)]
+                outward += there == r + 1
+                inside += there == r
+    return outward + inside // 2

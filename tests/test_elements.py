@@ -30,6 +30,7 @@ from localsim import (
     is_in_F,
     is_in_T,
     max_partition,
+    parse_automaton,
     parse_element,
     properness_audit,
     random_element,
@@ -39,7 +40,8 @@ from localsim import (
     trivial_group,
 )
 from localsim import elements
-from localsim.elements import _compose_rows, _reduce_rows, random_code_words
+from localsim.cli import _resolve_input
+from localsim.elements import _compose_rows, _reduce_rows, _unpack, random_code_words
 from oracles import (
     as_word,
     brute_force_gamma,
@@ -47,6 +49,7 @@ from oracles import (
     enumerate_complete_codes,
     leaf_ranks,
     point_letter,
+    slow_audit_composes,
     slow_compose_rows,
     slow_expand_at,
     slow_reduce_rows,
@@ -112,6 +115,33 @@ class TestPacked:
             pairs = [(keys[i] == keys[j], elems[i] == elems[j]) for i, j in itertools.combinations(range(300), 2)]
             assert all(same_key == same_element for same_key, same_element in pairs), group
             assert any(same_element for _, same_element in pairs), group
+
+
+class TestUnpack:
+    """`_unpack` reads a `packed()` key back to its element; each group gets
+    one dict of shapes, shared by all its keys."""
+
+    @staticmethod
+    def _round_trip(group, elems, shapes):
+        for g in elems:
+            back = _unpack(group, g.packed(), shapes)
+            assert back == g and all(type(row) is Row for row in back.rows), g
+
+    def test_random_elements_of_every_fixture(self, t2, s2, t3, s3, klein, depth_two):
+        rng = random.Random(31)
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        for group in (t2, s2, t3, s3, klein, depth_two, sigma2):
+            depth = KERNEL_DEPTH[group.alphabet.size]
+            elems = [random_element(group, rng, max_depth=rng.randrange(depth + 1)) for _ in range(300)]
+            shapes = {}
+            self._round_trip(group, [identity(group)] + elems, shapes)
+            # elements of one shape share their sources
+            assert len(shapes) < len(elems), group
+
+    def test_past_the_byte_limits(self, t2):
+        shapes = collections.defaultdict(dict)
+        for _, group, text, other in TestPacked._cases(t2):
+            self._round_trip(group, [parse_element(text, group), parse_element(other, group)], shapes[group])
 
 
 # rows that are not (source, target, germ) triples: (rows, the whole message)
@@ -287,7 +317,9 @@ class TestRewriteKernel:
         report = properness_audit(t2, v_gens, 4, 4)
         monkeypatch.undo()
         assert [r.ball_size for r in report.rows] == [1, 8, 42, 201, 933]
-        assert len(inputs) == 7 + 7 * 6 + (42 - 8) * 6 + (201 - 42) * 6
+        # every edge of the radius-3 ball out to the next sphere, and one of
+        # each pair of edges inside a sphere; none back to the sphere before
+        assert len(inputs) == slow_audit_composes(t2, v_gens, 4) == 1139
         for rows in inputs:
             assert _reduce_rows(t2, rows) == slow_reduce_rows(t2, rows)
 

@@ -2,6 +2,7 @@ import collections
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -41,6 +42,7 @@ from oracles import (
     as_word,
     brute_force_symdiff,
     complement_cover,
+    slow_audit_composes,
     slow_audit_counts,
     slow_compose_rows,
     slow_eclass,
@@ -657,35 +659,43 @@ class TestPropernessAudit:
         assert longer.stabilized
 
     @staticmethod
-    def _traced_r5_peak(t2, v_gens):
+    def _traced_peak(t2, v_gens, radius):
         # a full collection empties the interpreter's free lists, whose
         # objects tracemalloc does not see being reused; without it the peak
         # depends on what the tests before this one left there
         gc.collect()
         tracemalloc.start()
         try:
-            report = properness_audit(t2, v_gens, radius=5, threshold=4)
+            report = properness_audit(t2, v_gens, radius=radius, threshold=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert within(report) == [1, 6, 13, 20, 22, 22]
+        assert within(report) == [1, 6, 13, 20, 22, 22, 22][: radius + 1]
         return peak
 
     def test_outermost_sphere_is_not_kept(self, t2, v_gens):
         # the radius-5 sphere holds 3,276 of the 4,209 elements; counted
         # without being kept, it leaves only its dedup keys, and the traced
-        # peak is about 1 MB against 4.5 MB when it is kept
-        assert self._traced_r5_peak(t2, v_gens) < 3 * 2**20
+        # peak is about 1.1 MB against 4.5 MB when it is kept
+        assert self._traced_peak(t2, v_gens, 5) < 3 * 2**20
 
     def test_expanded_sphere_is_released(self, t2, v_gens):
-        # each element of the radius-4 sphere is dropped once it is expanded,
-        # and the keys hold no source letters: the traced peak is about
-        # 0.96 MB, 1.52 MB when the expanded sphere is kept until it is done
-        assert self._traced_r5_peak(t2, v_gens) < 1.25 * 2**20
+        # each key of the radius-4 sphere is popped once it is expanded, and
+        # the keys hold no source letters: the traced peak is about 1.09 MB
+        # (0.96 MB when the sphere held elements, without the dict and the
+        # cache of shapes), 1.52 MB when the expanded sphere is kept until
+        # it is done
+        assert self._traced_peak(t2, v_gens, 5) < 1.25 * 2**20
+
+    def test_spheres_hold_keys_not_elements(self, t2, v_gens):
+        # the radius-5 sphere waits to be expanded as 3,276 keys that the
+        # visited set holds anyway, each with a small int mask: the traced
+        # peak is about 3.43 MB, 4.29 MB when a sphere held its elements
+        assert self._traced_peak(t2, v_gens, 6) < 3.75 * 2**20
 
     def test_skipped_inverse_keeps_counts(self, t2, s2, v_gens):
-        # the audit skips the product that leads back to an element's parent;
-        # the counts must match a search that tries every product
+        # the audit skips each product that its masks mark as visited; the
+        # counts must match a search that tries every product
         x0, x1, c, pi0 = v_gens
         rng = random.Random(113)
         swap = parse_element("e->e:1", s2)
@@ -703,6 +713,66 @@ class TestPropernessAudit:
                 report = properness_audit(group, gens, radius=radius, threshold=4)
                 got = [(row.ball_size, row.within_threshold) for row in report.rows]
                 assert got == slow_audit_counts(group, gens, radius, 4)
+
+    def test_matches_plain_search_on_random_generators(self, monkeypatch, t2, s2, t3):
+        # duplicates, the identity, involutions and inverse pairs are where a
+        # mask bit or a mark within one sphere could skip a product never
+        # visited; the compose count shows that every mark is used
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        involutions = {t2: "0->1;1->0", s2: "e->e:1", t3: "0->1;1->0;2->2"}
+        calls = collections.Counter()
+        monkeypatch.setattr(zipper, "compose", counting(compose, calls))
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.sampled_from([t2, s2, t3]),
+            st.randoms(use_true_random=True),
+            st.sampled_from((3, 2, 1)),
+            st.lists(st.sampled_from(("duplicate", "identity", "inverse", "involution")), min_size=1, max_size=3),
+        )
+        def check(group, rng, radius, kinds):
+            gens = []
+            for kind in ["new", "new"] + kinds:
+                # a random element is often the identity or a single row;
+                # the identity is drawn as a kind of its own
+                g = identity(group)
+                while len(g.rows) <= group.alphabet.size:
+                    g = random_element(group, rng, max_depth=5 - group.alphabet.size)
+                if kind == "duplicate":
+                    g = rng.choice(gens)
+                elif kind == "identity":
+                    g = identity(group)
+                elif kind == "inverse":
+                    g = invert(rng.choice(gens))
+                elif kind == "involution":
+                    # a conjugate of an involution is one
+                    g = compose(compose(g, parse_element(involutions[group], group)), invert(g))
+                gens.append(g)
+            calls.clear()
+            report = properness_audit(group, gens, radius=radius, threshold=4)
+            assert [(row.ball_size, row.within_threshold) for row in report.rows] == slow_audit_counts(
+                group, gens, radius, 4
+            )
+            assert calls["compose"] == slow_audit_composes(group, gens, radius)
+
+        check()
+
+    @pytest.mark.parametrize("group", [[5], ["0->1;1->0"], 5])
+    def test_group_must_be_a_structure(self, group, v_gens):
+        message = f"group must be a SelfSimilarGroup, got {group!r}"
+        with pytest.raises(UnsupportedStructureError, match=f"^{re.escape(message)}$"):
+            properness_audit(group, v_gens, 2, 4)
+
+    def test_generators_must_be_iterable(self, t2):
+        with pytest.raises(UnsupportedStructureError, match=r"^generators must be an iterable of elements, got 5$"):
+            properness_audit(t2, 5, 2, 4)
+
+    @pytest.mark.parametrize("bad", [5, "0->1;1->0"])
+    def test_generators_must_be_elements(self, bad, t2, v_gens):
+        message = f"generators must hold elements, got {bad!r}"
+        with pytest.raises(UnsupportedStructureError, match=f"^{re.escape(message)}$"):
+            properness_audit(t2, v_gens + [bad], 2, 4)
 
     def test_counts_agree_with_lengths(self, t2, v_gens):
         # spot check the closed-form length the audit counts with against
