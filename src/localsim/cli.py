@@ -150,7 +150,7 @@ def _cmd_hstruct(args):
 
 def _element_out(cmd: str, g: CanonicalElement):
     lit = format_element(g)
-    return {"cmd": cmd, "element": lit, "leaves": len(g.rows)}, lit
+    return {"cmd": cmd, "element": lit, "leaves": len(g._rows)}, lit
 
 
 def _operands(args, *names: str) -> list[CanonicalElement]:
@@ -197,7 +197,7 @@ def _cmd_zipper_length(args):
 
 def _cmd_symdiff(args):
     diff = symdiff(*_operands(args, "element"))
-    for e, sign in sorted(diff.items(), key=lambda es: es[0].rows):
+    for e, sign in sorted(diff.items(), key=lambda es: es[0]._rows):
         lit = format_element(e)
         yield {"cmd": "symdiff", "sign": sign, "class": lit}, f"{sign:+d} {lit}"
     yield {"cmd": "symdiff-total", "length": len(diff)}, f"length {len(diff)}"

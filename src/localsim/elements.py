@@ -33,12 +33,13 @@ the d members of a mergeable family are the children of one source and of
 one target, so that length gate is necessary for a merge, not sufficient,
 and a family that passes it is still checked member by member.  In the
 Cayley-ball audit, about nine in ten of the families tried fail it.
-Composition feeds this pass directly, with plain tuples sorted by source;
-only the reduced rows become `Row`s.  Each row of h either chains with
-the one row of g around its target, or precomposes the rows of g under
-the target with its similarity, pulling their source tails back through
-its germ.  `zipper` precomposes too, to twist a class and to strip a
-ball off its sources.
+Composition feeds this pass directly, with plain tuples sorted by source,
+and a table keeps its reduced rows as those triples: its `rows`, the same
+rows as `Row`s, is a view built on first read, and no hot path reads it.
+Each row of h either chains with the one row of g around its target, or
+precomposes the rows of g under the target with its similarity, pulling
+their source tails back through its germ.  `zipper` precomposes too, to
+twist a class and to strip a ball off its sources.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ _source = itemgetter(0)
 # -- the rewrite engine ------------------------------------------------------
 
 
-# a Row from any 3-tuple, without the keyword handling of Row(...)
+# a Row from any 3-tuple, without keyword handling; only `_Table.rows` calls it
 _as_row = partial(tuple.__new__, Row)
 
 
@@ -112,7 +113,7 @@ def _precompose(
     return out
 
 
-def _compose_rows(g: CanonicalElement, h_rows: Sequence[Row]) -> list[tuple[Word, Word, int]]:
+def _compose_rows(g: CanonicalElement, h_rows: Sequence[tuple[Word, Word, int]]) -> list[tuple[Word, Word, int]]:
     """Rows of g after h (h applied first), as plain tuples sorted by source.
 
     The h-rows must be sorted by source, and each target is looked up
@@ -130,7 +131,7 @@ def _compose_rows(g: CanonicalElement, h_rows: Sequence[Row]) -> list[tuple[Word
     group = g.group
     mul = group.mul
     d = group.alphabet.size
-    g_rows = g.rows
+    g_rows = g._rows
     sources = g._sources_depth[0]
     out: list[tuple[Word, Word, int]] = []
     emit = out.append
@@ -150,7 +151,7 @@ def _compose_rows(g: CanonicalElement, h_rows: Sequence[Row]) -> list[tuple[Word
     return out
 
 
-def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]) -> tuple[Row, ...]:
+def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]) -> tuple[tuple[Word, Word, int], ...]:
     """Merge sibling families until none matches a single similarity.
 
     The rows must be sorted by source, and their sources must form a prefix
@@ -158,7 +159,8 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
     family is complete exactly when its last child (letter d-1) arrives,
     and its members are then the top d entries of a stack of the rows seen
     so far.  Each arrival, and each merge, checks that family once, so one
-    shift-reduce pass finds every merge; the rows it leaves are sorted.
+    shift-reduce pass finds every merge; it leaves sorted plain triples, which
+    a table keeps as they are, building its `rows` view on first read.
 
     A family whose first member differs from the arriving row in source
     length or target length, or has an empty target, is turned away before
@@ -195,20 +197,32 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
             row = (parent, stem, merged)
             stack.append(row)
             src = parent
-    return tuple(map(_as_row, stack))
+    return tuple(stack)
 
 
 @dataclass(frozen=True)
-class CanonicalElement:
+class _Table:
+    """A group and reduced rows sorted by source, as the plain triples every
+    internal reader takes.  `rows` is a view of them as `Row`s, built on
+    first read and kept; a `Row` equals its triple, so equality is kept."""
+
+    group: SelfSimilarGroup
+    _rows: tuple[tuple[Word, Word, int], ...]
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        return tuple(map(_as_row, self._rows))
+
+
+@dataclass(frozen=True)
+class CanonicalElement(_Table):
     """A group element: its reduced rows, sorted by source, whose two
-    columns are complete codes; equality here is equality of maps.
+    columns are complete codes; equality here is equality of maps.  Its
+    `rows` are `Row`s, a view built on first read.
 
     Build instances through reduce / compose / invert / identity /
     parse_element rather than directly: nothing here checks the rows.
     """
-
-    group: SelfSimilarGroup
-    rows: tuple[Row, ...]
 
     @cached_property
     def _inverse(self) -> "CanonicalElement":
@@ -221,7 +235,7 @@ class CanonicalElement:
         # the sorted sources, which max_partition hands out and every search
         # for a row runs over; apply searches with one prefix of a point, as
         # deep as the deepest source
-        sources = tuple(map(_source, self.rows))
+        sources = tuple(map(_source, self._rows))
         return sources, max(map(len, sources), default=0)
 
     def packed(self) -> str:
@@ -243,7 +257,7 @@ class CanonicalElement:
         alone would be some 6 * 10**11 letters long.
         """
         out: list[str] = []
-        for s, t, germ in self.rows:
+        for s, t, germ in self._rows:
             out += (chr(len(s)), chr(len(t)), t, chr(germ))
         return "".join(out)
 
@@ -284,12 +298,12 @@ def _unpack(group: SelfSimilarGroup, key: str, shapes: dict[str, tuple[Word, ...
             word += "\0" * (n - len(word))
             words.append(word)
         sources = shapes[shape] = tuple(words)
-    return CanonicalElement(group, tuple(map(_as_row, zip(sources, targets, germs))))
+    return CanonicalElement(group, tuple(zip(sources, targets, germs)))
 
 
-def _checked_rows(group: SelfSimilarGroup, rows: Iterable[tuple]) -> list[Row]:
+def _checked_rows(group: SelfSimilarGroup, rows: Iterable[tuple]) -> list[tuple[Word, Word, int]]:
     """(source, target, germ) triples, each word a str or a sequence of int
-    letters, as `Row`s sorted by source: each row is checked to be a triple,
+    letters, as str-word triples sorted by source: each row is checked to be a triple,
     then its source, target and germ in that order, so the first broken one
     is the one named."""
     check = group.alphabet.check_word
@@ -306,12 +320,12 @@ def _checked_rows(group: SelfSimilarGroup, rows: Iterable[tuple]) -> list[Row]:
         src, tgt = check(src), check(tgt)
         if not _is_int(germ) or not 0 <= germ < group.size:
             raise MalformedStructureError(f"no germ {germ!r} in {group!r}")
-        out.append(Row(src, tgt, germ))
+        out.append((src, tgt, germ))
     out.sort(key=_source)
     return out
 
 
-def _element(group: SelfSimilarGroup, rows: Sequence[Row]) -> CanonicalElement:
+def _element(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> CanonicalElement:
     """Check that rows sorted by source, letters and germs checked, form two
     complete codes, and reduce them.  `reduce` and `parse_element` both end
     here, so InvalidCodeError gives a broken table one diagnosis."""
@@ -319,7 +333,7 @@ def _element(group: SelfSimilarGroup, rows: Sequence[Row]) -> CanonicalElement:
     violations = []
     for words, nested, incomplete in (
         (tuple(map(_source, rows)), "domain-not-antichain", "incomplete-domain"),
-        (tuple(sorted(r.target for r in rows)), "target-not-antichain", "target-incomplete"),
+        (tuple(sorted(t for _, t, _ in rows)), "target-not-antichain", "target-incomplete"),
     ):
         if _overlap(words) is not None:
             violations.append(nested)
@@ -343,7 +357,7 @@ def reduce(group: SelfSimilarGroup, rows: Iterable[tuple]) -> CanonicalElement:
 
 
 def identity(group: SelfSimilarGroup) -> CanonicalElement:
-    return CanonicalElement(group, (Row("", "", 0),))
+    return CanonicalElement(group, (("", "", 0),))
 
 
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
@@ -356,7 +370,7 @@ def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
-    rows = _reduce_rows(g.group, _compose_rows(g, h.rows))
+    rows = _reduce_rows(g.group, _compose_rows(g, h._rows))
     return CanonicalElement(g.group, rows)
 
 
@@ -367,7 +381,7 @@ def invert(g: CanonicalElement) -> CanonicalElement:
     maximal ball of the inverse, so the swapped table is already reduced.
     """
     inv = g.group.inv
-    rows = tuple(sorted(Row(t, s, inv[germ]) for s, t, germ in g.rows))
+    rows = tuple(sorted((t, s, inv[germ]) for s, t, germ in g._rows))
     return CanonicalElement(g.group, rows)
 
 
@@ -385,7 +399,7 @@ def apply(g: CanonicalElement, x: Point) -> Point:
     sources, depth = g._sources_depth
     i = _covering(sources, x.prefix(depth))
     if i >= 0:
-        src, tgt, germ = g.rows[i]
+        src, tgt, germ = g._rows[i]
         tail = x.drop(len(src))
         if germ:
             tail = germ_apply(group, germ, tail)
@@ -414,7 +428,7 @@ def _require_plain_binary(g: CanonicalElement, what: str) -> None:
 def is_in_F(g: CanonicalElement) -> bool:
     """Order preserving: the targets increase in source order."""
     _require_plain_binary(g, "order-preserving membership")
-    targets = [t for _, t, _ in g.rows]
+    targets = [t for _, t, _ in g._rows]
     return targets == sorted(targets)
 
 
@@ -422,7 +436,7 @@ def is_in_T(g: CanonicalElement) -> bool:
     """Cyclic-order preserving: the targets increase in source order once
     rotated to start at their least target."""
     _require_plain_binary(g, "cyclic-order membership")
-    targets = [t for _, t, _ in g.rows]
+    targets = [t for _, t, _ in g._rows]
     k = targets.index(min(targets))
     return targets[k:] + targets[:k] == sorted(targets)
 
@@ -460,7 +474,7 @@ def enumerate_gamma(
             rows = _reduce_rows(group, zip(srcs, perm, germs))
             if len(rows) == len(srcs):
                 out.append(CanonicalElement(group, rows))
-    return tuple(sorted(out, key=lambda e: e.rows))
+    return tuple(sorted(out, key=lambda e: e._rows))
 
 
 # -- literals ----------------------------------------------------------------
@@ -516,17 +530,17 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
             raise LiteralParseError(str(e), row=rownum, column=col) from None
         if not 0 <= germ < group.size:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
-        rows.append(Row(src, tgt, germ))
+        rows.append((src, tgt, germ))
     rows.sort(key=_source)
     return _element(group, rows)
 
 
 def format_element(g) -> str:
-    """The literal of an element, or of an embedding class's representative:
-    anything with a `group` and sorted `rows`."""
+    """The literal of an element, or of an embedding class's representative,
+    read off its plain rows, so no `Row` view is built."""
     alphabet = g.group.alphabet
     parts = []
-    for src, tgt, germ in g.rows:
+    for src, tgt, germ in g._rows:
         row = f"{alphabet.format_word(src)}->{alphabet.format_word(tgt)}"
         if germ:
             row += f":{germ}"

@@ -58,12 +58,11 @@ from typing import Iterable, Sequence
 
 from .elements import (
     CanonicalElement,
-    Row,
-    _as_row,
     _checked_rows,
     _compose_rows,
     _precompose,
     _reduce_rows,
+    _Table,
     _source,
     _unpack,
     compose,
@@ -78,9 +77,9 @@ from .words import Word, _covering, _is_int, _overlap, _under, is_complete_code
 
 
 @dataclass(frozen=True)
-class EmbeddingClass:
+class EmbeddingClass(_Table):
     """Canonical representative of an embedding class: its reduced rows,
-    sorted by source.
+    sorted by source, whose `rows` are `Row`s, a view built on first read.
 
     The sources are a complete code and the targets pairwise disjoint
     balls; the rows are the lexicographically least among their right
@@ -88,9 +87,6 @@ class EmbeddingClass:
     same class iff their canonical representatives are equal.  This is the
     library's one representation of an embedding.
     """
-
-    group: SelfSimilarGroup
-    rows: tuple[Row, ...]
 
     def __repr__(self) -> str:
         return f"<class {format_element(self)}>"
@@ -101,7 +97,9 @@ def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> 
     the least of its right twists, compared as row lists.  The twist by the
     global similarity of germ s is the rows precomposed with it, which
     keeps them reduced and their count unchanged; the identity twist is the
-    rows themselves.  Only the least is made into `Row`s.
+    rows themselves.  The class keeps the least as plain triples and builds
+    its `rows` view on first read.  A single row e -> w:z twists to e -> w:zs
+    over every germ zs, so its class is e -> w.
 
     Row lists compare by their first rows first, so each twist is first
     ranked by its first row alone, found without building the twist.  The
@@ -113,6 +111,8 @@ def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> 
     the twist's first row.  Only the twists tied on the least first row,
     usually one, are built and compared in full.
     """
+    if len(rows) == 1:
+        return EmbeddingClass(group, (("", rows[0][1], 0),))
     if group.size > 1:
         sources = tuple(map(_source, rows))
         probe = "\0" * max(map(len, sources))
@@ -127,7 +127,7 @@ def _eclass(group: SelfSimilarGroup, rows: Sequence[tuple[Word, Word, int]]) -> 
             elif first == least:
                 tied.append(s)
         rows = min(_precompose(group, rows, 0, "", s) if s else list(rows) for s in tied)
-    return EmbeddingClass(group, tuple(map(_as_row, rows)))
+    return EmbeddingClass(group, tuple(rows))
 
 
 def canonical_eclass(group: SelfSimilarGroup, rows: Iterable[tuple], ball: Word) -> EmbeddingClass:
@@ -143,9 +143,9 @@ def canonical_eclass(group: SelfSimilarGroup, rows: Iterable[tuple], ball: Word)
     rows = _checked_rows(group, rows)
     fmt = group.alphabet.format_word
     ball = group.alphabet.check_word(ball)
-    for r in rows:
-        if not r.source.startswith(ball):
-            raise InvalidClassError(f"source {fmt(r.source)} is outside the ball {fmt(ball)}")
+    for src, _, _ in rows:
+        if not src.startswith(ball):
+            raise InvalidClassError(f"source {fmt(src)} is outside the ball {fmt(ball)}")
     stripped = _precompose(group, rows, len(ball), "", 0)
     sources = tuple(map(_source, stripped))
     clash = _overlap(sources)
@@ -153,7 +153,7 @@ def canonical_eclass(group: SelfSimilarGroup, rows: Iterable[tuple], ball: Word)
         raise InvalidClassError(f"sources {fmt(ball + clash[0])} and {fmt(ball + clash[1])} overlap")
     if not is_complete_code(sources, group.alphabet.size):
         raise InvalidClassError(f"sources do not partition the ball {fmt(ball)}")
-    clash = _overlap(tuple(sorted(r.target for r in rows)))
+    clash = _overlap(tuple(sorted(t for _, t, _ in rows)))
     if clash is not None:
         raise InvalidClassError(f"targets {fmt(clash[0])} and {fmt(clash[1])} overlap")
     return _eclass(group, _reduce_rows(group, stripped))
@@ -166,7 +166,7 @@ def incl_class(group: SelfSimilarGroup, ball: Word) -> EmbeddingClass:
     germ (any germ twists away, and the identity germ is least).
     """
     ball = group.alphabet.check_word(ball)
-    return EmbeddingClass(group, (Row("", ball, 0),))
+    return EmbeddingClass(group, (("", ball, 0),))
 
 
 def z_member(e: EmbeddingClass) -> bool:
@@ -175,7 +175,7 @@ def z_member(e: EmbeddingClass) -> bool:
     A class is an inclusion class iff its reduced representative is a
     single row, i.e. the embedding is one similarity onto a ball.
     """
-    return len(e.rows) == 1
+    return len(e._rows) == 1
 
 
 def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
@@ -189,8 +189,8 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
     """
     if g.group != e.group:
         raise IncompatibleElementsError("element and class over different structures")
-    rows = _compose_rows(g, e.rows)
-    if len(e.rows) > 1:
+    rows = _compose_rows(g, e._rows)
+    if len(e._rows) > 1:
         rows = _reduce_rows(g.group, rows)
     return _eclass(g.group, rows)
 
@@ -215,7 +215,7 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
         raise IncompatibleElementsError("element and class over different structures")
     h = g._inverse
     sources = h._sources_depth[0]
-    for _, target, _ in e.rows:
+    for _, target, _ in e._rows:
         if _covering(sources, target) < 0:
             return False
     return z_member(act_on_eclass(h, e))
@@ -250,14 +250,14 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     group = g.group
     out: dict[EmbeddingClass, int] = {}
     for b in max_partition(g._inverse).proper_prefixes():
-        e = EmbeddingClass(group, (Row("", b, 0),))
+        e = EmbeddingClass(group, (("", b, 0),))
         if gz_member(g, e):
             raise InvalidClassError("vacated inclusion class failed its membership check")
         out[e] = -1
     sources, d = g._sources_depth[0], group.alphabet.size
     for b in max_partition(g).proper_prefixes():
         lo, hi = _under(sources, b, d)
-        e = _eclass(group, _precompose(group, g.rows[lo:hi], len(b), "", 0))
+        e = _eclass(group, _precompose(group, g._rows[lo:hi], len(b), "", 0))
         if z_member(e):
             raise InvalidClassError("translated class failed its membership check")
         out[e] = 1
@@ -271,7 +271,7 @@ def zipper_length(g: CanonicalElement) -> int:
     (n-1)/(d-1) internal nodes, so the size is 2(n-1)/(d-1).  Every
     `CanonicalElement` is a group element, so both partitions are complete.
     """
-    return 2 * (len(g.rows) - 1) // (g.group.alphabet.size - 1)
+    return 2 * (len(g._rows) - 1) // (g.group.alphabet.size - 1)
 
 
 def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
@@ -280,13 +280,14 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     The identity predicts the value at g1*g2 as the g1-translate of the
     value at g2 plus the value at g1.  All three sides are finitely
     supported, so comparing them over the union of supports is exact; a
-    prediction of 0 and a missing entry compare equal.
+    prediction of 0 and a missing entry compare equal.  Each class at g1*g2
+    is popped from the prediction, one lookup; what is left counts if nonzero.
     """
     lhs = symdiff(compose(g1, g2))
     pred = symdiff(g1)
     for e, v in _translate(symdiff(g2), g1).items():
         pred[e] = pred.get(e, 0) + v
-    return sum(1 for e in lhs.keys() | pred.keys() if lhs.get(e, 0) != pred.get(e, 0))
+    return sum(pred.pop(e, 0) != v for e, v in lhs.items()) + sum(1 for v in pred.values() if v)
 
 
 # -- walls --------------------------------------------------------------------
@@ -312,7 +313,7 @@ def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[E
     only.
     """
     walls = _translate(symdiff(compose(g1._inverse, g2)), g1)
-    return sorted(((e, -v) for e, v in walls.items()), key=lambda ev: ev[0].rows)
+    return sorted(((e, -v) for e, v in walls.items()), key=lambda ev: ev[0]._rows)
 
 
 # -- the Cayley-ball audit ------------------------------------------------------
@@ -482,16 +483,16 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
         )
     w = group.alphabet.parse_word
     first = incl_class(group, w("0"))
-    second_rows = (Row(w("10"), w("10"), 0), Row(w("11"), w("111"), 0))
+    second_rows = ((w("10"), w("10"), 0), (w("11"), w("111"), 0))
     second = canonical_eclass(group, second_rows, w("1"))
 
     witnesses = [identity(group)]
     depth = 1
     while len(witnesses) < count:
         leaves = [w("1") + "".join(u) for u in itertools.product(w("01"), repeat=depth)]
-        rows = [Row(w("0"), w("0"), 0)]
+        rows = [(w("0"), w("0"), 0)]
         n = len(leaves)
-        rows.extend(Row(leaves[i], leaves[(i + 1) % n], 0) for i in range(n))
+        rows.extend((leaves[i], leaves[(i + 1) % n], 0) for i in range(n))
         g = CanonicalElement(group, _reduce_rows(group, rows))
         witnesses.append(g)
         depth += 1
@@ -502,7 +503,7 @@ def nowalls_demo(group: SelfSimilarGroup, count: int) -> NowallsReport:
     # an element whose translate does contain the second class: the second
     # embedding extended to a bijection by sending ball 0 onto the balls its
     # image leaves uncovered, 0 and 110 (the table is already reduced)
-    rows = (Row(w("00"), w("0"), 0), Row(w("01"), w("110"), 0)) + second_rows
+    rows = ((w("00"), w("0"), 0), (w("01"), w("110"), 0)) + second_rows
     covering = CanonicalElement(group, rows)
     ok = all(first_in) and not any(second_in) and gz_member(covering, second)
     return NowallsReport(first, second, tuple(witnesses), first_in, second_in, covering, ok)

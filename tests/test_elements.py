@@ -36,6 +36,7 @@ from localsim import (
     random_element,
     random_point,
     reduce,
+    symdiff,
     symmetric_group,
     trivial_group,
 )
@@ -43,6 +44,7 @@ from localsim import elements
 from localsim.cli import _resolve_input
 from localsim.elements import _compose_rows, _reduce_rows, _unpack, random_code_words
 from oracles import (
+    all_balls,
     as_word,
     brute_force_gamma,
     coarsenings,
@@ -142,6 +144,68 @@ class TestUnpack:
         shapes = collections.defaultdict(dict)
         for _, group, text, other in TestPacked._cases(t2):
             self._round_trip(group, [parse_element(text, group), parse_element(other, group)], shapes[group])
+
+
+
+class TestRowsView:
+    """A table keeps its rows as plain (source, target, germ) tuples in
+    `_rows`; `rows` is the same rows as `Row`s, a view built on first read
+    and kept.  No producer builds a `Row`, and the audit reads none."""
+
+    @staticmethod
+    def _check(x):
+        assert all(type(r) is tuple for r in x._rows), x
+        assert "rows" not in vars(x), x
+        rows = x.rows
+        assert rows == x._rows and x.rows is rows and all(type(r) is Row for r in rows), x
+
+    @staticmethod
+    def _tables(group, rng, shapes):
+        """Fresh results of every producer of elements and classes, each
+        yielded before anything reads its `rows`."""
+        depth = KERNEL_DEPTH[group.alphabet.size]
+        g = random_element(group, rng, max_depth=depth)
+        h = random_element(group, rng, max_depth=depth)
+        yield identity(group)
+        yield g
+        yield compose(g, h)
+        yield invert(g)
+        yield parse_element(format_element(g), group)
+        yield reduce(group, g._rows[::-1])
+        yield _unpack(group, g.packed(), shapes)
+        diff = symdiff(g)
+        yield from diff
+        for e in list(diff) + [incl_class(group, w) for w in all_balls(group.alphabet, 1)]:
+            yield act_on_eclass(h, e)
+            yield canonical_eclass(group, e._rows, "")
+        yield from (incl_class(group, w) for w in all_balls(group.alphabet, 2))
+
+    def test_every_producer_over_every_fixture(self, t2, s2, t3, s3, klein, depth_two):
+        rng = random.Random(3201)
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        for group in (t2, s2, t3, s3, klein, depth_two, sigma2):
+            shapes = {}
+            classes = 0
+            for _ in range(15):
+                for x in self._tables(group, rng, shapes):
+                    self._check(x)
+                    classes += not isinstance(x, CanonicalElement)
+            assert classes > 100, group
+
+    def test_audit_builds_no_row(self, t2, v_gens, monkeypatch):
+        calls = collections.Counter()
+        as_row = elements._as_row
+
+        def counted(row):
+            calls["_as_row"] += 1
+            return as_row(row)
+
+        monkeypatch.setattr(elements, "_as_row", counted)
+        report = properness_audit(t2, v_gens, radius=4, threshold=4)
+        assert [r.within_threshold for r in report.rows] == [1, 6, 13, 20, 22]
+        assert calls["_as_row"] == 0
+        # the patch is live: a view read afterwards goes through it
+        assert identity(t2).rows == (Row("", "", 0),) and calls["_as_row"] == 1
 
 
 # rows that are not (source, target, germ) triples: (rows, the whole message)

@@ -269,6 +269,24 @@ class TestCanonicalClasses:
         # with this seed: 15 of depth_two's 40 classes, and no other's
         assert ties["depth two"] >= 10
 
+    def test_one_row_class_is_the_inclusion(self, t2, s2, t3, s3, klein, depth_two):
+        # a single row e -> w twists to e -> w with every germ, so _eclass
+        # returns the inclusion class of w without ranking twists; checked
+        # against every twist, for every germ, and for the one-row translates
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        rng = random.Random(3203)
+        for group in (t2, s2, t3, s3, klein, depth_two, sigma2):
+            balls = [(("", w, z),) for w in all_balls(group.alphabet, 2) for z in range(group.size)]
+            one_row = list(balls)
+            for _ in range(20):
+                g = random_element(group, rng, max_depth=3)
+                moved = (_compose_rows(g, rows) for rows in balls)
+                one_row += [rows for rows in moved if len(rows) == 1]
+            assert len(one_row) > 100 + len(balls), group
+            for rows in one_row:
+                e = zipper._eclass(group, rows)
+                assert e == incl_class(group, rows[0][1]) and e.rows == slow_eclass(group, rows), rows
+
 
 class TestMembership:
     def test_x0_restriction_not_in_z(self, x0):
@@ -520,6 +538,45 @@ class TestCocycle:
                 g1 = random_element(group, rng, max_depth=3)
                 g2 = random_element(group, rng, max_depth=3)
                 assert cocycle_identity_defect(g1, g2) == 0
+
+    @staticmethod
+    def _perturbed(monkeypatch, configurations, x0, x1, perturb):
+        """Pairs (g1, g2) with g2 moving some class, under a `_translate`
+        whose result `perturb` changes; each pair's defect is then 1."""
+        translate = zipper._translate
+        monkeypatch.setattr(zipper, "_translate", lambda support, g: perturb(translate(support, g), g.group))
+        rng = random.Random(3202)
+        pairs = [(x0, x1), (x1, x0), (identity(x0.group), x0)]
+        for i, group in enumerate(configurations, 1):
+            while len(pairs) < 3 + 8 * i:
+                g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
+                if zipper_length(g2):
+                    pairs.append((g1, g2))
+        return [cocycle_identity_defect(g1, g2) for g1, g2 in pairs]
+
+    def test_defect_counts_a_dropped_class(self, monkeypatch, configurations, x0, x1):
+        # the class either was predicted alone or cancelled a class of the
+        # value at g1; either way it now disagrees, and nothing else does
+        defects = self._perturbed(monkeypatch, configurations, x0, x1, lambda moved, _: dict(list(moved.items())[1:]))
+        assert defects == [1] * len(defects)
+
+    def test_defect_counts_a_flipped_sign(self, monkeypatch, configurations, x0, x1):
+        def flip(moved, _):
+            first = next(iter(moved))
+            return {**moved, first: -moved[first]}
+
+        defects = self._perturbed(monkeypatch, configurations, x0, x1, flip)
+        assert defects == [1] * len(defects)
+
+    def test_defect_counts_a_spurious_class_but_no_zero(self, monkeypatch, configurations, x0, x1):
+        # classes far deeper than any of the supports: one predicted with a
+        # value, one predicted as 0, which a missing entry equals
+        def spurious(moved, group):
+            deep = group.alphabet.size * 6
+            return {**moved, incl_class(group, "\0" * deep): 1, incl_class(group, "\1" * deep): 0}
+
+        defects = self._perturbed(monkeypatch, configurations, x0, x1, spurious)
+        assert defects == [1] * len(defects)
 
     def test_translate_matches_pullback(self, x0, x1):
         # the translated support evaluates by pulling the class back
