@@ -297,7 +297,11 @@ class PrefixCode:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        ws = tuple(sorted(self.alphabet.check_word(w) for w in self.words))
+        try:
+            words = iter(self.words)
+        except TypeError:
+            raise InvalidCodeError(f"a prefix code is an iterable of words, got {self.words!r}") from None
+        ws = tuple(sorted(self.alphabet.check_word(w) for w in words))
         pair = _overlap(ws)
         if pair is not None:
             u, v = pair

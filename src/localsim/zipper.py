@@ -348,27 +348,23 @@ def properness_audit(
     over the last two radius increments.  Lengths come from
     `zipper_length`.
 
-    The search keeps no elements between spheres.  Every element reached
-    leaves its `packed()` key in the visited set, and the sphere being
-    expanded and the next one are dicts from that same key str to a mask
-    of generators to skip; `elements._unpack` decodes a key back to its
-    element when it is popped.  Generator i takes x to y exactly when i's
-    inverse takes y back to x.  So when x's product with generator i is a
-    y already visited that still waits in either dict, y's mask gains the
+    The search keeps no elements between spheres.  One dict maps the
+    `packed()` key of every element reached to a mask of generators to
+    skip from it, and a sphere is a list of those keys, each decoded by
+    `elements._unpack` when it is popped, its mask read then.  Generator i
+    takes x to y exactly when i's inverse takes y back to x.  So when x's
+    product with generator i is a y already reached, y's mask gains the
     bit of i's inverse, and a new y starts with that bit alone, as x is
     its parent.  A masked product is an element already expanded, so
-    skipping it changes no count.  An edge of the Cayley graph out to the
-    next sphere is composed once, an edge within one sphere once, from the
-    end expanded first, and an edge back to the sphere before never.
+    skipping it changes no count, and a bit set on a key already expanded
+    is never read.  An edge of the Cayley graph out to the next sphere is
+    composed once, an edge within one sphere once, from the end expanded
+    first, and an edge back to the sphere before never, whatever the order
+    within a sphere, as only an expanded element sets a mask bit.
 
-    Each key is popped as it is expanded: the sphere being expanded
-    shrinks while the next one grows, and the order within a sphere does
-    not matter, as a sphere is a set and only an expanded element sets a
-    mask bit.  The outermost sphere is counted, not kept: no later radius
-    expands it, so its elements leave only their keys in the visited set.
-    Memory holds one key per element reached, a dict slot and a mask for
-    each element of the two spheres in the dicts, and one tuple of
-    sources per shape of key decoded.
+    The outermost sphere is counted, not listed.  Memory holds one key and
+    one mask per element reached, a list slot per key of the sphere being
+    expanded and of the next, and one tuple of sources per shape decoded.
     """
     if not isinstance(group, SelfSimilarGroup):
         raise UnsupportedStructureError(f"group must be a SelfSimilarGroup, got {group!r}")
@@ -399,34 +395,34 @@ def properness_audit(
     steps = [(g, 1 << i, 1 << position[h]) for i, (g, h) in enumerate(inverses.items())]
 
     key = start.packed()
-    visited = {key}
-    frontier = {key: 0}
+    seen = {key: 0}
+    frontier = [key]
     shapes: dict[str, tuple[Word, ...]] = {}
     count = 1 if zipper_length(start) <= threshold else 0
     rows = [AuditRow(0, 1, count)]
     for r in range(1, radius + 1):
-        found: dict[str, int] = {}
+        found: list[str] = []
         keep = r < radius
         while frontier:
-            key, skip = frontier.popitem()
+            key = frontier.pop()
+            skip = seen[key]
             x = _unpack(group, key, shapes)
             for s, bit, back in steps:
                 if skip & bit:
                     continue
                 y = compose(s, x)
                 k = y.packed()
-                if k not in visited:
-                    visited.add(k)
+                mask = seen.get(k)
+                if mask is None:
+                    seen[k] = back
                     if keep:
-                        found[k] = back
+                        found.append(k)
                     if zipper_length(y) <= threshold:
                         count += 1
-                elif k in found:
-                    found[k] |= back
-                elif k in frontier:
-                    frontier[k] |= back
+                else:
+                    seen[k] = mask | back
         frontier = found
-        rows.append(AuditRow(r, len(visited), count))
+        rows.append(AuditRow(r, len(seen), count))
     stabilized = (
         len(rows) >= 3
         and rows[-1].within_threshold == rows[-2].within_threshold == rows[-3].within_threshold

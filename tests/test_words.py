@@ -92,6 +92,11 @@ class TestPrefixCode:
         with pytest.raises(InvalidCodeError, match="^repeated word in prefix code$"):
             PrefixCode(A2, ((1,), (0,), (1,)))
 
+    @pytest.mark.parametrize("words", [5, None, 2.5], ids=["int", "None", "float"])
+    def test_words_must_be_iterable(self, words):
+        with pytest.raises(InvalidCodeError, match=rf"^a prefix code is an iterable of words, got {words!r}$"):
+            PrefixCode(A2, words)
+
 
 class TestProperPrefixCount:
     """The balls properly containing a code ball: the internal nodes of the

@@ -732,22 +732,23 @@ class TestPropernessAudit:
 
     def test_outermost_sphere_is_not_kept(self, t2, v_gens):
         # the radius-5 sphere holds 3,276 of the 4,209 elements; counted
-        # without being kept, it leaves only its dedup keys, and the traced
-        # peak is about 1.1 MB against 4.5 MB when it is kept
+        # without being listed, it leaves only its keys and masks in the one
+        # dict: the traced peak is about 0.58 MB, 0.61 MB when it is listed
+        # too, and it was 4.5 MB when a sphere kept its elements
         assert self._traced_peak(t2, v_gens, 5) < 3 * 2**20
 
     def test_expanded_sphere_is_released(self, t2, v_gens):
-        # each key of the radius-4 sphere is popped once it is expanded, and
-        # the keys hold no source letters: the traced peak is about 1.09 MB
-        # (0.96 MB when the sphere held elements, without the dict and the
-        # cache of shapes), 1.52 MB when the expanded sphere is kept until
-        # it is done
+        # each key of the radius-4 sphere is popped from its list once it is
+        # expanded, and the keys hold no source letters: the traced peak is
+        # about 0.58 MB, 0.59 MB when the list is kept until it is done, and
+        # 0.64 MB with a visited set and sphere dicts
         assert self._traced_peak(t2, v_gens, 5) < 1.25 * 2**20
 
     def test_spheres_hold_keys_not_elements(self, t2, v_gens):
-        # the radius-5 sphere waits to be expanded as 3,276 keys that the
-        # visited set holds anyway, each with a small int mask: the traced
-        # peak is about 3.43 MB, 4.29 MB when a sphere held its elements
+        # the radius-5 sphere waits to be expanded as a list of 3,276 keys
+        # that the one dict holds anyway with their masks: the traced peak is
+        # about 2.59 MB, 2.79 MB with a visited set and sphere dicts, and it
+        # was 4.29 MB when a sphere held its elements
         assert self._traced_peak(t2, v_gens, 6) < 3.75 * 2**20
 
     def test_skipped_inverse_keeps_counts(self, t2, s2, v_gens):
@@ -814,6 +815,24 @@ class TestPropernessAudit:
             assert calls["compose"] == slow_audit_composes(group, gens, radius)
 
         check()
+
+    def test_compose_counts_at_larger_radii(self, monkeypatch, t2, s2, v_gens):
+        # marks on keys already expanded are common only past radius 3; at
+        # the radii of the audit benchmark every edge out of a sphere or
+        # within one is still composed exactly once
+        calls = collections.Counter()
+        monkeypatch.setattr(zipper, "compose", counting(compose, calls))
+        over_s2 = [parse_element(format_element(g), s2) for g in v_gens] + [parse_element("e->e:1", s2)]
+        cases = [
+            (t2, v_gens, 6, [1, 8, 42, 201, 933, 4209, 18608], [1, 6, 13, 20, 22, 22, 22], 23494),
+            (s2, over_s2, 5, [1, 9, 55, 304, 1559, 7550], [1, 7, 22, 41, 44, 44], 10071),
+        ]
+        for group, gens, radius, balls, within_threshold, composes in cases:
+            calls.clear()
+            report = properness_audit(group, gens, radius=radius, threshold=4)
+            assert [row.ball_size for row in report.rows] == balls
+            assert within(report) == within_threshold
+            assert calls["compose"] == composes
 
     @pytest.mark.parametrize("group", [[5], ["0->1;1->0"], 5])
     def test_group_must_be_a_structure(self, group, v_gens):
