@@ -40,6 +40,10 @@ Each row of h either chains with the one row of g around its target, or
 precomposes the rows of g under the target with its similarity, pulling
 their source tails back through its germ.  `zipper` precomposes too, to
 twist a class and to strip a ball off its sources.
+
+The Cayley-ball audit composes through copies of its generators from
+`_memoizing`, which keep the image of every target word composed through
+them; no other element keeps one.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .errors import (
     IncompatibleElementsError,
@@ -224,6 +228,10 @@ class CanonicalElement(_Table):
     parse_element rather than directly: nothing here checks the rows.
     """
 
+    # each target word composed through this element, mapped to the rows
+    # it becomes; only the audit's copies from `_memoizing` keep one
+    _images: ClassVar[dict[Word, tuple[tuple[Word, Word, int], ...]] | None] = None
+
     @cached_property
     def _inverse(self) -> "CanonicalElement":
         # membership in gZ translates every class back by the inverse, so
@@ -360,6 +368,15 @@ def identity(group: SelfSimilarGroup) -> CanonicalElement:
     return CanonicalElement(group, (("", "", 0),))
 
 
+def _memoizing(g: CanonicalElement) -> CanonicalElement:
+    """A copy of g, equal to it, that keeps the image of each target word
+    composed through it: one `_covering` search per distinct target.  Only
+    the audit makes these, and it drops them on return."""
+    step = CanonicalElement(g.group, g._rows)
+    object.__setattr__(step, "_images", {})
+    return step
+
+
 def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     """g after h.
 
@@ -367,11 +384,30 @@ def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     is cut by g's sources, which are a complete code, into the rows of g
     under it; `_compose_rows` carries those back through the row of h.
     The result is reduced once.
+
+    A g from `_memoizing` keeps what `_compose_rows` makes of e -> t for
+    each target t it has met: one row e -> image, or g's rows under t with
+    t stripped, which `_precompose` moves onto each h-row's source.
     """
     if g.group != h.group:
         raise IncompatibleElementsError("cannot compose over different structures")
-    rows = _reduce_rows(g.group, _compose_rows(g, h._rows))
-    return CanonicalElement(g.group, rows)
+    group = g.group
+    images = g._images
+    if images is None:
+        rows = _compose_rows(g, h._rows)
+    else:
+        mul = group.mul
+        rows = []
+        for src, tgt, germ in h._rows:
+            image = images.get(tgt)
+            if image is None:
+                image = images[tgt] = tuple(_compose_rows(g, (("", tgt, 0),)))
+            if len(image) == 1:
+                _, path, z = image[0]
+                rows.append((src, path, mul[z][germ]))
+            else:
+                rows += _precompose(group, image, 0, src, germ)
+    return CanonicalElement(group, _reduce_rows(group, rows))
 
 
 def invert(g: CanonicalElement) -> CanonicalElement:

@@ -60,6 +60,7 @@ from .elements import (
     CanonicalElement,
     _checked_rows,
     _compose_rows,
+    _memoizing,
     _precompose,
     _reduce_rows,
     _Table,
@@ -364,7 +365,9 @@ def properness_audit(
 
     The outermost sphere is counted, not listed.  Memory holds one key and
     one mask per element reached, a list slot per key of the sphere being
-    expanded and of the next, and one tuple of sources per shape decoded.
+    expanded and of the next, one tuple of sources per shape decoded, and,
+    in each generator's copy from `elements._memoizing`, one image per
+    distinct target word composed through it, released with the call.
     """
     if not isinstance(group, SelfSimilarGroup):
         raise UnsupportedStructureError(f"group must be a SelfSimilarGroup, got {group!r}")
@@ -392,7 +395,7 @@ def properness_audit(
             inverses[h] = g
     position = {g: i for i, g in enumerate(inverses)}
     # each generator with its own mask bit and the bit of its inverse
-    steps = [(g, 1 << i, 1 << position[h]) for i, (g, h) in enumerate(inverses.items())]
+    steps = [(_memoizing(g), 1 << i, 1 << position[h]) for i, (g, h) in enumerate(inverses.items())]
 
     key = start.packed()
     seen = {key: 0}

@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import random
 import re
@@ -435,6 +436,69 @@ class TestRewriteKernel:
         # with this seed: 68 of 140 straddling h-rows have a germ other
         # than the identity
         assert straddled >= 50 and straddling_rows[True] >= 50
+
+
+class TestMemoizingCompose:
+    """`_memoizing` copies a generator for the audit: composing through the
+    copy reads each target's image from its memo, and no other element,
+    the caller's generators included, ever keeps one."""
+
+    def test_same_products_as_the_original(self, monkeypatch, t2, s2, t3, s3, klein, depth_two):
+        # right operands from the identity to deeper than the left one, so
+        # their targets both lie inside one row of g and straddle several;
+        # the second pass over the same pairs must search no source at all
+        rng = random.Random(3401)
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        searches = collections.Counter()
+        covering = elements._covering
+
+        def counted(sources, w):
+            searches["_covering"] += 1
+            return covering(sources, w)
+
+        for group in (t2, s2, t3, s3, klein, depth_two, sigma2):
+            depth = KERNEL_DEPTH[group.alphabet.size]
+            kinds = collections.Counter()
+            for _ in range(12):
+                g = random_element(group, rng, max_depth=depth)
+                hs = [random_element(group, rng, max_depth=rng.randint(0, depth + 1)) for _ in range(8)]
+                for h in hs:
+                    for _, tgt, germ in h._rows:
+                        kinds[covering(g._sources_depth[0], tgt) >= 0, germ != 0] += 1
+                want = [compose(g, h) for h in hs]
+                step = elements._memoizing(g)
+                assert step == g and hash(step) == hash(g) and "_images" not in vars(g)
+                monkeypatch.setattr(elements, "_covering", counted)
+                passes = []
+                for _ in range(2):
+                    searches.clear()
+                    got = [compose(step, h) for h in hs]
+                    assert got == want and [x._rows for x in got] == [x._rows for x in want], (group, g)
+                    assert all(type(r) is tuple for x in got for r in x._rows)
+                    passes.append(searches["_covering"])
+                monkeypatch.undo()
+                # one search per distinct target on the first pass, none on the second
+                targets = {t for h in hs for _, t, _ in h._rows}
+                assert passes == [len(targets), 0] and len(step._images) == len(targets)
+            assert kinds[True, False] and kinds[False, False], group
+            if group.size > 1:
+                assert kinds[True, True] and kinds[False, True], group
+
+    def test_no_memo_on_ordinary_elements(self, t2, s2, v_gens):
+        g = parse_element("00->1:1;01->01;1->00", s2)
+        h = parse_element("0->1:1;1->0:1", s2)
+        compose(g, h)
+        compose(h, g)
+        symdiff(g)
+        gens = list(v_gens)
+        report = properness_audit(t2, gens, radius=4, threshold=4)
+        assert [r.within_threshold for r in report.rows] == [1, 6, 13, 20, 22]
+        assert CanonicalElement._images is None
+        for x in [g, h] + gens + [invert(x) for x in gens]:
+            assert "_images" not in vars(x) and x._images is None, x
+        # the audit's own steps, and their memos, went with the call
+        gc.collect()
+        assert not [x for x in gc.get_objects() if isinstance(x, CanonicalElement) and "_images" in vars(x)]
 
 
 # operands over two structures: (operation, a thunk given the trivial and

@@ -3,11 +3,12 @@ import gc
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
 
-from localsim import zipper
+from localsim import elements, zipper
 from localsim import (
     CanonicalElement,
     InvalidClassError,
@@ -730,25 +731,55 @@ class TestPropernessAudit:
         assert within(report) == [1, 6, 13, 20, 22, 22, 22][: radius + 1]
         return peak
 
-    def test_outermost_sphere_is_not_kept(self, t2, v_gens):
-        # the radius-5 sphere holds 3,276 of the 4,209 elements; counted
-        # without being listed, it leaves only its keys and masks in the one
-        # dict: the traced peak is about 0.58 MB, 0.61 MB when it is listed
-        # too, and it was 4.5 MB when a sphere kept its elements
-        assert self._traced_peak(t2, v_gens, 5) < 3 * 2**20
+    @staticmethod
+    def _sphere_lists(monkeypatch, t2, v_gens, radius):
+        """For each key the audit decodes: the radius being reached, and the
+        lengths of the sphere list being expanded and of the next, read off
+        the audit's frame.  A few kilobytes of list are lost in the traced
+        peak among the keys of the one dict and the steps' images, so the
+        lists themselves are looked at."""
+        lists = []
+        unpack = zipper._unpack
 
-    def test_expanded_sphere_is_released(self, t2, v_gens):
-        # each key of the radius-4 sphere is popped from its list once it is
-        # expanded, and the keys hold no source letters: the traced peak is
-        # about 0.58 MB, 0.59 MB when the list is kept until it is done, and
-        # 0.64 MB with a visited set and sphere dicts
-        assert self._traced_peak(t2, v_gens, 5) < 1.25 * 2**20
+        def watched(group, key, shapes):
+            audit = sys._getframe(1).f_locals
+            lists.append((audit["r"], len(audit["frontier"]), len(audit["found"])))
+            return unpack(group, key, shapes)
+
+        monkeypatch.setattr(zipper, "_unpack", watched)
+        report = properness_audit(t2, v_gens, radius=radius, threshold=4)
+        assert within(report) == [1, 6, 13, 20, 22, 22, 22][: radius + 1]
+        return lists
+
+    def test_outermost_sphere_is_not_kept(self, monkeypatch, t2, v_gens):
+        # the radius-5 sphere holds 3,276 of the 4,209 elements; it is
+        # counted, and nothing is listed while it is reached.  The traced
+        # peak is about 0.71 MB, 0.74 MB when it is listed too, and it was
+        # 4.5 MB when a sphere kept its elements
+        lists = self._sphere_lists(monkeypatch, t2, v_gens, 5)
+        # the 732 keys of the radius-4 sphere are decoded while the last
+        # sphere is reached; the 159 before them while the list they are in
+        # fills
+        assert len(lists) == 933
+        assert [found for r, _, found in lists if r == 5] == [0] * 732
+        assert max(found for r, _, found in lists if r == 4) > 0
+
+    def test_expanded_sphere_is_released(self, monkeypatch, t2, v_gens):
+        # each key of a sphere is popped from its list as it is expanded, so
+        # the list shrinks by one key per element decoded.  The traced peak
+        # is about 0.71 MB, 0.72 MB when the list is kept until it is done
+        lists = self._sphere_lists(monkeypatch, t2, v_gens, 5)
+        balls = [1, 8, 42, 201, 933]
+        for r in range(1, 6):
+            sphere = balls[r - 1] - (balls[r - 2] if r > 1 else 0)
+            assert [left for s, left, _ in lists if s == r] == list(range(sphere - 1, -1, -1)), r
 
     def test_spheres_hold_keys_not_elements(self, t2, v_gens):
         # the radius-5 sphere waits to be expanded as a list of 3,276 keys
         # that the one dict holds anyway with their masks: the traced peak is
-        # about 2.59 MB, 2.79 MB with a visited set and sphere dicts, and it
-        # was 4.29 MB when a sphere held its elements
+        # about 2.80 MB, 0.21 MB of it the steps' images of their targets.
+        # Before those images it was 2.59 MB, 2.79 MB with a visited set and
+        # sphere dicts, and 4.29 MB when a sphere held its elements
         assert self._traced_peak(t2, v_gens, 6) < 3.75 * 2**20
 
     def test_skipped_inverse_keeps_counts(self, t2, s2, v_gens):
@@ -833,6 +864,19 @@ class TestPropernessAudit:
             assert [row.ball_size for row in report.rows] == balls
             assert within(report) == within_threshold
             assert calls["compose"] == composes
+
+    def test_composition_searches_once_per_distinct_target(self, monkeypatch, t2, s2, v_gens):
+        # each step keeps the image of every target composed through it, so
+        # the 148,226 rows the t2 audit composes cost 1,111 searches of a
+        # step's sources, and the s2 audit's 54,211 rows cost 724
+        calls = collections.Counter()
+        monkeypatch.setattr(elements, "_covering", counting(elements._covering, calls))
+        over_s2 = [parse_element(format_element(g), s2) for g in v_gens] + [parse_element("e->e:1", s2)]
+        for group, gens, radius, ball, searches in ((t2, v_gens, 6, 18608, 1111), (s2, over_s2, 5, 7550, 724)):
+            calls.clear()
+            report = properness_audit(group, gens, radius=radius, threshold=4)
+            assert report.rows[-1].ball_size == ball
+            assert calls["_covering"] == searches
 
     @pytest.mark.parametrize("group", [[5], ["0->1;1->0"], 5])
     def test_group_must_be_a_structure(self, group, v_gens):
