@@ -204,21 +204,36 @@ def _reduce_rows(group: SelfSimilarGroup, rows: Iterable[tuple[Word, Word, int]]
     return tuple(stack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Table:
     """A group and reduced rows sorted by source, as the plain triples every
     internal reader takes.  `rows` is a view of them as `Row`s, built on
-    first read and kept; a `Row` equals its triple, so equality is kept."""
+    first read and kept; a `Row` equals its triple, so equality is kept.
+
+    Both fields go straight into the instance dict, and the hash reads the
+    group's stored hash, so building or hashing a table calls nothing at
+    Python level beyond its own `__init__` or `__hash__`; the group's hash
+    is a fixed point of `hash`, so a table still hashes as (group, rows)
+    does.  The generated `__eq__` compares (group, rows) tuples, which
+    passes an identical group in C."""
 
     group: SelfSimilarGroup
     _rows: tuple[tuple[Word, Word, int], ...]
+
+    def __init__(self, group: SelfSimilarGroup, _rows: tuple[tuple[Word, Word, int], ...]):
+        d = self.__dict__
+        d["group"] = group
+        d["_rows"] = _rows
+
+    def __hash__(self) -> int:
+        return hash((self.group._hash, self._rows))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
         return tuple(map(_as_row, self._rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CanonicalElement(_Table):
     """A group element: its reduced rows, sorted by source, whose two
     columns are complete codes; equality here is equality of maps.  Its
@@ -373,7 +388,7 @@ def _memoizing(g: CanonicalElement) -> CanonicalElement:
     composed through it: one `_covering` search per distinct target.  Only
     the audit makes these, and it drops them on return."""
     step = CanonicalElement(g.group, g._rows)
-    object.__setattr__(step, "_images", {})
+    step.__dict__["_images"] = {}
     return step
 
 
@@ -389,9 +404,9 @@ def compose(g: CanonicalElement, h: CanonicalElement) -> CanonicalElement:
     each target t it has met: one row e -> image, or g's rows under t with
     t stripped, which `_precompose` moves onto each h-row's source.
     """
-    if g.group != h.group:
-        raise IncompatibleElementsError("cannot compose over different structures")
     group = g.group
+    if h.group is not group and h.group != group:
+        raise IncompatibleElementsError("cannot compose over different structures")
     images = g._images
     if images is None:
         rows = _compose_rows(g, h._rows)
@@ -430,7 +445,7 @@ def apply(g: CanonicalElement, x: Point) -> Point:
     image is built directly from the tail.
     """
     group = g.group
-    if x.alphabet != group.alphabet:
+    if x.alphabet is not group.alphabet and x.alphabet != group.alphabet:
         raise IncompatibleElementsError("point and element live over different alphabets")
     sources, depth = g._sources_depth
     i = _covering(sources, x.prefix(depth))
@@ -493,7 +508,8 @@ def enumerate_gamma(
     balls and m germs; above _MAX_CANDIDATES (100,000) the call raises
     UnsupportedStructureError, naming the count, before enumerating.
     """
-    if p_plus.alphabet != group.alphabet or p_minus.alphabet != group.alphabet:
+    alphabet = group.alphabet
+    if any(p.alphabet is not alphabet and p.alphabet != alphabet for p in (p_plus, p_minus)):
         raise IncompatibleElementsError("codes and structure live over different alphabets")
     if not p_plus.is_complete() or not p_minus.is_complete():
         raise InvalidCodeError("both codes must be complete")

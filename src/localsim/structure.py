@@ -80,7 +80,9 @@ class SelfSimilarGroup:
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "res", res)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((alphabet.size, mul, inv, act, res)))
+        # a fixed point of hash, so a table hashing (group._hash, rows) hashes
+        # as (group, rows) does
+        object.__setattr__(self, "_hash", hash(hash((alphabet.size, mul, inv, act, res))))
         # the first element with each letter action and restriction row: the
         # germ a sibling family of similarities merges into; and, for each
         # element whose restrictions are all itself, its act row, which is a
@@ -98,6 +100,10 @@ class SelfSimilarGroup:
         raise AttributeError("SelfSimilarGroup is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # rebuilt through __init__, as the slots refuse to be set one by one
+        return SelfSimilarGroup, (self.alphabet, self.mul, self.inv, self.act, self.res, self.name)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -396,7 +402,7 @@ def germ_apply(group: SelfSimilarGroup, elem: int, x: Point) -> Point:
     state evolves; since there are finitely many states, repeated passes
     over the period cycle, and the detected cycle is the output period.
     """
-    if x.alphabet != group.alphabet:
+    if x.alphabet is not group.alphabet and x.alphabet != group.alphabet:
         raise IncompatibleElementsError("point and germ live over different alphabets")
     if not _is_int(elem) or not 0 <= elem < group.size:
         raise MalformedStructureError(f"no element {elem!r} in {group!r}")

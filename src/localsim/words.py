@@ -265,9 +265,10 @@ def _absorb(pre: Word, per: Word) -> tuple[Word, Word]:
 def _trusted_point(alphabet: Alphabet, preperiod: Word, period: Word) -> Point:
     # internal fast path: letters already checked, parts already canonical
     x = object.__new__(Point)
-    object.__setattr__(x, "alphabet", alphabet)
-    object.__setattr__(x, "preperiod", preperiod)
-    object.__setattr__(x, "period", period)
+    d = x.__dict__
+    d["alphabet"] = alphabet
+    d["preperiod"] = preperiod
+    d["period"] = period
     return x
 
 
@@ -350,6 +351,7 @@ class PrefixCode:
 def _trusted_code(alphabet: Alphabet, words: tuple[Word, ...]) -> PrefixCode:
     # internal fast path: letters already checked, words sorted and an antichain
     x = object.__new__(PrefixCode)
-    object.__setattr__(x, "alphabet", alphabet)
-    object.__setattr__(x, "words", words)
+    d = x.__dict__
+    d["alphabet"] = alphabet
+    d["words"] = words
     return x

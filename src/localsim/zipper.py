@@ -77,7 +77,7 @@ from .structure import SelfSimilarGroup
 from .words import Word, _covering, _is_int, _overlap, _under, is_complete_code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EmbeddingClass(_Table):
     """Canonical representative of an embedding class: its reduced rows,
     sorted by source, whose `rows` are `Row`s, a view built on first read.
@@ -188,7 +188,7 @@ def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
     that one straddled target, which never merge, as `gz_member` proves.
     Either way it is reduced as it stands.
     """
-    if g.group != e.group:
+    if e.group is not g.group and e.group != g.group:
         raise IncompatibleElementsError("element and class over different structures")
     rows = _compose_rows(g, e._rows)
     if len(e._rows) > 1:
@@ -212,7 +212,7 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     looked up among h's cached sources first, and the class is translated
     only when none straddles.
     """
-    if g.group != e.group:
+    if e.group is not g.group and e.group != g.group:
         raise IncompatibleElementsError("element and class over different structures")
     h = g._inverse
     sources = h._sources_depth[0]
@@ -387,7 +387,7 @@ def properness_audit(
     for g in generators:
         if not isinstance(g, CanonicalElement):
             raise UnsupportedStructureError(f"generators must hold elements, got {g!r}")
-        if g.group != group:
+        if g.group is not group and g.group != group:
             raise IncompatibleElementsError("generator over a different structure")
         if g != start and g not in inverses:
             h = invert(g)

@@ -10,6 +10,7 @@ import pytest
 from localsim import (
     Alphabet,
     CanonicalElement,
+    EmbeddingClass,
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
@@ -192,6 +193,31 @@ class TestRowsView:
                     self._check(x)
                     classes += not isinstance(x, CanonicalElement)
             assert classes > 100, group
+
+    def test_table_protocol_over_every_producer(self, t2, s2, t3, s3, klein, depth_two):
+        # a table hashes its group's stored hash, a fixed point of hash,
+        # with its rows, so its hash is that of (group, rows); its
+        # hand-written __init__ leaves it frozen, and the two kinds of
+        # table never equal each other
+        rng = random.Random(3202)
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        kinds = collections.Counter()
+        for group in (t2, s2, t3, s3, klein, depth_two, sigma2):
+            assert hash(group._hash) == group._hash == hash(group)
+            shapes = {}
+            for _ in range(3):
+                for x in self._tables(group, rng, shapes):
+                    assert hash(x) == hash((x.group, x._rows)) == hash((x.group, x.rows)), x
+                    for name in ("group", "_rows", "rows", "other"):
+                        with pytest.raises(AttributeError):
+                            setattr(x, name, None)
+                        with pytest.raises(AttributeError):
+                            delattr(x, name)
+                    other = EmbeddingClass if isinstance(x, CanonicalElement) else CanonicalElement
+                    twin = other(x.group, x._rows)
+                    assert twin != x and x != twin and hash(twin) == hash(x), x
+                    kinds[type(x)] += 1
+        assert set(kinds) == {CanonicalElement, EmbeddingClass}
 
     def test_audit_builds_no_row(self, t2, v_gens, monkeypatch):
         calls = collections.Counter()

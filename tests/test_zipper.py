@@ -1,6 +1,8 @@
 import collections
+import copy
 import gc
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -10,15 +12,21 @@ import pytest
 
 from localsim import elements, zipper
 from localsim import (
+    Alphabet,
     CanonicalElement,
+    IncompatibleElementsError,
     InvalidClassError,
+    Point,
     Row,
+    SelfSimilarGroup,
     UnsupportedStructureError,
     act_on_eclass,
+    apply,
     canonical_eclass,
     cocycle_identity_defect,
     compose,
     format_element,
+    germ_apply,
     gz_member,
     identity,
     incl_class,
@@ -29,9 +37,12 @@ from localsim import (
     parse_element,
     properness_audit,
     random_element,
+    random_point,
     reduce,
     separating_walls,
     symdiff,
+    symmetric_group,
+    trivial_group,
     wall_separation,
     z_member,
     zipper_length,
@@ -239,8 +250,9 @@ class TestCanonicalClasses:
             canonical_eclass(t2, [((0,), (0,), 0), ((1,), (0, 1), 0)], ())
 
     def test_hash_agrees_with_equality_and_is_stable(self, s2):
-        # the hash is cached on first use; equal classes built apart must
-        # still hash alike, and using one as a dict key must not change it
+        # nothing caches the hash: each call hashes the group's stored hash
+        # with the rows.  Equal classes built apart must still hash alike,
+        # and using one as a dict key must not change it
         rows = [((0,), (1, 0), 1), ((1,), (0,), 0)]
         a = canonical_eclass(s2, rows, ())
         b = canonical_eclass(s2, rows, ())
@@ -936,3 +948,125 @@ class TestNowalls:
     def test_bad_count(self, t2):
         with pytest.raises(UnsupportedStructureError, match="count must be >= 1"):
             nowalls_demo(t2, 0)
+
+
+class TestProtocolCalls:
+    """The hot paths compare structures and alphabets by identity first, so
+    over one structure object they make no Python-level `__eq__` call; equal
+    structures built apart still pass through `==`, and differing ones still
+    raise."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """calls["SelfSimilarGroup"] and calls["Alphabet"] count the calls
+        of each class's `__eq__` from here on."""
+        calls = collections.Counter()
+        for cls in (SelfSimilarGroup, Alphabet):
+
+            def eq(a, b, name=cls.__name__, f=cls.__eq__):
+                calls[name] += 1
+                return f(a, b)
+
+            monkeypatch.setattr(cls, "__eq__", eq)
+        return calls
+
+    def test_audit_loop_compares_no_structure(self, t2, v_gens, monkeypatch):
+        calls = self._counted(monkeypatch)
+        properness_audit(t2, v_gens, radius=0, threshold=4)
+        entry = sum(calls.values())
+        report = properness_audit(t2, v_gens, radius=4, threshold=4)
+        assert within(report) == [1, 6, 13, 20, 22]
+        # at most one check per generator at entry, and none in the loop
+        assert entry <= len(v_gens)
+        assert sum(calls.values()) == 2 * entry
+
+    def test_zipper_paths_compare_no_structure(self, t2, s2, t3, s3, monkeypatch):
+        rng = random.Random(3501)
+        cases = [
+            (random_element(group, rng, max_depth=3), random_element(group, rng, max_depth=3), random_point(group.alphabet, rng))
+            for group in (t2, s2, t3, s3)
+            for _ in range(7)
+        ]
+        calls = self._counted(monkeypatch)
+        for g, h, x in cases:
+            assert cocycle_identity_defect(g, h) == 0
+            assert wall_separation(g, h) == len(symdiff(compose(invert(g), h)))
+            assert apply(invert(g), apply(g, x)) == x
+            assert germ_apply(g.group, g.group.size - 1, x).alphabet is x.alphabet
+        assert calls == {}
+
+    def test_equal_structures_built_apart_still_mix(self, s3, monkeypatch):
+        twin = symmetric_group(3)
+        assert twin is not s3 and twin == s3 and twin.alphabet is not s3.alphabet
+        rng = random.Random(3502)
+        calls = self._counted(monkeypatch)
+        for _ in range(8):
+            g, h = random_element(s3, rng, max_depth=3), random_element(s3, rng, max_depth=3)
+            g2, h2 = (parse_element(format_element(x), twin) for x in (g, h))
+            assert compose(g, h2) == compose(g2, h) == compose(g, h)
+            for e in list(symdiff(h)) + [incl_class(s3, "\0")]:
+                e2 = canonical_eclass(twin, e._rows, "")
+                assert act_on_eclass(g, e2) == act_on_eclass(g2, e) == act_on_eclass(g, e)
+                assert gz_member(g, e2) == gz_member(g2, e) == gz_member(g, e)
+            x = random_point(s3.alphabet, rng)
+            x2 = Point(twin.alphabet, x.preperiod, x.period)
+            assert apply(g, x2) == apply(g2, x) == apply(g, x)
+            assert germ_apply(s3, 4, x2) == germ_apply(twin, 4, x)
+        assert calls["SelfSimilarGroup"] > 0 and calls["Alphabet"] > 0
+
+    def test_different_structures_still_raise(self, t2, s2, t3):
+        g = parse_element("0->1;1->0", t2)
+        other = parse_element("0->1;1->0", s2)
+        for call in (
+            lambda: compose(g, other),
+            lambda: compose(other, g),
+            lambda: act_on_eclass(g, incl_class(s2, "\0")),
+            lambda: gz_member(g, incl_class(s2, "\0")),
+            lambda: apply(g, t3.alphabet.parse_point("(0)")),
+            lambda: germ_apply(t2, 0, t3.alphabet.parse_point("(0)")),
+            lambda: properness_audit(t2, [other], radius=1, threshold=4),
+        ):
+            with pytest.raises(IncompatibleElementsError):
+                call()
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+class TestPickling:
+    """Structures rebuild themselves through their constructor, so they,
+    and every value holding one, pickle and deep-copy; a copy is equal to
+    the original and mixes with it."""
+
+    @pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_structures_round_trip(self, copier, t2, s2, t3, s3, klein, depth_two):
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"), name="sigma2.aut")
+        for group in (t2, s2, t3, s3, klein, depth_two, sigma2):
+            twin = copier(group)
+            assert twin is not group and twin == group and hash(twin) == hash(group), group
+            assert twin.name == group.name and twin.alphabet == group.alphabet
+            assert twin._by_action == group._by_action and twin._letterwise == group._letterwise
+            assert twin.validate() == {}
+
+    @pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_elements_classes_and_reports_round_trip(self, copier, t2, s3):
+        report = nowalls_demo(t2, 4)
+        twin = copier(report)
+        assert twin == report and twin.ok and twin.first_class.group is not t2
+        rng = random.Random(3503)
+        for group in (t2, s3):
+            for _ in range(5):
+                g, h = random_element(group, rng, max_depth=3), random_element(group, rng, max_depth=3)
+                # the cached views travel with the element
+                assert g.rows and g._inverse is not None
+                g2 = copier(g)
+                assert g2 == g and hash(g2) == hash(g) and g2.group is not group
+                assert g2.rows == g.rows and g2._inverse == g._inverse
+                assert compose(g2, h) == compose(g, h) and compose(h, g2) == compose(h, g)
+                assert compose(g2, g._inverse) == compose(g, g2._inverse) == identity(group)
+                for e in list(symdiff(h)) + [incl_class(group, "\0")]:
+                    e2 = copier(e)
+                    assert e2 == e and hash(e2) == hash(e) and e2.group is not group
+                    assert act_on_eclass(g2, e) == act_on_eclass(g, e2) == act_on_eclass(g, e)
+                    assert gz_member(g2, e) == gz_member(g, e2) == gz_member(g, e)
