@@ -11,7 +11,7 @@ classes; the signed difference is the value of a 1-cocycle at g, its
 support size is a length function, and the classes in the difference are
 the walls separating the orbit points Z and gZ.
 
-Each quantity has one derivation.  `symdiff` reads the difference off the
+Each quantity has one derivation.  `_entries` reads the difference off the
 maximal partitions.  Each ball properly containing a maximal ball of the
 inverse loses its inclusion class.  The gained classes are a translate by
 definition, gZ ∖ Z = g(Z ∖ g⁻¹Z): each ball B properly containing a
@@ -27,11 +27,17 @@ inverse, so `gz_member` decides it at that target's search, and
 `max_partition` hands out the element's cached sources, so the partitions
 are walked once and never re-checked.
 
-`act_on_eclass` is the translation everywhere else, in `gz_member` and in
-`_translate`, and it reduces the composed rows only for a class of two
-rows or more.  A one-row class is an inclusion class, with source e; its
-translate is either one row, or the pieces of its one straddled target,
-which never merge, by the proof in `gz_member`.
+The gained rows come out reduced but not twist minimized.  `symdiff`
+minimizes them as they are; `_moved`, the one translation of a
+difference, used by the cocycle identity and the walls, composes them
+with the translating element first and minimizes once, which is exact
+by the argument in its docstring.
+
+`act_on_eclass` is the translation everywhere else, in `gz_member` and for
+the vacated classes in `_moved`, and it reduces the composed rows only for
+a class of two rows or more.  A one-row class is an inclusion class, with
+source e; its translate is either one row, or the pieces of its one
+straddled target, which never merge, by the proof in `gz_member`.
 
 A class is canonical as the least of its right twists, and row lists
 compare by their first rows first.  For a structure that passes
@@ -45,16 +51,14 @@ or none besides the identity, are built and compared in full.
 The entries are the internal nodes of the two maximal-partition trees, and
 a complete code of n balls over d letters has (n-1)/(d-1) internal nodes,
 so `zipper_length` is the closed form 2(n-1)/(d-1); the test suite checks
-it against the size of `symdiff`.  A signed support is a plain dict from
-classes to +-1; `_translate` is the one translation of a support, used by
-the cocycle identity and by the separating walls.
+it against the size of `symdiff`, a plain dict from classes to +-1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .elements import (
     CanonicalElement,
@@ -222,10 +226,36 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     return z_member(act_on_eclass(h, e))
 
 
-def _translate(support: dict[EmbeddingClass, int], g: CanonicalElement) -> dict[EmbeddingClass, int]:
-    """The g-translate of a signed support: each class moved by g, its
-    value kept.  g permutes the classes, so no two land on one."""
-    return {act_on_eclass(g, e): v for e, v in support.items()}
+def _entries(g: CanonicalElement) -> tuple[list[EmbeddingClass], list[list[tuple[Word, Word, int]]]]:
+    """The two sides of the difference of gZ and Z, derived as `symdiff`
+    describes: the vacated inclusion classes, each checked to lie outside
+    gZ, and the gained classes as g's rows under each ball with the ball
+    stripped, reduced and sorted but not twist minimized, each checked to
+    have two rows or more."""
+    group = g.group
+    vacated = []
+    for b in max_partition(g._inverse).proper_prefixes():
+        e = EmbeddingClass(group, (("", b, 0),))
+        if gz_member(g, e):
+            raise InvalidClassError("vacated inclusion class failed its membership check")
+        vacated.append(e)
+    sources, d = g._sources_depth[0], group.alphabet.size
+    gained = []
+    for b in max_partition(g).proper_prefixes():
+        lo, hi = _under(sources, b, d)
+        rows = _precompose(group, g._rows[lo:hi], len(b), "", 0)
+        if len(rows) < 2:
+            raise InvalidClassError("translated class failed its membership check")
+        gained.append(rows)
+    return vacated, gained
+
+
+def _signed(g: CanonicalElement) -> list[tuple[EmbeddingClass, int]]:
+    """The entries of `symdiff(g)` as (class, sign) pairs, for a caller
+    that keys them by rows."""
+    vacated, gained = _entries(g)
+    group = g.group
+    return [(e, -1) for e in vacated] + [(_eclass(group, rows), 1) for rows in gained]
 
 
 def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
@@ -248,21 +278,31 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     order is not part of the contract; sort by the classes' rows where
     order matters.
     """
+    vacated, gained = _entries(g)
     group = g.group
-    out: dict[EmbeddingClass, int] = {}
-    for b in max_partition(g._inverse).proper_prefixes():
-        e = EmbeddingClass(group, (("", b, 0),))
-        if gz_member(g, e):
-            raise InvalidClassError("vacated inclusion class failed its membership check")
-        out[e] = -1
-    sources, d = g._sources_depth[0], group.alphabet.size
-    for b in max_partition(g).proper_prefixes():
-        lo, hi = _under(sources, b, d)
-        e = _eclass(group, _precompose(group, g._rows[lo:hi], len(b), "", 0))
-        if z_member(e):
-            raise InvalidClassError("translated class failed its membership check")
-        out[e] = 1
+    out = dict.fromkeys(vacated, -1)
+    for rows in gained:
+        out[_eclass(group, rows)] = 1
     return out
+
+
+def _moved(g: CanonicalElement, h: CanonicalElement) -> Iterator[tuple[EmbeddingClass, int]]:
+    """The entries of `symdiff(h)` moved by g, as (class, sign) pairs made
+    one at a time; g permutes the classes, so no two land on one.
+
+    A vacated class is moved by `act_on_eclass`.  A gained class is moved
+    from h's raw rows r: composed with g, reduced, and minimized once.
+    That is exact because translation is well defined on classes: the
+    canonical representative of r's class is rs for a right twist s, and
+    g(rs) = (gr)s, so gr lies in the translate of that class, and reduced
+    and minimized it is the translate's canonical representative.
+    """
+    vacated, gained = _entries(h)
+    group = g.group
+    for e in vacated:
+        yield act_on_eclass(g, e), -1
+    for rows in gained:
+        yield _eclass(group, _reduce_rows(group, _compose_rows(g, rows))), 1
 
 
 def zipper_length(g: CanonicalElement) -> int:
@@ -281,14 +321,26 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     The identity predicts the value at g1*g2 as the g1-translate of the
     value at g2 plus the value at g1.  All three sides are finitely
     supported, so comparing them over the union of supports is exact; a
-    prediction of 0 and a missing entry compare equal.  Each class at g1*g2
-    is popped from the prediction, one lookup; what is left counts if nonzero.
+    prediction of 0 and a missing entry compare equal.  One tally, keyed by
+    the classes' plain row tuples, which hash in C, adds the prediction and
+    subtracts the value at g1*g2, dropping each class that reaches 0, so
+    what is left counts.  `_moved` translates the value at g2, which is
+    never built as a map.  The composition comes first, so elements over
+    different structures raise before any class is built.
     """
-    lhs = symdiff(compose(g1, g2))
-    pred = symdiff(g1)
-    for e, v in _translate(symdiff(g2), g1).items():
-        pred[e] = pred.get(e, 0) + v
-    return sum(pred.pop(e, 0) != v for e, v in lhs.items()) + sum(1 for v in pred.values() if v)
+    product = compose(g1, g2)
+    tally: dict[tuple[tuple[Word, Word, int], ...], int] = {}
+
+    def add(entries: Iterable[tuple[EmbeddingClass, int]], sign: int) -> None:
+        for e, v in entries:
+            left = tally.pop(e._rows, 0) + sign * v
+            if left:
+                tally[e._rows] = left
+
+    add(_signed(product), -1)
+    add(_signed(g1), 1)
+    add(_moved(g1, g2), 1)
+    return len(tally)
 
 
 # -- walls --------------------------------------------------------------------
@@ -311,10 +363,11 @@ def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[E
     are the g1-translate of the symmetric difference of h = g1^-1 g2, with
     the signs flipped: a +1 entry lies in hZ only, so its translate lies in
     g2Z only, and a -1 entry lies in Z only, so its translate lies in g1Z
-    only.
+    only.  `_moved` translates them.  The composition comes first, so
+    elements over different structures raise before any class is built.
     """
-    walls = _translate(symdiff(compose(g1._inverse, g2)), g1)
-    return sorted(((e, -v) for e, v in walls.items()), key=lambda ev: ev[0]._rows)
+    walls = _moved(g1, compose(g1._inverse, g2))
+    return sorted(((e, -v) for e, v in walls), key=lambda ev: ev[0]._rows)
 
 
 # -- the Cayley-ball audit ------------------------------------------------------

@@ -448,16 +448,22 @@ class TestSymdiff:
 
         check()
 
-    def test_failed_membership_check_raises(self, x0, monkeypatch):
+    def test_failed_membership_check_raises(self, x0, x1, monkeypatch):
         # the checks are exceptions, not asserts, so they also run under -O;
-        # a -1 entry must lie outside gZ, a +1 entry outside Z
-        monkeypatch.setattr(zipper, "gz_member", lambda g, e: True)
-        with pytest.raises(InvalidClassError, match="^vacated inclusion class failed its membership check$"):
-            symdiff(x0)
-        monkeypatch.undo()
-        monkeypatch.setattr(zipper, "z_member", lambda e: True)
-        with pytest.raises(InvalidClassError, match="^translated class failed its membership check$"):
-            symdiff(x0)
+        # a -1 entry must lie outside gZ, a +1 entry outside Z.  Every path
+        # that builds entries checks them: symdiff, the cocycle identity and
+        # the separating walls.  The second mutant hands the +1 check one
+        # row of g under each ball, a class inside Z
+        paths = (lambda: symdiff(x0), lambda: cocycle_identity_defect(x0, x1), lambda: separating_walls(x0, x1))
+        for path in paths:
+            monkeypatch.setattr(zipper, "gz_member", lambda g, e: True)
+            with pytest.raises(InvalidClassError, match="^vacated inclusion class failed its membership check$"):
+                path()
+            monkeypatch.undo()
+            monkeypatch.setattr(zipper, "_under", lambda sources, b, d: (0, 1))
+            with pytest.raises(InvalidClassError, match="^translated class failed its membership check$"):
+                path()
+            monkeypatch.undo()
 
     def test_one_membership_check_per_entry_and_no_composition(self, t2, monkeypatch):
         # a -1 entry costs one gz_member call and no composition, and a +1
@@ -554,51 +560,89 @@ class TestCocycle:
 
     @staticmethod
     def _perturbed(monkeypatch, configurations, x0, x1, perturb):
-        """Pairs (g1, g2) with g2 moving some class, under a `_translate`
-        whose result `perturb` changes; each pair's defect is then 1."""
-        translate = zipper._translate
-        monkeypatch.setattr(zipper, "_translate", lambda support, g: perturb(translate(support, g), g.group))
-        rng = random.Random(3202)
-        pairs = [(x0, x1), (x1, x0), (identity(x0.group), x0)]
-        for i, group in enumerate(configurations, 1):
-            while len(pairs) < 3 + 8 * i:
-                g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
-                if zipper_length(g2):
-                    pairs.append((g1, g2))
-        return [cocycle_identity_defect(g1, g2) for g1, g2 in pairs]
+        """Pairs (g1, g2) with g2 moving some class, under a `_moved`, the
+        translation of g2's entries by g1, whose (class, sign) pairs
+        `perturb` changes; each pair's defect is then 1.  The pairs' moved
+        entries list the -1 classes first and end on a +1 class."""
+        moved = zipper._moved
+        with monkeypatch.context() as m:
+            m.setattr(zipper, "_moved", lambda g, h: perturb(list(moved(g, h)), g.group))
+            rng = random.Random(3202)
+            pairs = [(x0, x1), (x1, x0), (identity(x0.group), x0)]
+            for i, group in enumerate(configurations, 1):
+                while len(pairs) < 3 + 8 * i:
+                    g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
+                    if zipper_length(g2):
+                        pairs.append((g1, g2))
+            return [cocycle_identity_defect(g1, g2) for g1, g2 in pairs]
 
     def test_defect_counts_a_dropped_class(self, monkeypatch, configurations, x0, x1):
         # the class either was predicted alone or cancelled a class of the
-        # value at g1; either way it now disagrees, and nothing else does
-        defects = self._perturbed(monkeypatch, configurations, x0, x1, lambda moved, _: dict(list(moved.items())[1:]))
-        assert defects == [1] * len(defects)
+        # value at g1; either way it now disagrees, and nothing else does.
+        # The first entry dropped is a -1 class, the last a +1 class
+        for drop in (lambda moved, _: moved[1:], lambda moved, _: moved[:-1]):
+            defects = self._perturbed(monkeypatch, configurations, x0, x1, drop)
+            assert defects == [1] * len(defects)
 
     def test_defect_counts_a_flipped_sign(self, monkeypatch, configurations, x0, x1):
-        def flip(moved, _):
-            first = next(iter(moved))
-            return {**moved, first: -moved[first]}
+        def flip(at):
+            def perturb(moved, _):
+                e, v = moved[at]
+                moved[at] = (e, -v)
+                return moved
 
-        defects = self._perturbed(monkeypatch, configurations, x0, x1, flip)
-        assert defects == [1] * len(defects)
+            return perturb
+
+        for at in (0, -1):
+            defects = self._perturbed(monkeypatch, configurations, x0, x1, flip(at))
+            assert defects == [1] * len(defects)
 
     def test_defect_counts_a_spurious_class_but_no_zero(self, monkeypatch, configurations, x0, x1):
         # classes far deeper than any of the supports: one predicted with a
-        # value, one predicted as 0, which a missing entry equals
-        def spurious(moved, group):
-            deep = group.alphabet.size * 6
-            return {**moved, incl_class(group, "\0" * deep): 1, incl_class(group, "\1" * deep): 0}
+        # value of either sign, one predicted as 0, which a missing entry
+        # equals
+        def spurious(sign):
+            def perturb(moved, group):
+                deep = group.alphabet.size * 6
+                return [*moved, (incl_class(group, "\0" * deep), sign), (incl_class(group, "\1" * deep), 0)]
 
-        defects = self._perturbed(monkeypatch, configurations, x0, x1, spurious)
-        assert defects == [1] * len(defects)
+            return perturb
 
-    def test_translate_matches_pullback(self, x0, x1):
-        # the translated support evaluates by pulling the class back
-        values = symdiff(x1)
-        moved = zipper._translate(values, x0)
-        assert len(moved) == len(values)
-        back = invert(x0)
-        for e, v in moved.items():
-            assert values[act_on_eclass(back, e)] == v
+        for sign in (1, -1):
+            defects = self._perturbed(monkeypatch, configurations, x0, x1, spurious(sign))
+            assert defects == [1] * len(defects)
+
+    def test_gained_rows_translate_as_their_class(self, t2, s2, t3, s3, klein, s3_conjugated, depth_two):
+        # the exactness of `_moved`: h's raw gained rows r, not twist
+        # minimized, composed with g, reduced and minimized give the
+        # translate of r's canonical class; the seeded run must hold raw
+        # rows that differ from their canonical class, or the lemma is idle.
+        # The whole translated difference is symdiff(h) moved by g, and it
+        # evaluates by pulling each class back.  g runs over a random
+        # element and h's inverse, which takes each gained class back to
+        # an inclusion class, so the composed rows must merge
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        rng = random.Random(3601)
+        structures = (t2, t3, s2, s3, klein, s3_conjugated, depth_two, sigma2)
+        twisted = [0] * len(structures)
+        for i, group in enumerate(structures):
+            for _ in range(25):
+                h = random_element(group, rng, max_depth=3)
+                for g in (random_element(group, rng, max_depth=3), invert(h)):
+                    for rows in zipper._entries(h)[1]:
+                        e = zipper._eclass(group, rows)
+                        got = zipper._eclass(group, _reduce_rows(group, _compose_rows(g, rows)))
+                        assert got == act_on_eclass(g, e), rows
+                        twisted[i] += e._rows != tuple(rows)
+                    values = symdiff(h)
+                    moved = list(zipper._moved(g, h))
+                    assert dict(moved) == {act_on_eclass(g, e): v for e, v in values.items()}
+                    assert len(moved) == len(values)
+                    back = invert(g)
+                    assert all(values[act_on_eclass(back, e)] == v for e, v in moved)
+        # with this seed: none over t2 and t3, and 38 to 134 over each
+        # structure with germs
+        assert twisted[:2] == [0, 0] and min(twisted[2:]) >= 20, twisted
 
 
 class TestWalls:
@@ -1014,12 +1058,21 @@ class TestProtocolCalls:
             assert germ_apply(s3, 4, x2) == germ_apply(twin, 4, x)
         assert calls["SelfSimilarGroup"] > 0 and calls["Alphabet"] > 0
 
-    def test_different_structures_still_raise(self, t2, s2, t3):
+    def test_different_structures_still_raise(self, t2, s2, t3, monkeypatch):
+        # the cocycle and the walls compose first, so they raise before any
+        # entry of a difference is derived
+        monkeypatch.setattr(zipper, "_entries", lambda g: pytest.fail("entries derived before the structure check"))
         g = parse_element("0->1;1->0", t2)
         other = parse_element("0->1;1->0", s2)
         for call in (
             lambda: compose(g, other),
             lambda: compose(other, g),
+            lambda: cocycle_identity_defect(g, other),
+            lambda: cocycle_identity_defect(other, g),
+            lambda: wall_separation(g, other),
+            lambda: wall_separation(other, g),
+            lambda: separating_walls(g, other),
+            lambda: separating_walls(other, g),
             lambda: act_on_eclass(g, incl_class(s2, "\0")),
             lambda: gz_member(g, incl_class(s2, "\0")),
             lambda: apply(g, t3.alphabet.parse_point("(0)")),
