@@ -50,8 +50,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from operator import itemgetter
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
@@ -64,16 +65,20 @@ from .errors import (
 )
 from .structure import SelfSimilarGroup, germ_apply
 from .words import (
+    _LETTER_DIGITS,
     Point,
     PrefixCode,
     Word,
     _canonical,
     _covering,
     _is_int,
+    _literal_text,
     _overlap,
+    _scan_word,
     _trusted_code,
     _trusted_point,
     _under,
+    _word_syntax,
     is_complete_code,
 )
 
@@ -532,29 +537,52 @@ def enumerate_gamma(
 # -- literals ----------------------------------------------------------------
 
 
-def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
-    """Parse 'v->w[:germ](;v->w[:germ])*' and return the reduced element.
+@cache
+def _row_scanner(d: int) -> re.Pattern:
+    """The pattern of one row of an element literal over d letters, d <= 11
+    (every larger alphabet spells its words alike): a row starts at the
+    beginning of the text or after a ';', and holds the source and target
+    words as `_word_syntax` spells them and the germ's digits if there is
+    one, with whitespace allowed around every token."""
+    word = _word_syntax(d)
+    return re.compile(rf"(?<![^;])\s*({word})\s*->\s*({word})\s*(?::\s*([0-9]+)\s*)?")
 
-    'id' is accepted for the identity.  Germs are element ids of the
-    structure in ASCII decimal digits, no more than `int()` converts; a
-    missing germ means the identity germ.  Each distinct word text is
-    parsed, and its letters validated, once by `Alphabet.parse_word`;
-    sources and targets spelled alike share one str.  The rows are not
-    checked again: sorted, they go through the one column check and
-    reduction `reduce` ends in, so both columns must be complete codes and
-    InvalidCodeError lists what it found otherwise.
-    """
-    if text.strip() == "id":
-        return identity(group)
-    alphabet = group.alphabet
-    words: dict[str, Word] = {}
 
-    def word(t: str) -> Word:
-        w = words.get(t)
-        if w is None:
-            w = words[t] = alphabet.parse_word(t)
-        return w
+def _scan_rows(text: str, group: SelfSimilarGroup) -> list[tuple[Word, Word, int]] | None:
+    """The rows of a literal, in its order, read by one scan of the text, or
+    None if the scan refuses it.  The rows must tile the text: each starts
+    one ';' past the end of the last, and the last ends at the text's
+    length (an end anchor would not do: `$` also matches before a trailing
+    newline).  Every letter and germ must be in range; `_scan_word`
+    converts each word, a digit word with one translate, and a target
+    spelled as its source shares the source's str."""
+    d = group.alphabet.size
+    size = group.size
+    rows = []
+    pos = 0  # where the next row must start
+    try:
+        for m in _row_scanner(min(d, 11)).finditer(text):
+            start, stop = m.span()
+            if start != pos:
+                return None
+            pos = stop + 1
+            s, t, germ = m.groups()
+            src = _scan_word(s, d)
+            tgt = src if t == s else _scan_word(t, d)
+            germ = int(germ) if germ else 0
+            if src is None or tgt is None or germ >= size:
+                return None
+            rows.append((src, tgt, germ))
+    except ValueError:  # a germ of more digits than int() converts
+        return None
+    return rows if pos == len(text) + 1 else None
 
+
+def _walk_rows(text: str, group: SelfSimilarGroup) -> list[tuple[Word, Word, int]]:
+    """The rows of a literal, in its order, read row by row, so that the
+    first thing wrong raises, located by the row and the column where it
+    starts.  Each word goes through `Alphabet.parse_word`."""
+    parse = group.alphabet.parse_word
     rows = []
     offset = 0
     for rownum, chunk in enumerate(text.split(";")):
@@ -576,28 +604,57 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
                 msg = f"germ name of {len(germ_txt)} digits is too long"
                 raise LiteralParseError(msg, row=rownum, column=col) from None
         try:
-            src = word(left)
-            tgt = word(right)
+            src = parse(left)
+            tgt = parse(right)
         except LiteralParseError as e:
             raise LiteralParseError(str(e), row=rownum, column=col) from None
         if not 0 <= germ < group.size:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
         rows.append((src, tgt, germ))
+    return rows
+
+
+def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
+    """Parse 'v->w[:germ](;v->w[:germ])*' and return the reduced element.
+
+    'id' is accepted for the identity.  Germs are element ids of the
+    structure in ASCII decimal digits, no more than `int()` converts; a
+    missing germ means the identity germ.  Whitespace is allowed around
+    every token.  The literal is read by one scan, `_scan_rows`, which
+    checks the form of the whole text and every letter and germ, in time
+    and memory linear in its length, and keeps no copy of the text.  Only a
+    literal the scan refuses is read again, row by row, by `_walk_rows`,
+    which raises LiteralParseError (or `check_word`'s MalformedWordError)
+    at the first thing wrong, with its row and column.  The rows are not
+    checked again: sorted, they go through the one column check and
+    reduction `reduce` ends in, so both columns must be complete codes and
+    InvalidCodeError lists what it found otherwise.
+    """
+    rows = _scan_rows(_literal_text(text, "an element"), group)
+    if rows is None:
+        if text.strip() == "id":
+            return identity(group)
+        rows = _walk_rows(text, group)
     rows.sort(key=_source)
     return _element(group, rows)
 
 
 def format_element(g) -> str:
     """The literal of an element, or of an embedding class's representative,
-    read off its plain rows, so no `Row` view is built."""
+    read off its plain rows, so no `Row` view is built.  Over at most ten
+    letters a word's letters are chr(0) to chr(9), which no other character
+    of a literal is, so the rows are joined as they are and one translate
+    over the result spells every letter as its digit."""
     alphabet = g.group.alphabet
-    parts = []
-    for src, tgt, germ in g._rows:
-        row = f"{alphabet.format_word(src)}->{alphabet.format_word(tgt)}"
-        if germ:
-            row += f":{germ}"
-        parts.append(row)
-    return ";".join(parts)
+    if alphabet.size <= 10:
+        return ";".join(
+            f"{src or 'e'}->{tgt or 'e'}:{germ}" if germ else f"{src or 'e'}->{tgt or 'e'}"
+            for src, tgt, germ in g._rows
+        ).translate(_LETTER_DIGITS)
+    fmt = alphabet.format_word
+    return ";".join(
+        f"{fmt(src)}->{fmt(tgt)}:{germ}" if germ else f"{fmt(src)}->{fmt(tgt)}" for src, tgt, germ in g._rows
+    )
 
 
 # -- randomness ---------------------------------------------------------------

@@ -13,12 +13,16 @@ what they mean for letter sequences.  No word is ever encoded: from
 55,296 letters on, some letters are surrogate code points.  The alphabet
 is passed where an operation actually needs to know d; it has at most
 0x10FFFF letters, so that every letter and the bound chr(d) are code
-points.  Letters are validated once, where a word enters the library: in
-`Alphabet.parse_word` for literals, and by `check_word` wherever a public
-constructor or function takes a word (`Point`, `PrefixCode`, `reduce`,
-...); `check_word` also takes any iterable of int letters.  Words derived
-from checked ones (suffixes, rotations, table rows, images under a germ)
-are not checked again.
+points.  Letters are validated once, where a word enters the library.  The
+words of an element literal are checked by the scan that reads the whole
+literal: `_word_syntax` matches only the alphabet's own digits in a digit
+word, and `_scan_word` range-checks the letters of a bracket word.
+`Alphabet.parse_word` checks the words of a point literal, and names what
+is wrong with an element literal the scan refuses.  `check_word` checks a
+word wherever a public constructor or function takes one (`Point`,
+`PrefixCode`, `reduce`, ...), and also takes any iterable of int letters.
+Words derived from checked ones (suffixes, rotations, table rows, images
+under a germ) are not checked again.
 
 A sorted prefix code lists its tree in preorder, and two searches over
 it serve every lookup in the library.  The code word that is a prefix of
@@ -32,6 +36,7 @@ extension of b and before every other word after b (`_under`).
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
@@ -41,11 +46,15 @@ from .errors import InvalidCodeError, LiteralParseError, MalformedWordError
 Word = str
 
 # ASCII digit <-> letter, so that a word over at most ten letters converts
-# in one call either way
+# in one call either way; reading deletes 'e', so that the empty word's
+# spelling converts in the same call
 _DIGITS = "0123456789"
 _LETTERS = "".join(map(chr, range(10)))
-_DIGIT_LETTERS = str.maketrans(_DIGITS, _LETTERS)
+_DIGIT_LETTERS = str.maketrans(_DIGITS, _LETTERS, "e")
 _LETTER_DIGITS = str.maketrans(_LETTERS, _DIGITS)
+
+# the letters of a bracket word that `_word_syntax` matched
+_LETTER_RUN = re.compile("[0-9]+")
 
 # the largest alphabet: its letters and the bound chr(d) that `_under`
 # appends are all code points
@@ -66,6 +75,36 @@ def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield ln, raw, line
+
+
+def _literal_text(text, kind: str) -> str:
+    """The text of a literal, which must be a str; `kind` names the literal."""
+    if not isinstance(text, str):
+        raise LiteralParseError(f"{kind} literal is a str, got {type(text).__name__}")
+    return text
+
+
+def _word_syntax(d: int) -> str:
+    """The regex, with no group, of a word literal over d letters, without
+    the whitespace allowed around it: 'e', a bracket word, or for d <= 10 a
+    word of the alphabet's own digits, so that a digit out of range does
+    not match.  Letters are ASCII decimal digits, so `[0-9]`, never `\\d`,
+    which takes other scripts' digits too.  `_scan_word` converts a match."""
+    bracket = r"\[\s*[0-9]+(?:\s*,\s*[0-9]+)*\s*\]"
+    return rf"e|{bracket}" if d > 10 else rf"e|{bracket}|[0-{d - 1}]+"
+
+
+def _scan_word(t: str, d: int) -> Word | None:
+    """The word that t, a match of `_word_syntax(d)`, spells; None if t is
+    a bracket word with a letter out of range or of more digits than
+    `int()` converts, which `Alphabet.parse_word` names."""
+    if t[0] != "[":
+        return t.translate(_DIGIT_LETTERS)
+    try:
+        word = "".join(map(chr, map(int, _LETTER_RUN.findall(t))))
+    except (ValueError, OverflowError):  # too many digits, or past the last code point
+        return None
+    return word if max(word) < chr(d) else None
 
 
 def _overlap(sorted_words: tuple[Word, ...]) -> tuple[Word, Word] | None:
@@ -131,14 +170,15 @@ class Alphabet:
     def parse_word(self, text: str) -> Word:
         """Parse a word literal: digits for d <= 10, '[a,b,...]' otherwise, 'e' empty.
 
-        Letters are ASCII decimal digits only.  This is where a literal's
-        letters are validated, once: a digit word is range-checked on the
-        string and converted in one call, and a bracket word goes through
-        `check_word`.  Out-of-range letters raise `check_word`'s
-        MalformedWordError either way; a bracket letter with more digits
-        than `int()` converts raises LiteralParseError.
+        Letters are ASCII decimal digits only, as in `_word_syntax`.  This
+        is where a point literal's letters are validated, and where a word
+        of an element literal that the scan refuses is named: a digit word
+        is range-checked on the string and converted in one call, and a
+        bracket word goes through `check_word`.  Out-of-range letters raise
+        `check_word`'s MalformedWordError either way; a bracket letter with
+        more digits than `int()` converts raises LiteralParseError.
         """
-        t = text.strip()
+        t = _literal_text(text, "a word").strip()
         if t == "e":
             return ""
         if t.startswith("["):
@@ -173,7 +213,7 @@ class Alphabet:
 
     def parse_point(self, text: str) -> "Point":
         """Parse 'prefix(period)', e.g. '01(10)'; the prefix may be absent."""
-        t = text.strip()
+        t = _literal_text(text, "a point").strip()
         i = t.find("(")
         if i < 0 or not t.endswith(")"):
             raise LiteralParseError(f"point literal must look like 'prefix(period)', got {text!r}")

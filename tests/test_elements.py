@@ -15,6 +15,7 @@ from localsim import (
     InvalidCodeError,
     LiteralParseError,
     MalformedStructureError,
+    MalformedWordError,
     Point,
     PrefixCode,
     Row,
@@ -812,6 +813,83 @@ class TestGammaRefinementUnion:
         assert union == everything
 
 
+def ten_rows(old: str, new: str) -> str:
+    """The identity over ten letters, one row a letter, with one row respelled."""
+    return ";".join(f"{a}->{a}" for a in range(10)).replace(old, new, 1)
+
+
+# literals that a scan of the whole text could read wrongly, each raising
+# as the row walk does: (name, structure, text, error type, whole message)
+SCAN_TRAPS = (
+    # converting before checking would read chr(5) and '\t', chr(9), as letters
+    ("control character as a word", trivial_group(10), ten_rows("5->5", "\x05->5"), LiteralParseError,
+     "bad word literal '\\x05' (row 5, column 26)"),
+    ("tab inside a word", trivial_group(10), ten_rows("1->1", "1\t1->1"), LiteralParseError,
+     "bad word literal '1\\t1' (row 1, column 6)"),
+    ("tab as a word", trivial_group(10), ten_rows("9->9", "9->\t"), LiteralParseError,
+     "bad word literal '' (row 9, column 46)"),
+    ("NUL after a word", trivial_group(10), ten_rows("2->2", "2->2\x00"), LiteralParseError,
+     "bad word literal '2\\x00' (row 2, column 11)"),
+    # `\d` would take these
+    ("Arabic-Indic digit", trivial_group(10), ten_rows("7->7", "\u0667->7"), LiteralParseError,
+     "bad word literal '\u0667' (row 7, column 36)"),
+    ("fullwidth digit", trivial_group(10), ten_rows("7->7", "7->\uff17"), LiteralParseError,
+     "bad word literal '\uff17' (row 7, column 36)"),
+    ("Arabic-Indic bracket letter", trivial_group(12), "[0]->[0];[1]->[\u0661];[2]->[2]", LiteralParseError,
+     "bad bracket word '[\u0661]' (row 1, column 10)"),
+    # `$` would match before the newline
+    ("empty row before a final newline", trivial_group(2), "0->1;1->0;\n", LiteralParseError,
+     "row needs 'source->target', got '' (row 2, column 11)"),
+    ("germ of 5000 digits", symmetric_group(2), "0->1;1->0: " + "1" * 5000 + " ", LiteralParseError,
+     "germ name of 5000 digits is too long (row 1, column 6)"),
+    ("germ out of range once stripped", symmetric_group(2), "0->1;1->0:\t2 ", LiteralParseError,
+     "no germ 2 in the structure (row 1, column 6)"),
+    ("id and a row", trivial_group(2), "id;0->1", LiteralParseError,
+     "row needs 'source->target', got 'id' (row 0, column 1)"),
+    ("empty text", trivial_group(2), "", LiteralParseError, "row needs 'source->target', got '' (row 0, column 1)"),
+    ("leading semicolon", trivial_group(2), ";0->1;1->0", LiteralParseError,
+     "row needs 'source->target', got '' (row 0, column 1)"),
+    ("bracket letter out of range", trivial_group(12), "[0]->[0];[1]->[12]", MalformedWordError,
+     "letter 12 out of range for alphabet of size 12"),
+    ("bracket letter too long", trivial_group(12), "[0]->[0];[1]->[1," + "9" * 5000 + "]", LiteralParseError,
+     "bracket letter of 5000 digits is too long (row 1, column 10)"),
+)
+
+# literals that are no str: (text, the whole message)
+NOT_TEXT = (
+    (5, "an element literal is a str, got int"),
+    (None, "an element literal is a str, got NoneType"),
+    (b"0->1;1->0", "an element literal is a str, got bytes"),
+)
+
+# whitespace that a literal may hold around its tokens
+SPACING = ("", " ", "  ", "\t", "\n", "\x0b", "\u3000")
+
+
+def respellings(g: CanonicalElement, rng: random.Random) -> tuple[str, str, str]:
+    """Three spellings of g's literal that `format_element` does not write:
+    whitespace around every '->', ';' and ':'; every word in brackets, with
+    whitespace inside; every germ with leading zeros."""
+    fmt = g.group.alphabet.format_word
+
+    def space() -> str:
+        return rng.choice(SPACING)
+
+    def bracket(w: str) -> str:
+        return "[" + ",".join(f"{space()}{ord(a)}{space()}" for a in w) + "]" if w else "e"
+
+    def germ(z: int, spelled: str) -> str:
+        return f":{spelled}" if z else ""
+
+    spaced = ";".join(
+        f"{space()}{fmt(s)}{space()}->{space()}{fmt(t)}{space()}{germ(z, f'{space()}{z}{space()}')}"
+        for s, t, z in g.rows
+    )
+    bracketed = ";".join(f"{bracket(s)}->{bracket(t)}{germ(z, str(z))}" for s, t, z in g.rows)
+    zeros = ";".join(f"{fmt(s)}->{fmt(t)}:{'0' * rng.randrange(1, 4)}{z}" for s, t, z in g.rows)
+    return spaced, bracketed, zeros
+
+
 class TestLiterals:
     def test_round_trip_fixtures(self, x0, x1, rot, flip):
         for g in (x0, x1, rot, flip):
@@ -819,10 +897,44 @@ class TestLiterals:
 
     def test_round_trip_random(self, configurations):
         rng = random.Random(61)
-        for group in configurations:
+        for group in configurations + [trivial_group(12)]:
             for _ in range(50):
-                g = random_element(group, rng, max_depth=4)
+                g = random_element(group, rng, max_depth=4 if group.alphabet.size <= 3 else 2)
                 assert parse_element(format_element(g), group) == g
+
+    def test_every_spelling_parses_through_the_scan(self, configurations, t2, monkeypatch):
+        # the row walk only names what is wrong with a literal the scan refuses
+        def refused(text, group):
+            pytest.fail(f"the scan refused {text!r}")
+
+        monkeypatch.setattr(elements, "_walk_rows", refused)
+        rng = random.Random(67)
+        for group in configurations + [trivial_group(12)]:
+            for _ in range(40):
+                g = random_element(group, rng, max_depth=KERNEL_DEPTH.get(group.alphabet.size, 2))
+                assert parse_element(format_element(g), group) == g
+                for text in respellings(g, rng):
+                    assert parse_element(text, group) == g, text
+        for text in ("0->1;1->0\n", "\n0->1\x1c;\x0b1->0\u3000", "\u20030\u2003->\u20031\u2003;1->0:0\n"):
+            assert parse_element(text, t2) == parse_element("0->1;1->0", t2), text
+
+    def test_target_spelled_as_its_source_shares_its_str(self, t2):
+        # so an identity comb's rows hold each word once
+        rows = elements._scan_rows("00->00;01->1;1->01", t2)
+        assert rows == [("\0\0", "\0\0", 0), ("\0\1", "\1", 0), ("\1", "\0\1", 0)]
+        assert rows[0][1] is rows[0][0]
+
+    @pytest.mark.parametrize("group, text, error, message", [c[1:] for c in SCAN_TRAPS], ids=[c[0] for c in SCAN_TRAPS])
+    def test_scan_traps_raise_as_the_row_walk(self, group, text, error, message):
+        with pytest.raises(error) as err:
+            parse_element(text, group)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", NOT_TEXT, ids=[type(c[0]).__name__ for c in NOT_TEXT])
+    def test_literal_that_is_no_str_rejected(self, t2, text, message):
+        with pytest.raises(LiteralParseError) as err:
+            parse_element(text, t2)
+        assert str(err.value) == message
 
     def test_round_trip_generated(self, configurations):
         hypothesis = pytest.importorskip("hypothesis")

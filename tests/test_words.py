@@ -193,6 +193,10 @@ BAD_LITERALS = (
     (2, "point", "01()", LiteralParseError, "bad word literal ''"),
     (2, "point", "01(e)", LiteralParseError, "point literal needs a nonempty period"),
     (12, "point", "([0,1)", LiteralParseError, "unterminated bracket word '[0,1'"),
+    (2, "word", 5, LiteralParseError, "a word literal is a str, got int"),
+    (2, "word", b"01", LiteralParseError, "a word literal is a str, got bytes"),
+    (2, "point", 5, LiteralParseError, "a point literal is a str, got int"),
+    (2, "point", None, LiteralParseError, "a point literal is a str, got NoneType"),
 )
 
 
