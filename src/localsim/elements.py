@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from operator import itemgetter
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     IncompatibleElementsError,
@@ -539,21 +539,22 @@ def enumerate_gamma(
 
 @cache
 def _row_scanner(d: int) -> re.Pattern:
-    """The pattern of one row of an element literal over d letters, d <= 11
-    (every larger alphabet spells its words alike): a row starts at the
-    beginning of the text or after a ';', and holds the source and target
-    words as `_word_syntax` spells them and the germ's digits if there is
-    one, with whitespace allowed around every token."""
+    """The pattern of one whole row of an element literal over d letters,
+    d <= 11 (every larger alphabet spells its words alike): from the text's
+    start or a ';' to the next ';' or the text's end (no character but ';'
+    may precede or follow it; `$` would match before a final newline), the
+    source and target words as `_word_syntax` spells them and the germ's
+    digits if there is one, with whitespace allowed around every token."""
     word = _word_syntax(d)
-    return re.compile(rf"(?<![^;])\s*({word})\s*->\s*({word})\s*(?::\s*([0-9]+)\s*)?")
+    return re.compile(rf"(?<![^;])\s*({word})\s*->\s*({word})\s*(?::\s*([0-9]+)\s*)?(?![^;])")
 
 
-def _scan_rows(text: str, group: SelfSimilarGroup) -> list[tuple[Word, Word, int]] | None:
-    """The rows of a literal, in its order, read by one scan of the text, or
-    None if the scan refuses it.  The rows must tile the text: each starts
-    one ';' past the end of the last, and the last ends at the text's
-    length (an end anchor would not do: `$` also matches before a trailing
-    newline).  Every letter and germ must be in range; `_scan_word`
+def _scan_rows(text: str, group: SelfSimilarGroup) -> tuple[list[tuple[Word, Word, int]], int]:
+    """The rows of a literal, in its order, read by one scan of the text,
+    and where the scan stopped: one past the text's end if it read every
+    row, else the start of the first row it refuses, which follows the rows
+    it returns.  The rows must tile the text: each starts one ';' past the
+    end of the last.  Every letter and germ must be in range; `_scan_word`
     converts each word, a digit word with one translate, and a target
     spelled as its source shares the source's str."""
     d = group.alphabet.size
@@ -564,54 +565,50 @@ def _scan_rows(text: str, group: SelfSimilarGroup) -> list[tuple[Word, Word, int
         for m in _row_scanner(min(d, 11)).finditer(text):
             start, stop = m.span()
             if start != pos:
-                return None
-            pos = stop + 1
+                break
             s, t, germ = m.groups()
             src = _scan_word(s, d)
             tgt = src if t == s else _scan_word(t, d)
             germ = int(germ) if germ else 0
             if src is None or tgt is None or germ >= size:
-                return None
+                break
             rows.append((src, tgt, germ))
+            pos = stop + 1
     except ValueError:  # a germ of more digits than int() converts
-        return None
-    return rows if pos == len(text) + 1 else None
+        pass
+    return rows, pos
 
 
-def _walk_rows(text: str, group: SelfSimilarGroup) -> list[tuple[Word, Word, int]]:
-    """The rows of a literal, in its order, read row by row, so that the
-    first thing wrong raises, located by the row and the column where it
-    starts.  Each word goes through `Alphabet.parse_word`."""
-    parse = group.alphabet.parse_word
-    rows = []
-    offset = 0
-    for rownum, chunk in enumerate(text.split(";")):
-        col = offset + 1
-        offset += len(chunk) + 1
-        part = chunk.strip()
-        if "->" not in part:
-            raise LiteralParseError(f"row needs 'source->target', got {part!r}", row=rownum, column=col)
-        left, right = part.split("->", 1)
-        germ = 0
-        if ":" in right:
-            right, germ_txt = right.split(":", 1)
-            germ_txt = germ_txt.strip()
-            if not (germ_txt.isascii() and germ_txt.isdigit()):
-                raise LiteralParseError(f"bad germ name {germ_txt!r}", row=rownum, column=col)
-            try:
-                germ = int(germ_txt)
-            except ValueError:  # more digits than int() converts
-                msg = f"germ name of {len(germ_txt)} digits is too long"
-                raise LiteralParseError(msg, row=rownum, column=col) from None
+def _refuse_row(text: str, start: int, row: int, group: SelfSimilarGroup) -> NoReturn:
+    """Raise what is wrong with the `row`-th row of a literal, which starts
+    at `start`, where the scan stopped: LiteralParseError located by the row
+    and the column where it starts, or `check_word`'s MalformedWordError.
+    Only that row is read, each word by `Alphabet.parse_word`."""
+    end = text.find(";", start)
+    part = text[start : end if end >= 0 else len(text)].strip()
+    col = start + 1
+    if "->" not in part:
+        raise LiteralParseError(f"row needs 'source->target', got {part!r}", row=row, column=col)
+    left, right = part.split("->", 1)
+    germ = 0
+    if ":" in right:
+        right, germ_txt = right.split(":", 1)
+        germ_txt = germ_txt.strip()
+        if not (germ_txt.isascii() and germ_txt.isdigit()):
+            raise LiteralParseError(f"bad germ name {germ_txt!r}", row=row, column=col)
         try:
-            src = parse(left)
-            tgt = parse(right)
-        except LiteralParseError as e:
-            raise LiteralParseError(str(e), row=rownum, column=col) from None
-        if not 0 <= germ < group.size:
-            raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
-        rows.append((src, tgt, germ))
-    return rows
+            germ = int(germ_txt)
+        except ValueError:  # more digits than int() converts
+            raise LiteralParseError(f"germ name of {len(germ_txt)} digits is too long", row=row, column=col) from None
+    try:
+        for word in (left, right):
+            group.alphabet.parse_word(word)
+    except LiteralParseError as e:
+        raise LiteralParseError(str(e), row=row, column=col) from None
+    if not 0 <= germ < group.size:
+        raise LiteralParseError(f"no germ {germ} in the structure", row=row, column=col)
+    # not reached: the scan accepts every row that passes these checks
+    raise LiteralParseError(f"row {part!r} is refused", row=row, column=col)
 
 
 def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
@@ -620,21 +617,22 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     'id' is accepted for the identity.  Germs are element ids of the
     structure in ASCII decimal digits, no more than `int()` converts; a
     missing germ means the identity germ.  Whitespace is allowed around
-    every token.  The literal is read by one scan, `_scan_rows`, which
-    checks the form of the whole text and every letter and germ, in time
-    and memory linear in its length, and keeps no copy of the text.  Only a
-    literal the scan refuses is read again, row by row, by `_walk_rows`,
-    which raises LiteralParseError (or `check_word`'s MalformedWordError)
-    at the first thing wrong, with its row and column.  The rows are not
-    checked again: sorted, they go through the one column check and
+    every token.  The literal is read once, by one scan, `_scan_rows`,
+    which checks the form of the whole text and every letter and germ, in
+    time and memory linear in its length, and keeps no copy of the text.
+    A refused literal is named at the row where the scan stopped:
+    `_refuse_row` reads that row alone and raises LiteralParseError, with
+    its row and column, or `check_word`'s MalformedWordError.  The rows are
+    not checked again: sorted, they go through the one column check and
     reduction `reduce` ends in, so both columns must be complete codes and
     InvalidCodeError lists what it found otherwise.
     """
-    rows = _scan_rows(_literal_text(text, "an element"), group)
-    if rows is None:
+    text = _literal_text(text, "an element literal")
+    rows, stop = _scan_rows(text, group)
+    if stop <= len(text):
         if text.strip() == "id":
             return identity(group)
-        rows = _walk_rows(text, group)
+        _refuse_row(text, stop, len(rows), group)
     rows.sort(key=_source)
     return _element(group, rows)
 

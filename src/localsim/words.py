@@ -13,16 +13,16 @@ what they mean for letter sequences.  No word is ever encoded: from
 55,296 letters on, some letters are surrogate code points.  The alphabet
 is passed where an operation actually needs to know d; it has at most
 0x10FFFF letters, so that every letter and the bound chr(d) are code
-points.  Letters are validated once, where a word enters the library.  The
-words of an element literal are checked by the scan that reads the whole
-literal: `_word_syntax` matches only the alphabet's own digits in a digit
-word, and `_scan_word` range-checks the letters of a bracket word.
-`Alphabet.parse_word` checks the words of a point literal, and names what
-is wrong with an element literal the scan refuses.  `check_word` checks a
-word wherever a public constructor or function takes one (`Point`,
-`PrefixCode`, `reduce`, ...), and also takes any iterable of int letters.
-Words derived from checked ones (suffixes, rotations, table rows, images
-under a germ) are not checked again.
+points.  Letters are validated once, where a word enters the library.  An
+element literal is read once, by a scan that checks its words: in a digit
+word `_word_syntax` matches only the alphabet's own digits, and `_scan_word`
+range-checks a bracket word's letters.  A refused literal is named at the
+row where the scan stopped, which alone is read again: `Alphabet.parse_word`,
+which checks the words of a point literal, names a word fault there.
+`check_word` checks a word wherever a public constructor or function takes
+one (`Point`, `PrefixCode`, `reduce`, ...), and also takes any iterable of
+int letters.  Words derived from checked ones (suffixes, rotations, table
+rows, images under a germ) are not checked again.
 
 A sorted prefix code lists its tree in preorder, and two searches over
 it serve every lookup in the library.  The code word that is a prefix of
@@ -70,17 +70,17 @@ def _is_int(v) -> bool:
 def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
     """The line rule of every data file: '#' starts a comment, lines blank
     after that are skipped, and lines count from 1.  Yields (line number,
-    raw line, text before the comment, stripped)."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    raw line, text before the comment, stripped).  The text must be a str."""
+    for ln, raw in enumerate(_literal_text(text, "a data file's text").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield ln, raw, line
 
 
-def _literal_text(text, kind: str) -> str:
-    """The text of a literal, which must be a str; `kind` names the literal."""
+def _literal_text(text, what: str) -> str:
+    """The text of a literal or a data file, which must be a str; `what` names it."""
     if not isinstance(text, str):
-        raise LiteralParseError(f"{kind} literal is a str, got {type(text).__name__}")
+        raise LiteralParseError(f"{what} is a str, got {type(text).__name__}")
     return text
 
 
@@ -171,14 +171,14 @@ class Alphabet:
         """Parse a word literal: digits for d <= 10, '[a,b,...]' otherwise, 'e' empty.
 
         Letters are ASCII decimal digits only, as in `_word_syntax`.  This
-        is where a point literal's letters are validated, and where a word
-        of an element literal that the scan refuses is named: a digit word
-        is range-checked on the string and converted in one call, and a
-        bracket word goes through `check_word`.  Out-of-range letters raise
+        validates a point literal's letters, and names a word fault in the
+        row where an element literal's scan stopped: a digit word is
+        range-checked on the string and converted in one call, and a bracket
+        word goes through `check_word`.  Out-of-range letters raise
         `check_word`'s MalformedWordError either way; a bracket letter with
         more digits than `int()` converts raises LiteralParseError.
         """
-        t = _literal_text(text, "a word").strip()
+        t = _literal_text(text, "a word literal").strip()
         if t == "e":
             return ""
         if t.startswith("["):
@@ -213,7 +213,7 @@ class Alphabet:
 
     def parse_point(self, text: str) -> "Point":
         """Parse 'prefix(period)', e.g. '01(10)'; the prefix may be absent."""
-        t = _literal_text(text, "a point").strip()
+        t = _literal_text(text, "a point literal").strip()
         i = t.find("(")
         if i < 0 or not t.endswith(")"):
             raise LiteralParseError(f"point literal must look like 'prefix(period)', got {text!r}")

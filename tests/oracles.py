@@ -21,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from localsim import (
     CanonicalElement,
     EmbeddingClass,
+    LiteralParseError,
     PrefixCode,
     Row,
     compose,
@@ -220,6 +221,46 @@ def coarsenings(code: PrefixCode) -> list[tuple[Word, ...]]:
         for q in _complete_codes(code.alphabet.size, depth)
         if all(any(w[: len(u)] == u for u in q) for w in words)
     ]
+
+
+def walk_literal(text: str, group: SelfSimilarGroup) -> CanonicalElement:
+    """An element literal read by splitting the whole text into rows and
+    walking them in order, each word through `Alphabet.parse_word`, so the
+    first thing wrong raises, located by its row and the column where the
+    row starts; the rows then go through `reduce`.  'id' alone is the
+    identity."""
+    if text.strip() == "id":
+        return identity(group)
+    parse = group.alphabet.parse_word
+    rows = []
+    offset = 0
+    for rownum, chunk in enumerate(text.split(";")):
+        col = offset + 1
+        offset += len(chunk) + 1
+        part = chunk.strip()
+        if "->" not in part:
+            raise LiteralParseError(f"row needs 'source->target', got {part!r}", row=rownum, column=col)
+        left, right = part.split("->", 1)
+        germ = 0
+        if ":" in right:
+            right, germ_txt = right.split(":", 1)
+            germ_txt = germ_txt.strip()
+            if not (germ_txt.isascii() and germ_txt.isdigit()):
+                raise LiteralParseError(f"bad germ name {germ_txt!r}", row=rownum, column=col)
+            try:
+                germ = int(germ_txt)
+            except ValueError:
+                msg = f"germ name of {len(germ_txt)} digits is too long"
+                raise LiteralParseError(msg, row=rownum, column=col) from None
+        try:
+            src = letters(parse(left))
+            tgt = letters(parse(right))
+        except LiteralParseError as e:
+            raise LiteralParseError(str(e), row=rownum, column=col) from None
+        if not 0 <= germ < group.size:
+            raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
+        rows.append((src, tgt, germ))
+    return reduce(group, rows)
 
 
 def slow_reduce_rows(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:

@@ -336,6 +336,15 @@ def test_data_line_rule(fmt, variant):
     assert str(err.value) == message.format(len(with_bad))
 
 
+@pytest.mark.parametrize("text", [5, None, b"alphabet 2\n"], ids=["int", "NoneType", "bytes"])
+@pytest.mark.parametrize("fmt", DATA_FORMATS)
+def test_data_file_that_is_no_str_rejected(fmt, text):
+    # the shared line rule checks the argument before reading a line
+    with pytest.raises(LiteralParseError) as err:
+        DATA_FORMATS[fmt][1](text)
+    assert str(err.value) == f"a data file's text is a str, got {type(text).__name__}"
+
+
 class TestAuditCommand:
     def test_threshold_zero(self, capsys):
         code, out, _ = run(capsys, "audit", "--gens", "v.gens", "--radius", "3", "--threshold", "0")

@@ -14,6 +14,7 @@ from localsim import (
     IncompatibleElementsError,
     InvalidCodeError,
     LiteralParseError,
+    LocalSimError,
     MalformedStructureError,
     MalformedWordError,
     Point,
@@ -59,6 +60,7 @@ from oracles import (
     slow_expand_at,
     slow_reduce_rows,
     stepwise_apply_letters,
+    walk_literal,
 )
 
 
@@ -819,7 +821,8 @@ def ten_rows(old: str, new: str) -> str:
 
 
 # literals that a scan of the whole text could read wrongly, each raising
-# as the row walk does: (name, structure, text, error type, whole message)
+# as the whole-text row walk `oracles.walk_literal` does: (name, structure,
+# text, error type, whole message)
 SCAN_TRAPS = (
     # converting before checking would read chr(5) and '\t', chr(9), as letters
     ("control character as a word", trivial_group(10), ten_rows("5->5", "\x05->5"), LiteralParseError,
@@ -903,11 +906,11 @@ class TestLiterals:
                 assert parse_element(format_element(g), group) == g
 
     def test_every_spelling_parses_through_the_scan(self, configurations, t2, monkeypatch):
-        # the row walk only names what is wrong with a literal the scan refuses
-        def refused(text, group):
-            pytest.fail(f"the scan refused {text!r}")
+        # the refused row is only read to name what is wrong with it
+        def refused(text, start, row, group):
+            pytest.fail(f"the scan refused row {row} of {text!r}")
 
-        monkeypatch.setattr(elements, "_walk_rows", refused)
+        monkeypatch.setattr(elements, "_refuse_row", refused)
         rng = random.Random(67)
         for group in configurations + [trivial_group(12)]:
             for _ in range(40):
@@ -920,9 +923,61 @@ class TestLiterals:
 
     def test_target_spelled_as_its_source_shares_its_str(self, t2):
         # so an identity comb's rows hold each word once
-        rows = elements._scan_rows("00->00;01->1;1->01", t2)
+        text = "00->00;01->1;1->01"
+        rows, stop = elements._scan_rows(text, t2)
         assert rows == [("\0\0", "\0\0", 0), ("\0\1", "\1", 0), ("\1", "\0\1", 0)]
+        assert stop == len(text) + 1
         assert rows[0][1] is rows[0][0]
+
+    def test_mutated_literals_read_as_the_row_walk(self, t2, s2, t3, s3):
+        # one character inserted, deleted or replaced anywhere in a literal:
+        # the scan and the refused row's reading give the element, or the
+        # exception type, message, row and column, of the whole-text walk
+        def outcome(read, text, group):
+            try:
+                return read(text, group)
+            except LocalSimError as e:
+                return type(e), str(e), getattr(e, "row", None), getattr(e, "column", None)
+
+        rng = random.Random(71)
+        pool = "0123456789;:->e[],  \t\nx\x05\u0661\uff11"
+        kinds = collections.Counter()
+        for group in (t2, s2, t3, s3, trivial_group(10), trivial_group(12)):
+            texts = ["id", " id\n"]
+            for _ in range(12):
+                g = random_element(group, rng, max_depth=KERNEL_DEPTH.get(group.alphabet.size, 2))
+                texts += (format_element(g), *respellings(g, rng))
+            for text in texts:
+                assert outcome(parse_element, text, group) == outcome(walk_literal, text, group), text
+                for _ in range(6):
+                    i = rng.randrange(len(text) + 1)
+                    op = rng.choice(("insert", "delete", "replace")) if i < len(text) else "insert"
+                    new = "" if op == "delete" else rng.choice(pool)
+                    mutant = text[:i] + new + text[i + (op != "insert") :]
+                    want = outcome(walk_literal, mutant, group)
+                    assert outcome(parse_element, mutant, group) == want, mutant
+                    kinds[want[0] if isinstance(want, tuple) else CanonicalElement] += 1
+        assert set(kinds) == {CanonicalElement, LiteralParseError, MalformedWordError, InvalidCodeError}, kinds
+
+    def test_refused_comb_reads_only_the_refused_row(self, t2, monkeypatch):
+        # the 2000-leaf identity comb with a stray last character: the scan
+        # stops at the last row, and only that row's two words are parsed
+        n = 2000
+        comb = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
+        text = ";".join(f"{w}->{w}" for w in comb) + "x"
+        calls = []
+        parse_word = Alphabet.parse_word
+
+        def counted(self, word):
+            calls.append(len(word))
+            return parse_word(self, word)
+
+        monkeypatch.setattr(Alphabet, "parse_word", counted)
+        with pytest.raises(LiteralParseError) as err:
+            parse_element(text, t2)
+        assert str(err.value) == f"bad word literal '{comb[-1]}x' (row 1999, column 4003998)"
+        assert (err.value.row, err.value.column) == (1999, 4003998)
+        assert calls == [n - 1, n]
 
     @pytest.mark.parametrize("group, text, error, message", [c[1:] for c in SCAN_TRAPS], ids=[c[0] for c in SCAN_TRAPS])
     def test_scan_traps_raise_as_the_row_walk(self, group, text, error, message):

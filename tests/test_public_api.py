@@ -8,9 +8,15 @@ outside its own definition and outside `__init__.py`.  Library code counts
 only when it is itself in use: a private helper or an unexported function
 always counts, an exported name only once it has earned its place, so a
 name used by nothing but other unused names is unused too.
+
+Two private helpers are used in one place only, checked on the package's
+syntax trees: `_Table.rows` alone builds `Row`s, and `properness_audit`
+alone makes memoizing steps.
 """
 
 import ast
+import collections
+import functools
 import random
 import re
 from pathlib import Path
@@ -113,6 +119,105 @@ def test_every_error_type_is_raised():
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
     assert sorted(defined - raised) == []
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@functools.cache
+def _module_uses(file: str, source: str, name: str) -> tuple[tuple[str, str, str, int], ...]:
+    """(module file, enclosing def or class as a dotted path, '' at module
+    level, kind of use, line) for every use of `name` in one module's
+    source: as a name ('Load' or 'Store'), an attribute ('Attribute'), an
+    imported name ('import'), or the function of a call ('call')."""
+    out = []
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, ast.Name) and node.id == name:
+            out.append((file, scope, type(node.ctx).__name__, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            out.append((file, scope, "Attribute", node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(file, scope, "import", node.lineno) for a in node.names if a.name == name]
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):  # module.name(...) or name.method(...)
+                called = (func.attr, getattr(func.value, "id", None))
+            else:
+                called = (getattr(func, "id", None),)
+            if name in called:
+                out.append((file, scope, "call", node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack += ((child, scope) for child in ast.iter_child_nodes(node))
+    return tuple(out)
+
+
+def _uses(sources: dict[str, str], name: str) -> list[tuple[str, str, str, int]]:
+    """Every use of `name` in the given module sources, as `_module_uses` lists them."""
+    return [use for file, source in sources.items() for use in _module_uses(file, source, name)]
+
+
+def _extra_uses(sources: dict[str, str], name: str, allowed: tuple) -> list[tuple[str, str, str, int]]:
+    """Every use of `name` but one of each (module file, scope, kind) in
+    `allowed`: a second use of an allowed kind counts."""
+    uses = _uses(sources, name)
+    extra = collections.Counter(use[:3] for use in uses) - collections.Counter(allowed)
+    return [use for use in uses if use[:3] in extra]
+
+
+def _row_builders(sources: dict[str, str]) -> list[tuple[str, str, str, int]]:
+    """Every call of `Row` or of one of its attributes, and every use of
+    `_as_row` but its definition and its one use in `_Table.rows`."""
+    calls = [use for use in _uses(sources, "Row") if use[2] == "call"]
+    return calls + _extra_uses(sources, "_as_row", (("elements.py", "", "Store"), ("elements.py", "_Table.rows", "Load")))
+
+
+def _memoizing_users(sources: dict[str, str]) -> list[tuple[str, str, str, int]]:
+    """Every use of `_memoizing` but zipper's import and one call in `properness_audit`."""
+    allowed = (("zipper.py", "", "import"), ("zipper.py", "properness_audit", "Load"),
+               ("zipper.py", "properness_audit", "call"))
+    return _extra_uses(sources, "_memoizing", allowed)
+
+
+# code appended to a module, each of which either check must find
+ROW_MUTANTS = (
+    ("elements.py", "def f():\n    return Row('', '', 0)\n"),
+    ("zipper.py", "def f():\n    return elements.Row('', '', 0)\n"),
+    ("elements.py", "def f():\n    return Row._make(('', '', 0))\n"),
+    ("elements.py", "def f(rows):\n    return list(map(_as_row, rows))\n"),
+    ("elements.py", "x = _as_row(('', '', 0))\n"),
+    ("zipper.py", "from .elements import _as_row\n"),
+)
+MEMOIZING_MUTANTS = (
+    ("elements.py", "def f(g, h):\n    return compose(_memoizing(g), h)\n"),
+    ("zipper.py", "def f(g):\n    return elements._memoizing(g)\n"),
+    ("zipper.py", "step = _memoizing\n"),
+    ("cli.py", "from .elements import _memoizing\n"),
+    ("zipper.py", "def properness_audit(g):\n    return _memoizing(g)\n"),
+)
+
+
+def test_only_the_rows_view_builds_a_row():
+    # tables keep plain (source, target, germ) triples; `_Table.rows` is
+    # the one place a Row is made, through `_as_row`
+    sources = _package_sources()
+    assert _row_builders(sources) == []
+    for file, mutant in ROW_MUTANTS:
+        assert _row_builders({**sources, file: sources[file] + mutant}), mutant
+
+
+def test_only_the_audit_makes_memoizing_steps():
+    # a step from `elements._memoizing` keeps the image of every target
+    # composed through it; `properness_audit` alone makes them, from its
+    # symmetrized generators, and drops them on return, so no element a
+    # caller holds ever keeps a memo
+    sources = _package_sources()
+    assert _memoizing_users(sources) == []
+    for file, mutant in MEMOIZING_MUTANTS:
+        assert _memoizing_users({**sources, file: sources[file] + mutant}), mutant
 
 
 def nowalls(count):

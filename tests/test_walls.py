@@ -191,6 +191,8 @@ BAD_WALLS_FILES = (
     (GOOD_WALLS + "move m a->b a->a\n", "point 'a' mapped twice", 4),
     (GOOD_WALLS + "move m b->a\n", "move 'm' does not map the basepoint", 4),
     ("points a b\nwall a | z\nbase a\n", "wall 0 does not cover the points", None),
+    (5, "a data file's text is a str, got int", None),
+    (b"points a b\n", "a data file's text is a str, got bytes", None),
 )
 
 
