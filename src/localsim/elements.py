@@ -61,6 +61,7 @@ from .errors import (
     InvalidCodeError,
     LiteralParseError,
     MalformedStructureError,
+    MalformedWordError,
     UnsupportedStructureError,
 )
 from .structure import SelfSimilarGroup, germ_apply
@@ -582,8 +583,8 @@ def _scan_rows(text: str, group: SelfSimilarGroup) -> tuple[list[tuple[Word, Wor
 def _refuse_row(text: str, start: int, row: int, group: SelfSimilarGroup) -> NoReturn:
     """Raise what is wrong with the `row`-th row of a literal, which starts
     at `start`, where the scan stopped: LiteralParseError located by the row
-    and the column where it starts, or `check_word`'s MalformedWordError.
-    Only that row is read, each word by `Alphabet.parse_word`."""
+    and the column where it starts, a letter out of range included.  Only
+    that row is read, each word by `Alphabet.parse_word`."""
     end = text.find(";", start)
     part = text[start : end if end >= 0 else len(text)].strip()
     col = start + 1
@@ -603,7 +604,7 @@ def _refuse_row(text: str, start: int, row: int, group: SelfSimilarGroup) -> NoR
     try:
         for word in (left, right):
             group.alphabet.parse_word(word)
-    except LiteralParseError as e:
+    except (LiteralParseError, MalformedWordError) as e:
         raise LiteralParseError(str(e), row=row, column=col) from None
     if not 0 <= germ < group.size:
         raise LiteralParseError(f"no germ {germ} in the structure", row=row, column=col)
@@ -622,9 +623,9 @@ def parse_element(text: str, group: SelfSimilarGroup) -> CanonicalElement:
     time and memory linear in its length, and keeps no copy of the text.
     A refused literal is named at the row where the scan stopped:
     `_refuse_row` reads that row alone and raises LiteralParseError, with
-    its row and column, or `check_word`'s MalformedWordError.  The rows are
-    not checked again: sorted, they go through the one column check and
-    reduction `reduce` ends in, so both columns must be complete codes and
+    its row and column, whatever the fault.  The rows are not checked
+    again: sorted, they go through the one column check and reduction
+    `reduce` ends in, so both columns must be complete codes and
     InvalidCodeError lists what it found otherwise.
     """
     text = _literal_text(text, "an element literal")
@@ -658,34 +659,30 @@ def format_element(g) -> str:
 # -- randomness ---------------------------------------------------------------
 
 
-def random_code_words(alphabet, rng, max_depth: int = 5, split_prob: float = 0.55) -> list[Word]:
-    """A random complete code grown by independent splitting, depth-capped;
-    max_depth is an int >= 0 and split_prob a real number in [0, 1]."""
+def random_code_words(alphabet, rng, max_depth: int = 5) -> list[Word]:
+    """A random complete code grown by splitting each ball shallower than
+    max_depth, an int >= 0, with probability 0.55, independently."""
     if not _is_int(max_depth) or max_depth < 0:
         raise UnsupportedStructureError(f"max_depth must be an integer >= 0, got {max_depth!r}")
-    if isinstance(split_prob, bool) or not isinstance(split_prob, (int, float)) or not 0 <= split_prob <= 1:
-        raise UnsupportedStructureError(f"split_prob must be a real number in [0, 1], got {split_prob!r}")
     out: list[Word] = []
     # depth-first in letter order, as the splitting draws are made; children
     # are pushed in reverse so the first letter is visited first
     stack: list[Word] = [""]
     while stack:
         w = stack.pop()
-        if len(w) < max_depth and rng.random() < split_prob:
+        if len(w) < max_depth and rng.random() < 0.55:
             stack.extend(w + chr(a) for a in reversed(alphabet.letters))
         else:
             out.append(w)
     return out
 
 
-def random_element(
-    group: SelfSimilarGroup, rng, max_depth: int = 5, split_prob: float = 0.55
-) -> CanonicalElement:
+def random_element(group: SelfSimilarGroup, rng, max_depth: int = 5) -> CanonicalElement:
     """A random element: random source code, random equal-size target code,
     random bijection, random germs; then reduced.  The source code is drawn
-    first, so `random_code_words` checks max_depth and split_prob."""
+    first, so `random_code_words` checks max_depth."""
     alphabet = group.alphabet
-    srcs = random_code_words(alphabet, rng, max_depth, split_prob)
+    srcs = random_code_words(alphabet, rng, max_depth)
     tgts: list[Word] = [""]
     while len(tgts) < len(srcs):
         splittable = [i for i, w in enumerate(tgts) if len(w) < max_depth]
@@ -700,18 +697,11 @@ def random_element(
     return CanonicalElement(group, _reduce_rows(group, rows))
 
 
-_MAX_POINT_LEN = 10_000
-
-
-def random_point(alphabet, rng, max_len: int = 4) -> Point:
-    """A random point: a preperiod under max_len letters, a period of 1 to
-    max_len - 1.  Each letter is one draw, so max_len is at most 10,000."""
-    if not _is_int(max_len) or max_len < 2:
-        raise UnsupportedStructureError(f"max_len must be an integer >= 2, got {max_len!r}")
-    if max_len > _MAX_POINT_LEN:
-        raise UnsupportedStructureError(f"random points are limited to max_len <= {_MAX_POINT_LEN}, got {max_len}")
-    pre_len = rng.randrange(0, max_len)
-    per_len = rng.randrange(1, max_len)
+def random_point(alphabet, rng) -> Point:
+    """A random point: a preperiod of 0 to 3 letters and a period of 1 to
+    3, each length and then each letter drawn uniformly."""
+    pre_len = rng.randrange(0, 4)
+    per_len = rng.randrange(1, 4)
     pre = "".join(chr(rng.randrange(alphabet.size)) for _ in range(pre_len))
     per = "".join(chr(rng.randrange(alphabet.size)) for _ in range(per_len))
     return _trusted_point(alphabet, *_canonical(pre, per))

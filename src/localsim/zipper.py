@@ -33,11 +33,11 @@ difference, used by the cocycle identity and the walls, composes them
 with the translating element first and minimizes once, which is exact
 by the argument in its docstring.
 
-`act_on_eclass` is the translation everywhere else, in `gz_member` and for
-the vacated classes in `_moved`, and it reduces the composed rows only for
-a class of two rows or more.  A one-row class is an inclusion class, with
-source e; its translate is either one row, or the pieces of its one
-straddled target, which never merge, by the proof in `gz_member`.
+`act_on_eclass` is the translation everywhere else, for the vacated
+classes in `_moved`, and it reduces the composed rows only for a class of
+two rows or more.  A one-row class is an inclusion class, with source e;
+its translate is one row or the pieces of its one straddled target, which
+never merge, by the proof in `gz_member`, which itself builds no class.
 
 A class is canonical as the least of its right twists, and row lists
 compare by their first rows first.  For a structure that passes
@@ -184,7 +184,8 @@ def z_member(e: EmbeddingClass) -> bool:
 
 
 def act_on_eclass(g: CanonicalElement, e: EmbeddingClass) -> EmbeddingClass:
-    """Translate a class by post-composition with a group element.
+    """Translate a class by post-composition with a group element; `_moved`
+    moves the vacated classes of a difference through it.
 
     The composed rows are reduced only when the class has two rows or more.
     A one-row class has source e, so its translate is one row when its
@@ -213,8 +214,9 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     a mergeable family among them would be a mergeable family of h, which
     is reduced.  So no piece ever merges, at least d >= 2 rows remain, and
     the translate is not an inclusion class.  Each target is therefore
-    looked up among h's cached sources first, and the class is translated
-    only when none straddles.
+    looked up among h's cached sources first.  When none straddles, a
+    one-row class composes to one row, and a longer one is composed and
+    reduced and its rows counted, which the twists keep: no class is built.
     """
     if e.group is not g.group and e.group != g.group:
         raise IncompatibleElementsError("element and class over different structures")
@@ -223,7 +225,7 @@ def gz_member(g: CanonicalElement, e: EmbeddingClass) -> bool:
     for _, target, _ in e._rows:
         if _covering(sources, target) < 0:
             return False
-    return z_member(act_on_eclass(h, e))
+    return len(e._rows) == 1 or len(_reduce_rows(g.group, _compose_rows(h, e._rows))) == 1
 
 
 def _entries(g: CanonicalElement) -> tuple[list[EmbeddingClass], list[list[tuple[Word, Word, int]]]]:
@@ -251,8 +253,8 @@ def _entries(g: CanonicalElement) -> tuple[list[EmbeddingClass], list[list[tuple
 
 
 def _signed(g: CanonicalElement) -> list[tuple[EmbeddingClass, int]]:
-    """The entries of `symdiff(g)` as (class, sign) pairs, for a caller
-    that keys them by rows."""
+    """The entries of `symdiff(g)` as (class, sign) pairs: `symdiff` maps
+    them, and the cocycle identity keys them by rows."""
     vacated, gained = _entries(g)
     group = g.group
     return [(e, -1) for e in vacated] + [(_eclass(group, rows), 1) for rows in gained]
@@ -278,12 +280,7 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     order is not part of the contract; sort by the classes' rows where
     order matters.
     """
-    vacated, gained = _entries(g)
-    group = g.group
-    out = dict.fromkeys(vacated, -1)
-    for rows in gained:
-        out[_eclass(group, rows)] = 1
-    return out
+    return dict(_signed(g))
 
 
 def _moved(g: CanonicalElement, h: CanonicalElement) -> Iterator[tuple[EmbeddingClass, int]]:

@@ -11,6 +11,9 @@ tuple of int letters, as it is spelled on paper.  Words cross over at the
 boundary only, through `letters` (a library word, or a tuple, to a tuple)
 and `as_word` (a tuple to the library's str word); the tests write their
 word literals as tuples and convert them with `as_word` too.
+
+One helper is no oracle: `SplitOdds` sets the odds at which the library's
+random codes split a ball, which the library fixes at 0.55.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from localsim import (
     CanonicalElement,
     EmbeddingClass,
     LiteralParseError,
+    MalformedWordError,
     PrefixCode,
     Row,
     compose,
@@ -255,7 +259,7 @@ def walk_literal(text: str, group: SelfSimilarGroup) -> CanonicalElement:
         try:
             src = letters(parse(left))
             tgt = letters(parse(right))
-        except LiteralParseError as e:
+        except (LiteralParseError, MalformedWordError) as e:
             raise LiteralParseError(str(e), row=rownum, column=col) from None
         if not 0 <= germ < group.size:
             raise LiteralParseError(f"no germ {germ} in the structure", row=rownum, column=col)
@@ -460,3 +464,20 @@ def slow_audit_composes(group: SelfSimilarGroup, generators, radius: int) -> int
                 outward += there == r + 1
                 inside += there == r
     return outward + inside // 2
+
+
+class SplitOdds:
+    """A random source that draws as `rng` does, but for `random()`, whose
+    draws it scales by 0.55/p.  `elements.random_code_words` splits a ball
+    when such a draw falls below 0.55, so over this source it splits with
+    probability p, and `random_element` draws its source code so too."""
+
+    def __init__(self, rng, p: float):
+        self._rng = rng
+        self._scale = 0.55 / p
+
+    def random(self) -> float:
+        return self._rng.random() * self._scale
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)

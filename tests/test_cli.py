@@ -13,7 +13,6 @@ from localsim import (
     LiteralParseError,
     LocalSimError,
     MalformedStructureError,
-    MalformedWordError,
     Move,
     WallsInstance,
     parse_automaton,
@@ -205,14 +204,15 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "literal, error, message",
         [
-            ("0->0;1->2", MalformedWordError, "letter 2 out of range for alphabet of size 2"),
+            ("0->0;1->2", LiteralParseError, "letter 2 out of range for alphabet of size 2 (row 1, column 6)"),
             ("0->0", InvalidCodeError, "invalid table: incomplete-domain, target-incomplete"),
         ],
     )
     def test_bad_literal_in_gens_file_is_named_by_line(self, capsys, tmp_path, literal, error, message):
         text = f"a = id\n# a comment\nc = {literal}\n"
-        with pytest.raises(error, match=f"^generators file line 3: {message}$"):
+        with pytest.raises(error) as raised:
             parse_gens_file(text, V)
+        assert str(raised.value) == f"generators file line 3: {message}"
         path = tmp_path / "bad.gens"
         path.write_text(text)
         code, out, err = run(capsys, "audit", "--gens", str(path), "--radius", "1", "--threshold", "0")

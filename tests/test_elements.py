@@ -16,7 +16,6 @@ from localsim import (
     LiteralParseError,
     LocalSimError,
     MalformedStructureError,
-    MalformedWordError,
     Point,
     PrefixCode,
     Row,
@@ -852,8 +851,8 @@ SCAN_TRAPS = (
     ("empty text", trivial_group(2), "", LiteralParseError, "row needs 'source->target', got '' (row 0, column 1)"),
     ("leading semicolon", trivial_group(2), ";0->1;1->0", LiteralParseError,
      "row needs 'source->target', got '' (row 0, column 1)"),
-    ("bracket letter out of range", trivial_group(12), "[0]->[0];[1]->[12]", MalformedWordError,
-     "letter 12 out of range for alphabet of size 12"),
+    ("bracket letter out of range", trivial_group(12), "[0]->[0];[1]->[12]", LiteralParseError,
+     "letter 12 out of range for alphabet of size 12 (row 1, column 10)"),
     ("bracket letter too long", trivial_group(12), "[0]->[0];[1]->[1," + "9" * 5000 + "]", LiteralParseError,
      "bracket letter of 5000 digits is too long (row 1, column 10)"),
 )
@@ -957,7 +956,7 @@ class TestLiterals:
                     want = outcome(walk_literal, mutant, group)
                     assert outcome(parse_element, mutant, group) == want, mutant
                     kinds[want[0] if isinstance(want, tuple) else CanonicalElement] += 1
-        assert set(kinds) == {CanonicalElement, LiteralParseError, MalformedWordError, InvalidCodeError}, kinds
+        assert set(kinds) == {CanonicalElement, LiteralParseError, InvalidCodeError}, kinds
 
     def test_refused_comb_reads_only_the_refused_row(self, t2, monkeypatch):
         # the 2000-leaf identity comb with a stray last character: the scan
@@ -1085,53 +1084,36 @@ class TestRandomCodes:
         assert words[0] == as_word((0,) * 1500) and words == sorted(words)
         assert PrefixCode(t2.alphabet, words).is_complete()
 
-    def test_random_point_needs_room_for_a_period(self, t3):
-        class NoDraws:
-            def randrange(self, *args):
-                raise AssertionError("drew before checking max_len")
-
-        for max_len in (1, 0, -3):
-            with pytest.raises(UnsupportedStructureError, match=f"max_len must be an integer >= 2, got {max_len}"):
-                random_point(t3.alphabet, NoDraws(), max_len)
-        # one draw a letter: a preperiod drawn below 10**30 would never be joined
-        with pytest.raises(UnsupportedStructureError, match=f"limited to max_len <= 10000, got {10**30}"):
-            random_point(t3.alphabet, NoDraws(), 10**30)
-        # from 2 on, the points and the draw after them are those of the
-        # implementation without the check
-        rng = random.Random(163)
-        points = [t3.alphabet.format_point(random_point(t3.alphabet, rng, m)) for m in (2, 2, 3, 4, 4, 6)]
-        assert points == ["(1)", "(0)", "(0)", "(010)", "(201)", "2211(0)"]
-        assert rng.random() == 0.3645698690874747
-
     # (element, point, next draw) from random_element(group, Random(seed),
-    # max_depth) then random_point(alphabet, rng, 5), for seeds 1, 2, 3, as
-    # the implementation with tuple words drew them
+    # max_depth) then random_point(alphabet, rng), for seeds 1, 2, 3: the
+    # elements as the implementation with tuple words drew them, the points
+    # as it drew them with lengths below 4
     DRAWS = {
-        "t2": [("0->1;1->0", "001(0110)", 712), ("e->e", "(1)", 855), ("000->01;001->1;01->001;1->000", "(01)", 687)],
-        "s2": [("e->e:1", "001(0110)", 712), ("e->e", "(1)", 855), ("000->01;001->1:1;01->001:1;1->000:1", "(01)", 687)],
+        "t2": [("0->1;1->0", "100(101)", 443), ("e->e", "(1)", 855), ("000->01;001->1;01->001;1->000", "0(1)", 759)],
+        "s2": [("e->e:1", "100(101)", 443), ("e->e", "(1)", 855), ("000->01;001->1:1;01->001:1;1->000:1", "0(1)", 759)],
         "t3": [
-            ("0->2;1->10;20->0;21->12;22->11", "202(010)", 22),
+            ("0->2;1->10;20->0;21->12;22->11", "202(01)", 31),
             ("e->e", "(1)", 855),
-            ("00->00;01->01;02->1;1->2;2->02", "(20)", 308),
+            ("00->00;01->01;02->1;1->2;2->02", "(2)", 43),
         ],
         "s3": [
-            ("0->2:3;1->10;20->0:3;21->12:3;22->11:4", "(1202)", 967),
+            ("0->2:3;1->10;20->0:3;21->12:3;22->11:4", "(112)", 821),
             ("e->e", "(1)", 855),
-            ("00->00:4;01->01:4;02->1:3;10->20:3;11->21:5;12->22:1;2->02:1", "2(0200)", 776),
+            ("00->00:4;01->01:4;02->1:3;10->20:3;11->21:5;12->22:1;2->02:1", "1(202)", 795),
         ],
         "t12": [
             (
                 "[0]->[2];[1]->[6];[2]->[11];[3]->[0];[4]->[10];[5]->[3];[6]->[5];[7]->[8];[8]->[9];[9]->[7];"
                 "[10]->[1];[11]->[4]",
-                "[6,11,0]([8,3])",
+                "[3,6,11]([0,8,3])",
                 782,
             ),
             ("e->e", "([5])", 855),
             (
                 "[0]->[4];[1]->[11];[2]->[10];[3]->[8];[4]->[2];[5]->[3];[6]->[6];[7]->[0];[8]->[1];[9]->[7];"
                 "[10]->[9];[11]->[5]",
-                "[9,11]([6,11,6,6])",
-                745,
+                "[9]([11,6])",
+                807,
             ),
         ],
     }
@@ -1143,6 +1125,6 @@ class TestRandomCodes:
             for seed in (1, 2, 3):
                 rng = random.Random(seed)
                 g = random_element(group, rng, max_depth=depth)
-                x = random_point(group.alphabet, rng, 5)
+                x = random_point(group.alphabet, rng)
                 got.append((format_element(g), group.alphabet.format_point(x), rng.randrange(1000)))
             assert got == self.DRAWS[name], name

@@ -1,6 +1,7 @@
 """The public API holds no name that only its own unit tests use, no
-error type that nothing raises, no integer parameter that takes a value
-that is not an int, and no type whose instances can change.
+parameter default that only they set, no error type that nothing raises,
+no integer parameter that takes a value that is not an int, and no type
+whose instances can change.
 
 A name in `localsim.__all__` earns its place when the benchmark, the
 README or the acceptance suite uses it, or when library code uses it
@@ -11,12 +12,14 @@ name used by nothing but other unused names is unused too.
 
 Two private helpers are used in one place only, checked on the package's
 syntax trees: `_Table.rows` alone builds `Row`s, and `properness_audit`
-alone makes memoizing steps.
+alone makes memoizing steps.  On the same trees, every structure or
+alphabet comparison checks identity before it reaches `__eq__`.
 """
 
 import ast
 import collections
 import functools
+import inspect
 import random
 import re
 from pathlib import Path
@@ -92,6 +95,50 @@ def test_every_exported_name_has_a_user():
             break
         used |= new
     assert sorted(exported - used) == []
+
+
+def _calls(paths) -> dict[str, list[ast.Call]]:
+    """Every call in the given files, keyed by the name called: `name(...)`
+    or `module.name(...)`."""
+    out = collections.defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                out[name].append(node)
+    return out
+
+
+def _passes(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
+    """Whether the call may set the parameter at `index`: by keyword, by
+    position, or through `*` or `**` unpacking."""
+    if any(k.arg in (param.name, None) for k in call.keywords):
+        return True
+    if param.kind not in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_set_by_a_user():
+    # a default that only the unit tests set is a knob that exists for them
+    # alone: `test_every_exported_name_has_a_user`'s rule for names, applied
+    # to the parameters of exported callables
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("perfbench/*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    calls = _calls(paths)
+    unset = []
+    for name in localsim.__all__:
+        obj = getattr(localsim, name)
+        if not callable(obj) or not getattr(obj, "__module__", "").startswith("localsim."):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # an error type without its own __init__
+            continue
+        for i, param in enumerate(params):
+            if param.default is not param.empty and not any(_passes(c, i, param) for c in calls[name]):
+                unset.append(f"{name}.{param.name}")
+    assert unset == []
 
 
 def test_all_matches_the_imports():
@@ -220,6 +267,61 @@ def test_only_the_audit_makes_memoizing_steps():
         assert _memoizing_users({**sources, file: sources[file] + mutant}), mutant
 
 
+def _unguarded_comparisons(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(module file, line) of every `!=` with a `.group` or `.alphabet`
+    operand that does not follow an `is not` on the same two expressions
+    inside one `and`."""
+
+    def comparison(node):
+        # (operator type, the two operands) of a single comparison
+        if isinstance(node, ast.Compare) and len(node.ops) == 1:
+            return type(node.ops[0]), frozenset(map(ast.dump, (node.left, node.comparators[0])))
+        return None, None
+
+    out = []
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        guarded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+                identities = set()
+                for value in node.values:
+                    op, operands = comparison(value)
+                    if op is ast.IsNot:
+                        identities.add(operands)
+                    elif op is ast.NotEq and operands in identities:
+                        guarded.add(value)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, ast.NotEq) for op in node.ops)
+                and any(isinstance(x, ast.Attribute) and x.attr in ("group", "alphabet") for x in (node.left, *node.comparators))
+                and node not in guarded
+            ):
+                out.append((file, node.lineno))
+    return out
+
+
+# code appended to a module, each of which must be found unguarded
+COMPARISON_MUTANTS = (
+    ("elements.py", "def f(a, b):\n    return a.group != b.group\n"),
+    ("zipper.py", "def f(x, a, b):\n    if x is not None and a.group != b.group:\n        return 1\n"),
+    ("zipper.py", "def f(a, b):\n    if a.group is not b.group:\n        if a.group != b.group:\n            return 1\n"),
+    ("structure.py", "def f(x, g):\n    return x.alphabet is not g.alphabet or x.alphabet != g.alphabet\n"),
+    ("elements.py", "def f(a, b):\n    return a.group != b.group and a.group is not b.group\n"),
+)
+
+
+def test_structure_comparisons_check_identity_first():
+    # compose, apply, the class translations and the audit compare
+    # structures and alphabets as `a is not b and a != b`, so one structure
+    # object never reaches the Python-level __eq__
+    sources = _package_sources()
+    assert _unguarded_comparisons(sources) == []
+    for file, mutant in COMPARISON_MUTANTS:
+        assert _unguarded_comparisons({**sources, file: sources[file] + mutant}), mutant
+
+
 def nowalls(count):
     return nowalls_demo(trivial_group(2), count)
 
@@ -234,14 +336,6 @@ def audit_threshold(threshold):
 
 def random_max_depth(max_depth):
     return random_element(trivial_group(2), random.Random(0), max_depth=max_depth)
-
-
-def random_split_prob(split_prob):
-    return random_element(trivial_group(2), random.Random(0), split_prob=split_prob)
-
-
-def random_max_len(max_len):
-    return random_point(Alphabet(2), random.Random(0), max_len)
 
 
 NOT_INTS = (2.5, 2.0, "2", None, True)
@@ -274,11 +368,6 @@ INTEGER_PARAMETERS = (
         (random_max_depth, v, UnsupportedStructureError, f"max_depth must be an integer >= 0, got {v!r}")
         for v in (2.5, -1, True)
     ),
-    *(
-        (random_split_prob, v, UnsupportedStructureError, f"split_prob must be a real number in [0, 1], got {v!r}")
-        for v in ("x", 1.5, True)
-    ),
-    (random_max_len, 10_001, UnsupportedStructureError, "random points are limited to max_len <= 10000, got 10001"),
     *((symmetric_group, v, MalformedWordError, SIZE.format(v)) for v in NOT_INTS),
     (symmetric_group, 1, MalformedWordError, SIZE.format(1)),
     (

@@ -21,6 +21,7 @@ from localsim import (
 from localsim.elements import random_code_words
 from localsim.words import _covering, _under
 from oracles import (
+    SplitOdds,
     all_balls,
     as_word,
     enumerate_complete_codes,
@@ -155,7 +156,7 @@ class TestProperPrefixCount:
         def check(d, rng, depth, split_prob, keep):
             alphabet = Alphabet(d)
             split_prob = split_prob if d < 12 else split_prob / 4
-            words = random_code_words(alphabet, rng, min(depth, depth_cap[d]), split_prob)
+            words = random_code_words(alphabet, SplitOdds(rng, split_prob), min(depth, depth_cap[d]))
             # keep < 1 drops words at random, leaving an incomplete antichain
             code = PrefixCode(alphabet, [w for w in words if keep == 1.0 or rng.random() < keep])
             got = code.proper_prefixes()

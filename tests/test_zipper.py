@@ -50,6 +50,7 @@ from localsim import (
 from localsim.cli import _resolve_input
 from localsim.elements import _compose_rows, _reduce_rows
 from oracles import (
+    SplitOdds,
     all_balls,
     as_word,
     brute_force_symdiff,
@@ -345,14 +346,29 @@ class TestMembership:
 
     def test_membership_composition_stops_at_a_straddle(self, t2, s3, klein, depth_two, monkeypatch):
         # no composition when some target straddles maximal balls of the
-        # inverse, and the one translation otherwise
+        # inverse or the class has one row, and one composition otherwise
         calls = collections.Counter()
         monkeypatch.setattr(zipper, "_compose_rows", counting(_compose_rows, calls))
 
         def check(g, e):
             calls.clear()
             gz_member(g, e)
-            assert calls["_compose_rows"] == (target_kind(g, e) == "inside")
+            assert calls["_compose_rows"] == (target_kind(g, e) == "inside" and len(e.rows) > 1)
+
+        over_random_classes([t2, s3, klein, depth_two], check)
+
+    def test_membership_builds_no_class(self, t2, s3, klein, depth_two, monkeypatch):
+        # gz_member counts the rows of the reduced composition: it neither
+        # translates the class nor ranks its twists
+        def built(*args):
+            raise AssertionError("gz_member built a class")
+
+        def check(g, e):
+            with monkeypatch.context() as patched:
+                patched.setattr(zipper, "act_on_eclass", built)
+                patched.setattr(zipper, "_eclass", built)
+                got = gz_member(g, e)
+            assert got == slow_gz_member(g, e)
 
         over_random_classes([t2, s3, klein, depth_two], check)
 
@@ -443,7 +459,7 @@ class TestSymdiff:
         )
         def check(group, rng, depth, split_prob):
             max_depth = min(depth, 5 if group.alphabet.size == 2 else 3)
-            g = random_element(group, rng, max_depth=max_depth, split_prob=split_prob)
+            g = random_element(group, SplitOdds(rng, split_prob), max_depth=max_depth)
             assert symdiff(g) == brute_force_symdiff(g)
 
         check()
