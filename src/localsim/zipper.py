@@ -28,10 +28,17 @@ inverse, so `gz_member` decides it at that target's search, and
 are walked once and never re-checked.
 
 The gained rows come out reduced but not twist minimized.  `symdiff`
-minimizes them as they are; `_moved`, the one translation of a
+minimizes them as they are.  `_moved`, the one translation of a
 difference, used by the cocycle identity and the walls, composes them
-with the translating element first and minimizes once, which is exact
-by the argument in its docstring.
+with the translating element and reduces them, and yields rows, not
+classes.  The cocycle identity keys its one tally by the reduced rows its
+entries carry, so equal rows cancel before any class is built, and it
+minimizes only the keys left nonzero.  That is exact for any entries: a
+reduced representative determines its class, so keying by rows refines
+keying by class, and merging the leftovers by class gives the same
+per-class sums.  It is cheap because each cancelling pair is two copies
+of one reduced form, so over trivial germs nothing is minimized, and with
+germs only the pairs one copy of which is twisted are.
 
 `act_on_eclass` is the translation everywhere else, for the vacated
 classes in `_moved`, and it reduces the composed rows only for a class of
@@ -252,14 +259,6 @@ def _entries(g: CanonicalElement) -> tuple[list[EmbeddingClass], list[list[tuple
     return vacated, gained
 
 
-def _signed(g: CanonicalElement) -> list[tuple[EmbeddingClass, int]]:
-    """The entries of `symdiff(g)` as (class, sign) pairs: `symdiff` maps
-    them, and the cocycle identity keys them by rows."""
-    vacated, gained = _entries(g)
-    group = g.group
-    return [(e, -1) for e in vacated] + [(_eclass(group, rows), 1) for rows in gained]
-
-
 def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     """The difference of the translated and plain inclusion families, as a
     map from each class in it to its sign.
@@ -280,26 +279,30 @@ def symdiff(g: CanonicalElement) -> dict[EmbeddingClass, int]:
     order is not part of the contract; sort by the classes' rows where
     order matters.
     """
-    return dict(_signed(g))
+    vacated, gained = _entries(g)
+    group = g.group
+    return dict([(e, -1) for e in vacated] + [(_eclass(group, rows), 1) for rows in gained])
 
 
-def _moved(g: CanonicalElement, h: CanonicalElement) -> Iterator[tuple[EmbeddingClass, int]]:
-    """The entries of `symdiff(h)` moved by g, as (class, sign) pairs made
+def _moved(g: CanonicalElement, h: CanonicalElement) -> Iterator[tuple[tuple, int]]:
+    """The entries of `symdiff(h)` moved by g, as (rows, sign) pairs made
     one at a time; g permutes the classes, so no two land on one.
 
-    A vacated class is moved by `act_on_eclass`.  A gained class is moved
-    from h's raw rows r: composed with g, reduced, and minimized once.
-    That is exact because translation is well defined on classes: the
-    canonical representative of r's class is rs for a right twist s, and
-    g(rs) = (gr)s, so gr lies in the translate of that class, and reduced
-    and minimized it is the translate's canonical representative.
+    A vacated class is moved by `act_on_eclass` and yields its canonical
+    rows.  A gained class is moved from h's raw rows r: composed with g and
+    reduced, not minimized.  Those rows are a representative of the
+    translate of r's class, because translation is well defined on
+    classes: the canonical representative of r's class is rs for a right
+    twist s, and g(rs) = (gr)s.  So `_eclass` of them is the translate's
+    canonical representative, and a caller minimizes them only where it
+    needs the class.
     """
     vacated, gained = _entries(h)
     group = g.group
     for e in vacated:
-        yield act_on_eclass(g, e), -1
+        yield act_on_eclass(g, e)._rows, -1
     for rows in gained:
-        yield _eclass(group, _reduce_rows(group, _compose_rows(g, rows))), 1
+        yield _reduce_rows(group, _compose_rows(g, rows)), 1
 
 
 def zipper_length(g: CanonicalElement) -> int:
@@ -318,25 +321,41 @@ def cocycle_identity_defect(g1: CanonicalElement, g2: CanonicalElement) -> int:
     The identity predicts the value at g1*g2 as the g1-translate of the
     value at g2 plus the value at g1.  All three sides are finitely
     supported, so comparing them over the union of supports is exact; a
-    prediction of 0 and a missing entry compare equal.  One tally, keyed by
-    the classes' plain row tuples, which hash in C, adds the prediction and
-    subtracts the value at g1*g2, dropping each class that reaches 0, so
-    what is left counts.  `_moved` translates the value at g2, which is
-    never built as a map.  The composition comes first, so elements over
-    different structures raise before any class is built.
+    prediction of 0 and a missing entry compare equal.
+
+    One tally, keyed by plain row tuples, which hash in C, adds the
+    prediction and subtracts the value at g1*g2, dropping each key that
+    reaches 0.  Each entry is keyed by the reduced rows it already
+    carries: the inclusion row of a vacated class, the raw rows from
+    `_entries` of a gained one, and for the value at g2, which is never
+    built as a map, the rows `_moved` yields.  Only the keys left nonzero
+    are minimized by `_eclass` and tallied again, and what is left then
+    counts.  That is exact for any entries: a reduced representative
+    determines its class, so keying by rows refines keying by class, and
+    merging the leftovers by class gives the same per-class sums.  Little
+    is left, because each cancelling pair is two copies of one reduced
+    form: g1g2ι_B read off g1*g2 at a ball B against g1 composed with g2's
+    rows at B, and g1ι_b read off g1 at a ball b against the translate of
+    ι_b, ι being an inclusion.  Over trivial germs nothing is minimized,
+    and with germs only the pairs one copy of which is twisted are.  The
+    composition comes first, so elements over different structures raise
+    before any class is built.
     """
     product = compose(g1, g2)
     tally: dict[tuple[tuple[Word, Word, int], ...], int] = {}
 
-    def add(entries: Iterable[tuple[EmbeddingClass, int]], sign: int) -> None:
-        for e, v in entries:
-            left = tally.pop(e._rows, 0) + sign * v
+    def add(entries: Iterable[tuple[tuple, int]], sign: int) -> None:
+        for rows, v in entries:
+            left = tally.pop(rows, 0) + sign * v
             if left:
-                tally[e._rows] = left
+                tally[rows] = left
 
-    add(_signed(product), -1)
-    add(_signed(g1), 1)
+    for g, sign in ((product, -1), (g1, 1)):
+        vacated, gained = _entries(g)
+        add([(e._rows, -1) for e in vacated] + [(tuple(rows), 1) for rows in gained], sign)
     add(_moved(g1, g2), 1)
+    leftovers, tally = tally, {}
+    add([(_eclass(product.group, rows)._rows, v) for rows, v in leftovers.items()], 1)
     return len(tally)
 
 
@@ -360,11 +379,15 @@ def separating_walls(g1: CanonicalElement, g2: CanonicalElement) -> list[tuple[E
     are the g1-translate of the symmetric difference of h = g1^-1 g2, with
     the signs flipped: a +1 entry lies in hZ only, so its translate lies in
     g2Z only, and a -1 entry lies in Z only, so its translate lies in g1Z
-    only.  `_moved` translates them.  The composition comes first, so
-    elements over different structures raise before any class is built.
+    only.  `_moved` translates them, and each is minimized at most once:
+    a vacated class comes canonical from `act_on_eclass`, and only a
+    gained class's reduced rows go through `_eclass`.  The composition
+    comes first, so elements over different structures raise before any
+    class is built.
     """
     walls = _moved(g1, compose(g1._inverse, g2))
-    return sorted(((e, -v) for e, v in walls), key=lambda ev: ev[0]._rows)
+    classes = ((EmbeddingClass(g1.group, rows) if v < 0 else _eclass(g1.group, rows), -v) for rows, v in walls)
+    return sorted(classes, key=lambda ev: ev[0]._rows)
 
 
 # -- the Cayley-ball audit ------------------------------------------------------

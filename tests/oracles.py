@@ -371,6 +371,16 @@ def slow_eclass(group: SelfSimilarGroup, rows) -> tuple[Row, ...]:
     return min(slow_twists(group, rows))
 
 
+def slow_defect(group: SelfSimilarGroup, entries) -> int:
+    """The number of classes at which signed (rows, sign) entries do not sum
+    to 0, each entry counted at the least twist of its rows."""
+    sums: dict[tuple[Row, ...], int] = {}
+    for rows, v in entries:
+        key = slow_eclass(group, rows)
+        sums[key] = sums.get(key, 0) + v
+    return sum(1 for v in sums.values() if v)
+
+
 def leaf_ranks(g: CanonicalElement) -> list[int]:
     """The rank of each row's target among all targets, rows in source
     order: the leaf permutation of a tree-pair diagram."""

@@ -58,6 +58,7 @@ from oracles import (
     slow_audit_composes,
     slow_audit_counts,
     slow_compose_rows,
+    slow_defect,
     slow_eclass,
     slow_gz_member,
     slow_twists,
@@ -577,7 +578,7 @@ class TestCocycle:
     @staticmethod
     def _perturbed(monkeypatch, configurations, x0, x1, perturb):
         """Pairs (g1, g2) with g2 moving some class, under a `_moved`, the
-        translation of g2's entries by g1, whose (class, sign) pairs
+        translation of g2's entries by g1, whose (rows, sign) pairs
         `perturb` changes; each pair's defect is then 1.  The pairs' moved
         entries list the -1 classes first and end on a +1 class."""
         moved = zipper._moved
@@ -603,8 +604,8 @@ class TestCocycle:
     def test_defect_counts_a_flipped_sign(self, monkeypatch, configurations, x0, x1):
         def flip(at):
             def perturb(moved, _):
-                e, v = moved[at]
-                moved[at] = (e, -v)
+                rows, v = moved[at]
+                moved[at] = (rows, -v)
                 return moved
 
             return perturb
@@ -620,13 +621,104 @@ class TestCocycle:
         def spurious(sign):
             def perturb(moved, group):
                 deep = group.alphabet.size * 6
-                return [*moved, (incl_class(group, "\0" * deep), sign), (incl_class(group, "\1" * deep), 0)]
+                return [*moved, (incl_class(group, "\0" * deep)._rows, sign), (incl_class(group, "\1" * deep)._rows, 0)]
 
             return perturb
 
         for sign in (1, -1):
             defects = self._perturbed(monkeypatch, configurations, x0, x1, spurious(sign))
             assert defects == [1] * len(defects)
+
+    def test_a_twisted_moved_entry_still_cancels(self, monkeypatch, s2, s3, klein):
+        # the leftover pass: a gained entry's rows swapped for another right
+        # twist of its class no longer match their partner's rows, so both
+        # are left in the tally, and only minimized do they cancel.  A
+        # one-row entry twists to another germ
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        rng = random.Random(4003)
+        moved = zipper._moved
+        swapped = []
+        for group in (s2, s3, klein, sigma2):
+            swapped.append(0)
+            for _ in range(30):
+                g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
+                entries = list(moved(g1, g2))
+                gained = [i for i, (_, v) in enumerate(entries) if v == 1]
+                if not gained:
+                    continue
+                i = rng.choice(gained)
+                twists = [t for t in slow_twists(group, entries[i][0]) if t != entries[i][0]]
+                if not twists:
+                    continue
+                entries[i] = (rng.choice(twists), 1)
+                monkeypatch.setattr(zipper, "_moved", lambda g, h, entries=entries: iter(entries))
+                assert cocycle_identity_defect(g1, g2) == 0
+                swapped[-1] += 1
+        assert min(swapped) >= 12, swapped
+
+    def test_a_twisted_class_outside_the_difference_counts_once(self, monkeypatch, s2, s3, klein):
+        # a class far deeper than any support, appended as a right twist
+        # other than its least: alone, or with its least rows of the same
+        # sign, it is one defect; with its least rows of the other sign it
+        # cancels
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        rng = random.Random(4007)
+        moved = zipper._moved
+        for group in (s2, s3, klein, sigma2):
+            d = group.alphabet.size
+            rows = tuple((chr(a), chr(a) * 6 * d, rng.randrange(group.size)) for a in range(d))
+            least = slow_eclass(group, rows)
+            twisted = next(t for t in slow_twists(group, rows) if t != least)
+            for extra, want in (([(twisted, 1)], 1), ([(twisted, -1), (least, -1)], 1), ([(twisted, 1), (least, -1)], 0)):
+                monkeypatch.setattr(zipper, "_moved", lambda g, h, extra=extra: [*moved(g, h), *extra])
+                for _ in range(4):
+                    g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
+                    assert cocycle_identity_defect(g1, g2) == want
+
+    def test_defect_matches_the_slow_oracle_under_random_perturbations(self, monkeypatch, configurations):
+        # `_moved` perturbed at several entries at once: an entry dropped,
+        # duplicated, sign flipped or its rows twisted, or a class in some
+        # hZ added with either sign.  The oracle sums the negated brute-force
+        # value at g1*g2, the value at g1 and the perturbed entries by the
+        # least twists of their rows; the seeded run must reach defects of 2
+        # or more
+        sigma2 = parse_automaton(_resolve_input("sigma2.aut"))
+        structures = configurations + [sigma2]
+        rng = random.Random(4013)
+        moved = zipper._moved
+        defects = collections.Counter()
+        for n in range(30):
+            group = structures[n % len(structures)]
+            g1, g2 = (random_element(group, rng, max_depth=3) for _ in range(2))
+            entries = list(moved(g1, g2))
+            for _ in range(rng.randint(2, 4)):
+                edit = rng.choice(("drop", "duplicate", "flip", "twist", "add"))
+                if edit == "add" or not entries:
+                    entries.append((random_class_rows(group, rng)[1], rng.choice((1, -1))))
+                    continue
+                i = rng.randrange(len(entries))
+                rows, v = entries[i]
+                if edit == "drop":
+                    del entries[i]
+                elif edit == "duplicate":
+                    entries.append((rows, v))
+                elif edit == "flip":
+                    entries[i] = (rows, -v)
+                else:
+                    entries[i] = (rng.choice(slow_twists(group, rows)), v)
+            monkeypatch.setattr(zipper, "_moved", lambda g, h, entries=entries: iter(entries))
+            value_at_product = brute_force_symdiff(compose(g1, g2))
+            value_at_g1 = brute_force_symdiff(g1)
+            want = slow_defect(
+                group,
+                [(e._rows, -v) for e, v in value_at_product.items()]
+                + [(e._rows, v) for e, v in value_at_g1.items()]
+                + entries,
+            )
+            got = cocycle_identity_defect(g1, g2)
+            assert got == want, (g1, g2, entries)
+            defects[min(got, 2)] += 1
+        assert defects[2] >= 5, defects
 
     def test_gained_rows_translate_as_their_class(self, t2, s2, t3, s3, klein, s3_conjugated, depth_two):
         # the exactness of `_moved`: h's raw gained rows r, not twist
@@ -651,7 +743,7 @@ class TestCocycle:
                         assert got == act_on_eclass(g, e), rows
                         twisted[i] += e._rows != tuple(rows)
                     values = symdiff(h)
-                    moved = list(zipper._moved(g, h))
+                    moved = [(zipper._eclass(group, rows), v) for rows, v in zipper._moved(g, h)]
                     assert dict(moved) == {act_on_eclass(g, e): v for e, v in values.items()}
                     assert len(moved) == len(values)
                     back = invert(g)
